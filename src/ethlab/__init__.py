@@ -31,7 +31,7 @@ from .spectral import (EnergySpectrum, EntropyModel, MicrocanonicalWindow,
                        OperatorEigenbasis, eigendecompose, entropy_model,
                        mean_level_spacing, microcanonical_window,
                        spacing_ratio_mean)
-from .synth import (EnvelopeSpec, SynthEthOperator, SynthSpectrumParams,
-                    gue_matrix, synth_eth_operator, synth_spectrum)
+from .synth import (EnvelopeSpec, SynthSpectrumParams, gue_matrix,
+                    synth_eth_operator, synth_spectrum)
 
 __version__ = "0.1.0"

@@ -101,6 +101,7 @@ class KlResidualReport:
         return float(np.abs(self.omega).max())
 
     def to_dict(self):
+        """The ``code_error.json`` layout: ``code`` flattened, eps split re/im."""
         return {
             "members": list(self.code.members),
             "k": self.code.k,
@@ -116,6 +117,19 @@ class KlResidualReport:
             "diagonal_spread": self.diagonal_spread,
             "metadata": dict(self.metadata),
         }
+
+    @classmethod
+    def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`."""
+        code = CodeSpec(members=tuple(data["members"]), k=data["k"],
+                        d=data["d"], n_qubits=data["n_qubits"])
+        eps = np.array(data["epsilon_re"]) + 1j * np.array(data["epsilon_im"])
+        return cls(code=code, c_a=data["c_a"], epsilon=eps,
+                   eps_max=data["eps_max"], eps_code=data["eps_code"],
+                   omega=np.array(data["omega"]),
+                   member_energies=np.array(data["member_energies"]),
+                   diagonal_spread=data["diagonal_spread"],
+                   metadata=data["metadata"])
 
 
 def kl_residuals(a, spectrum, code, metadata=None):
@@ -209,23 +223,6 @@ class BoundReport:
     slack_ratios: dict
     per_pair: list
 
-    def to_dict(self):
-        return {
-            "code_error": self.code_error,
-            "code_error_rhs": self.code_error_rhs,
-            "code_error_rhs_weak": self.code_error_rhs_weak,
-            "lambda_lower": self.lambda_lower,
-            "lambda_used": self.lambda_used,
-            "lambda_source": self.lambda_source,
-            "chaos_bound": self.chaos_bound,
-            "entropy_value": self.entropy_value,
-            "omega_char": self.omega_char,
-            "slack": self.slack,
-            "flags": dict(self.flags),
-            "slack_ratios": dict(self.slack_ratios),
-            "per_pair": [list(row) for row in self.per_pair],
-        }
-
     @property
     def all_within_slack(self):
         return all(self.flags.values())
@@ -234,7 +231,8 @@ class BoundReport:
 def resolve_lambda(beta, lyapunov_fit=None, envelope=None):
     """Growth-rate source precedence: accepted fit, envelope-implied, chaos bound.
 
-    ``lyapunov_fit`` may be a LyapunovFit or a bare fitted rate. The envelope
+    ``lyapunov_fit`` may be a LyapunovFit or a bare fitted rate, and
+    ``envelope`` an EnvelopeModel or its bare decay rate gamma. The envelope
     decay gamma implies lam = pi/(2*gamma) by matching exp(-gamma*|w|)
     against exp(-pi*|w|/(2*lam)). Returns (lam, source).
     """
@@ -243,7 +241,7 @@ def resolve_lambda(beta, lyapunov_fit=None, envelope=None):
         if lam_fit > 0:
             return lam_fit, "fitted"
     if envelope is not None:
-        gamma = envelope.central_gamma
+        gamma = float(getattr(envelope, "central_gamma", envelope))
         if np.isfinite(gamma) and gamma > 0:
             return float(math.pi / (2.0 * gamma)), "envelope-implied"
     if beta > 0:
@@ -257,6 +255,7 @@ def check_bounds(report, entropy, beta, envelope=None, lyapunov_fit=None,
                  slack=DEFAULT_SLACK):
     """Evaluate the code-error bound and the growth-rate sandwich for a code.
 
+    ``envelope`` and ``lyapunov_fit`` are passed to :func:`resolve_lambda`.
     The entropy is taken at the mean code-member energy. Checks are flagged
     as violations only beyond ``slack``, since every inequality drops O(1)
     constants. A vacuous lower bound is flagged separately and does not

@@ -93,16 +93,7 @@ def main(argv=None):
             print(f"demo complete in {cfg.data['out_dir']}; "
                   f"all_within_slack={manifest.get('all_within_slack')}")
             return _exit_code_from_manifest(manifest)
-        if args.command == "generate":
-            stages = ("generate",)
-        elif args.command == "extract":
-            stages = ("extract",)
-        elif args.command == "code-error":
-            stages = ("code-error",)
-        elif args.command == "dynamics":
-            stages = ("dynamics",)
-        else:
-            stages = ("bounds",)
+        stages = (args.command,)
         manifest = run(cfg, stages=stages)
         for stage in stages:
             print(f"{stage}: wrote {', '.join(manifest['stages'][stage])}")

@@ -179,19 +179,13 @@ def otoc(a, spectrum, beta, times):
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Broadened symmetric and response spectra on a frequency grid.
-
-    ``peaks`` optionally carries the pre-broadening delta comb as
-    (frequencies, f_weights, rho_weights) including the w = 0 diagonal
-    weight of the symmetric part; the response has no w = 0 weight.
-    """
+    """Broadened symmetric and response spectra on a frequency grid."""
 
     omegas: np.ndarray
     f_values: np.ndarray
     rho_values: np.ndarray
     sigma_omega: float
     beta: float
-    peaks: tuple = None
 
 
 def spectral_peaks(a, spectrum, beta):
@@ -224,12 +218,12 @@ def spectral_peaks(a, spectrum, beta):
     return freqs, f_w, r_w
 
 
-def spectral_densities(a, spectrum, beta, sigma_omega, omegas, keep_peaks=None):
+def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     """Gaussian-broadened spectral densities on the given frequency grid.
 
     sigma_omega must be at least 2 mean bulk level spacings, otherwise the
-    broadened curves are under-resolved combs. Peaks are retained on the
-    result for dimensions up to 1024 unless ``keep_peaks`` overrides.
+    broadened curves are under-resolved combs. The unbroadened delta comb
+    is :func:`spectral_peaks`.
     """
     omegas = np.asarray(omegas, dtype=float)
     spacing = mean_level_spacing(spectrum.eigenvalues)
@@ -249,15 +243,12 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas, keep_peaks=None):
         kern = norm * np.exp(-0.5 * z * z)
         f_vals += kern @ f_w[sl]
         r_vals += kern @ r_w[sl]
-    if keep_peaks is None:
-        keep_peaks = spectrum.dim <= 1024
     return SpectralDensity(
         omegas=omegas,
         f_values=f_vals,
         rho_values=r_vals,
         sigma_omega=float(sigma_omega),
         beta=float(beta),
-        peaks=(freqs, f_w, r_w) if keep_peaks else None,
     )
 
 
@@ -510,22 +501,6 @@ class FluctuationReport:
     measured_static: float = None
     slack: float = 10.0
     slack_ratios: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "dynamical_bound_rate": self.dynamical_bound_rate,
-            "dynamical_bound_code": self.dynamical_bound_code,
-            "static_bound": self.static_bound,
-            "static_divergent": self.static_divergent,
-            "fdt_bound_rate": self.fdt_bound_rate,
-            "fdt_bound_code": self.fdt_bound_code,
-            "omega": self.omega,
-            "entropy_value": self.entropy_value,
-            "measured_dynamical": self.measured_dynamical,
-            "measured_static": self.measured_static,
-            "slack": self.slack,
-            "slack_ratios": dict(self.slack_ratios),
-        }
 
 
 def fluctuation_bounds(entropy_value, beta, omega, lam=None, eps_code=None,

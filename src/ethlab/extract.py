@@ -26,9 +26,6 @@ class DiagonalProfile:
     scatter: np.ndarray
     bandwidth: float
 
-    def value_at(self, e):
-        return np.interp(e, self.energies, self.values)
-
 
 def diagonal_profile(a, spectrum, bandwidth=None, grid_points=201):
     """Nadaraya-Watson smoothing of the diagonal matrix elements.
@@ -127,10 +124,6 @@ class EnvelopeModel:
         i = np.clip(np.digitize(np.asarray(e_bar, dtype=float), self.e_edges) - 1,
                     0, self.density_boost.size - 1)
         return self.density_boost[i]
-
-    def gamma_at(self, e_bar):
-        i = int(np.clip(np.digitize(e_bar, self.e_edges) - 1, 0, self.gamma.size - 1))
-        return float(self.gamma[i])
 
     @property
     def central_gamma(self):

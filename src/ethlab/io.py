@@ -17,8 +17,12 @@ pin the random-stream scheme documented in :mod:`ethlab.synth`.
 CSV files use 17 significant digits, '.' decimal separator and '\\n' line
 endings so golden files compare byte for byte. JSON reports are written
 with sorted keys and a fixed separator/indent style for the same reason.
+:func:`dump_json` is the one codec for stage reports: a dataclass is written
+as its fields and a numpy array as its nested list, so reports go to JSON
+without hand-written ``to_dict`` methods.
 """
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -118,7 +122,17 @@ def write_series_csv(path, label, grid, values):
 
 
 def _sanitize(obj):
-    """Map non-finite floats to None so emitted JSON stays standard."""
+    """Map non-finite floats to None so emitted JSON stays standard.
+
+    A dataclass instance becomes a dict of its fields (read with getattr,
+    not deep-copied) and an ndarray becomes ``.tolist()``; both are then
+    sanitized recursively.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _sanitize(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -136,6 +150,7 @@ def _sanitize(obj):
 def dump_json(path, obj):
     """Deterministic JSON: sorted keys, fixed indent, trailing newline.
 
+    Dataclasses are written as their fields and ndarrays as nested lists.
     Non-finite floats become null; readers treat null as "unavailable".
     """
     text = json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False)

@@ -64,14 +64,6 @@ class LocalObservableSpec:
         if any(p not in "XYZ" for p in self.paulis):
             raise ValidationError("Pauli letters must be X, Y or Z")
 
-    @property
-    def locality(self):
-        return len(self.sites)
-
-    def contiguous(self):
-        s = sorted(self.sites)
-        return all(b - a == 1 for a, b in zip(s, s[1:]))
-
 
 def _site_z(n_sites):
     """z_i(s) = +-1 per basis state, shape (dim, n_sites)."""

@@ -20,10 +20,10 @@ from .config import RunConfig
 from .dynamics import (dissipation_time, dynamical_fluctuation, fdt_check,
                        fit_lyapunov, fluctuation_bounds, gaussian_wavepacket,
                        otoc, spectral_densities, static_fluctuation,
-                       symmetric_and_response, thermal_state, two_point)
+                       symmetric_and_response, two_point)
 from .errors import EthLabError, FitRejectedError, ValidationError
-from .extract import (BinningSpec, EnvelopeModel, diagonal_profile,
-                      envelope_estimate, gaussianity_stats)
+from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
+                      gaussianity_stats)
 from .io import (dump_json, file_sha256, format_number, load_json, read_array,
                  read_csv, write_array, write_csv, write_series_csv)
 from .models import (LocalObservableSpec, SpinChainParams,
@@ -116,11 +116,9 @@ def stage_generate(cfg, out):
         envelope = EnvelopeSpec(form=env_cfg["form"], gamma=env_cfg["gamma"],
                                 f0=env_cfg["f0"],
                                 table=tuple(map(tuple, table)) if table else None)
-        synth = synth_eth_operator(spectrum, ent, envelope,
-                                   diagonal=_diag_callable(model["diagonal"]),
-                                   seed=seed,
-                                   diagonal_kind=model["diagonal"]["kind"])
-        a = synth.operator
+        a = synth_eth_operator(spectrum, ent, envelope,
+                               diagonal=_diag_callable(model["diagonal"]),
+                               seed=seed)
     write_array(os.path.join(out, "spectrum.ethb"), spectrum.eigenvalues)
     write_array(os.path.join(out, "operator.ethb"), a.matrix)
     write_csv(os.path.join(out, "entropy.csv"), ["e", "s", "beta"],
@@ -148,56 +146,14 @@ def stage_extract(cfg, out):
     window = _window_from_config(cfg, spectrum, ent)
     try:
         gauss = gaussianity_stats(a, spectrum, env, window)
-        gauss_dict = {
-            "mean": gauss.mean, "variance": gauss.variance,
-            "skewness": gauss.skewness,
-            "excess_kurtosis": gauss.excess_kurtosis,
-            "sample_size": gauss.sample_size, "low_power": gauss.low_power,
-        }
     except ValidationError as exc:
-        gauss_dict = {"error": str(exc)}
-    report = {
-        "e_edges": env.e_edges.tolist(),
-        "omega_edges": env.omega_edges.tolist(),
-        "gamma": env.gamma.tolist(),
-        "gamma_stderr": env.gamma_stderr.tolist(),
-        "fit_residual": env.fit_residual.tolist(),
-        "fit_window": list(env.fit_window),
-        "central_gamma": env.central_gamma,
-        "min_count": env.min_count,
-        "density_boost": env.density_boost.tolist(),
-        "gaussianity": gauss_dict,
-        "window": {"start": int(window.start), "stop": int(window.stop),
-                   "center": window.center, "half_width": window.half_width},
-    }
+        gauss = {"error": str(exc)}
+    report = {name: getattr(env, name) for name in (
+        "e_edges", "omega_edges", "gamma", "gamma_stderr", "fit_residual",
+        "fit_window", "central_gamma", "min_count", "density_boost")}
+    report.update(gaussianity=gauss, window=window)
     dump_json(os.path.join(out, "extract.json"), report)
     return ["profile.csv", "envelope.csv", "extract.json"]
-
-
-def _envelope_from_files(out):
-    data = load_json(os.path.join(out, "extract.json"))
-    _, (ec, wc, f2, count) = read_csv(os.path.join(out, "envelope.csv"))
-    e_edges = np.array(data["e_edges"])
-    omega_edges = np.array(data["omega_edges"])
-    ne, nw = e_edges.size - 1, omega_edges.size - 1
-    grid_f2 = np.full((ne, nw), np.nan)
-    grid_counts = np.zeros((ne, nw), dtype=np.int64)
-    i = np.clip(np.digitize(ec, e_edges) - 1, 0, ne - 1)
-    j = np.clip(np.digitize(wc, omega_edges) - 1, 0, nw - 1)
-    grid_f2[i, j] = f2
-    grid_counts[i, j] = count.astype(np.int64)
-    gamma = np.array([x if x is not None else np.nan for x in data["gamma"]],
-                     dtype=float)
-    stderr = np.array([x if x is not None else np.nan for x in data["gamma_stderr"]],
-                      dtype=float)
-    residual = np.array([x if x is not None else np.nan for x in data["fit_residual"]],
-                        dtype=float)
-    return EnvelopeModel(e_edges=e_edges, omega_edges=omega_edges, f2=grid_f2,
-                         counts=grid_counts,
-                         density_boost=np.array(data["density_boost"]),
-                         gamma=gamma, gamma_stderr=stderr, fit_residual=residual,
-                         fit_window=tuple(data["fit_window"]),
-                         min_count=data["min_count"])
 
 
 def stage_code_error(cfg, out):
@@ -254,8 +210,7 @@ def stage_dynamics(cfg, out):
             write_series_csv(os.path.join(out, fname), "t", series.times,
                              series.values)
             files.append(fname)
-        sd = spectral_densities(a, spectrum, beta, dyn["sigma_omega"], omegas,
-                                keep_peaks=False)
+        sd = spectral_densities(a, spectrum, beta, dyn["sigma_omega"], omegas)
         fname = f"spectral_density_beta{tag}.csv"
         write_csv(os.path.join(out, fname), ["omega", "f", "rho"],
                   [sd.omegas, sd.f_values, sd.rho_values])
@@ -295,23 +250,16 @@ def stage_dynamics(cfg, out):
 
 
 def stage_bounds(cfg, out):
-    """Bound checks combining the code error, envelope, and dynamics outputs."""
-    spectrum = _load_spectrum(out)
+    """Bound checks combining the code error, envelope, and dynamics outputs.
+
+    Of the envelope only its central decay rate is needed; ``extract.json``
+    stores it, with null meaning no slice could be fitted.
+    """
     ent = _load_entropy(out)
-    env = _envelope_from_files(out)
-    code_data = load_json(os.path.join(out, "code_error.json"))
+    gamma = load_json(os.path.join(out, "extract.json"))["central_gamma"]
+    report = KlResidualReport.from_dict(
+        load_json(os.path.join(out, "code_error.json")))
     dyn_data = load_json(os.path.join(out, "dynamics.json"))
-    code = CodeSpec(members=tuple(code_data["members"]), k=code_data["k"],
-                    d=code_data["d"], n_qubits=code_data["n_qubits"])
-    eps = (np.array(code_data["epsilon_re"])
-           + 1j * np.array(code_data["epsilon_im"]))
-    report = KlResidualReport(
-        code=code, c_a=code_data["c_a"], epsilon=eps,
-        eps_max=code_data["eps_max"], eps_code=code_data["eps_code"],
-        omega=np.array(code_data["omega"]),
-        member_energies=np.array(code_data["member_energies"]),
-        diagonal_spread=code_data["diagonal_spread"],
-        metadata=code_data["metadata"])
     slack = cfg.data["slack"]
     per_beta = []
     all_ok = True
@@ -320,12 +268,12 @@ def stage_bounds(cfg, out):
         fit = None
         if entry["fit"].get("status") == "accepted":
             fit = entry["fit"]["lambda"]
-        bound = check_bounds(report, ent, beta, envelope=env,
+        bound = check_bounds(report, ent, beta, envelope=gamma,
                              lyapunov_fit=fit, slack=slack)
         lam = bound.lambda_used
         fluct = fluctuation_bounds(
             bound.entropy_value, beta, bound.omega_char, lam=lam,
-            eps_code=report.eps_code, d=code.d, k=code.k,
+            eps_code=report.eps_code, d=report.code.d, k=report.code.k,
             measured_dynamical=entry["measured_dynamical_fluctuation"],
             measured_static=entry["measured_static_fluctuation"],
             slack=slack)
@@ -335,8 +283,8 @@ def stage_bounds(cfg, out):
         all_ok = all_ok and ok
         # time-scale metadata recorded alongside the code checks; no gating
         # on the dissipation/scrambling hierarchy is applied
-        per_beta.append({"beta": beta, "bound_report": bound.to_dict(),
-                         "fluctuation_report": fluct.to_dict(),
+        per_beta.append({"beta": beta, "bound_report": bound,
+                         "fluctuation_report": fluct,
                          "dissipation_time": entry["dissipation_time"],
                          "fit": entry["fit"],
                          "within_slack": ok})
@@ -392,12 +340,24 @@ def _point_name(items):
     return "__".join(f"{path}={format_number(v)}" for path, v in items)
 
 
+def _failure(exc):
+    """A failed point's record: ("error", message); the message is str(exc)
+    for an EthLabError and "Type: message" for anything else."""
+    if isinstance(exc, EthLabError):
+        return "error", str(exc)
+    return "error", f"{type(exc).__name__}: {exc}"
+
+
 def _run_sweep_point(args):
+    """Run one point; returns ("ok", manifest) or the point's failure record."""
     base_dict, items, out = args
-    cfg = RunConfig.from_dict(base_dict)
-    for path, value in items:
-        cfg = cfg.with_path_value(path, value)
-    return run(cfg, out_dir=out)
+    try:
+        cfg = RunConfig.from_dict(base_dict)
+        for path, value in items:
+            cfg = cfg.with_path_value(path, value)
+        return "ok", run(cfg, out_dir=out)
+    except Exception as exc:  # isolation: any point failure is recorded
+        return _failure(exc)
 
 
 def sweep(cfg, out_dir=None):
@@ -422,23 +382,16 @@ def sweep(cfg, out_dir=None):
     results = {}
     if workers == 1:
         for job in jobs:
-            name = _point_name(job[1])
-            try:
-                results[name] = ("ok", _run_sweep_point(job))
-            except EthLabError as exc:
-                results[name] = ("error", str(exc))
+            results[_point_name(job[1])] = _run_sweep_point(job)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_sweep_point, job): _point_name(job[1])
                        for job in jobs}
             for fut in concurrent.futures.as_completed(futures):
-                name = futures[fut]
                 try:
-                    results[name] = ("ok", fut.result())
-                except EthLabError as exc:
-                    results[name] = ("error", str(exc))
-                except Exception as exc:  # isolation: any point failure is recorded
-                    results[name] = ("error", f"{type(exc).__name__}: {exc}")
+                    results[futures[fut]] = fut.result()
+                except Exception as exc:  # a worker that died returns nothing
+                    results[futures[fut]] = _failure(exc)
 
     rows = []
     any_error = False

@@ -173,25 +173,13 @@ class EntropyModel:
     def beta_at(self, e):
         return np.interp(e, self.grid_energies, self.grid_beta)
 
-    def density_at(self, e):
-        return np.exp(self.entropy_at(e))
-
-    @classmethod
-    def from_function(cls, fn, e_min, e_max, grid_points=513, sigma_s=0.0):
-        """Build a model from an analytic S(E) callable (synthetic control)."""
-        grid = np.linspace(float(e_min), float(e_max), grid_points)
-        s = np.asarray(fn(grid), dtype=float)
-        if s.shape != grid.shape:
-            s = np.full_like(grid, float(fn(grid[0])))
-        beta = np.gradient(s, grid)
-        return cls(sigma_s=float(sigma_s), grid_energies=grid,
-                   grid_entropy=s, grid_beta=beta)
-
     @classmethod
     def constant(cls, value, e_min, e_max):
         """Energy-independent entropy, e.g. S = log(D) for flat synthetic models."""
-        return cls.from_function(lambda e: np.full_like(e, float(value)),
-                                 e_min, e_max, grid_points=17)
+        grid = np.linspace(float(e_min), float(e_max), 17)
+        s = np.full_like(grid, float(value))
+        return cls(sigma_s=0.0, grid_energies=grid, grid_entropy=s,
+                   grid_beta=np.gradient(s, grid))
 
 
 def entropy_model(spectrum, sigma_s=None, grid_points=2049):

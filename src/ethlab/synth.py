@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import EnergySpectrum, EntropyModel, OperatorEigenbasis
+from .spectral import EnergySpectrum, OperatorEigenbasis
 
 _SPECTRUM_STREAM = np.uint64(1) << np.uint64(63)
 
@@ -115,23 +115,7 @@ class EnvelopeSpec:
         return np.interp(w, omegas, values)
 
 
-@dataclass(frozen=True)
-class SynthEthOperator:
-    """Generated operator plus the full provenance needed to regenerate it."""
-
-    operator: OperatorEigenbasis
-    spectrum: EnergySpectrum
-    envelope: EnvelopeSpec
-    seed: int
-    diagonal_kind: str = "custom"
-
-    @property
-    def matrix(self):
-        return self.operator.matrix
-
-
-def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0,
-                       diagonal_kind="custom"):
+def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0):
     """Generate a Hermitian operator from the matrix-element ansatz.
 
     ``diagonal`` is a callable O(Ebar) for the smooth diagonal profile
@@ -165,13 +149,7 @@ def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0,
         a[m, m + 1:] = amp * envelope.evaluate(omega) * r
     lower = np.tril_indices(d, -1)
     a[lower] = a.conj().T[lower]
-    return SynthEthOperator(
-        operator=OperatorEigenbasis(matrix=a),
-        spectrum=spectrum,
-        envelope=envelope,
-        seed=int(seed),
-        diagonal_kind=diagonal_kind,
-    )
+    return OperatorEigenbasis(matrix=a)
 
 
 def gue_matrix(dim, seed):

@@ -136,7 +136,7 @@ def test_criterion_04_entropy_scaling_law():
             center = dim // 2
             for pair in range(16):
                 i = center - 16 + 2 * pair
-                rep = el.kl_residuals(op.operator, spec,
+                rep = el.kl_residuals(op, spec,
                                       el.CodeSpec(members=(i, i + 1), k=1, d=1))
                 samples.append(math.log(rep.eps_max))
         means.append(float(np.mean(samples)))
@@ -154,14 +154,14 @@ def test_criterion_05_envelope_roundtrip():
     for gamma in (0.1, 0.25, 0.5):
         op = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=gamma),
                                    seed=400 + int(gamma * 100))
-        model = el.envelope_estimate(op.operator, spec, ent)
+        model = el.envelope_estimate(op, spec, ent)
         rel = abs(model.central_gamma - gamma) / gamma
         details.append(f"gamma={gamma}: rel err {rel:.3f}")
         ok = ok and rel <= 0.10
     const = el.synth_eth_operator(spec, ent,
                                   el.EnvelopeSpec(form="constant", f0=1.0),
                                   seed=447)
-    flat = el.envelope_estimate(const.operator, spec, ent)
+    flat = el.envelope_estimate(const, spec, ent)
     details.append(f"constant: gamma_hat {flat.central_gamma:.4f}")
     ok = ok and abs(flat.central_gamma) <= 0.02
     verdict(5, ok, "; ".join(details))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 import ethlab as el
+from ethlab.io import dump_json, load_json
 
 
 def brute_force_residuals(a_matrix, members, c_a):
@@ -82,7 +83,7 @@ class TestKlResiduals:
         w = el.microcanonical_window(spec, 2.0, 0.4)
         members = el.select_code_states(w, 1, spectrum=spec)
         code = el.CodeSpec(members=members, k=1, d=1)
-        rep = el.kl_residuals(op.operator, spec, code)
+        rep = el.kl_residuals(op, spec, code)
         oracle = brute_force_residuals(op.matrix, members, rep.c_a)
         rel = np.abs(rep.epsilon - oracle).max() / np.abs(rep.epsilon).max()
         assert rel <= 1e-12
@@ -90,7 +91,7 @@ class TestKlResiduals:
     def test_epsilon_hermitian(self, synth512):
         spec, _, op = synth512
         code = el.CodeSpec(members=(200, 240, 280, 320), k=2, d=1)
-        rep = el.kl_residuals(op.operator, spec, code)
+        rep = el.kl_residuals(op, spec, code)
         dev = np.abs(rep.epsilon - rep.epsilon.conj().T).max()
         assert dev <= 1e-12 * max(np.abs(rep.epsilon).max(), 1e-300)
         assert np.all(np.abs(np.imag(np.diagonal(rep.epsilon))) <= 1e-15)
@@ -99,9 +100,23 @@ class TestKlResiduals:
     def test_omega_matches_energies(self, synth512):
         spec, _, op = synth512
         code = el.CodeSpec(members=(100, 300), k=1, d=1)
-        rep = el.kl_residuals(op.operator, spec, code)
+        rep = el.kl_residuals(op, spec, code)
         expected = spec.eigenvalues[100] - spec.eigenvalues[300]
         assert rep.omega[0, 1] == pytest.approx(expected)
+
+    def test_dict_roundtrip(self, synth512):
+        spec, _, op = synth512
+        w = el.microcanonical_window(spec, 2.0, 0.4)
+        code = el.CodeSpec(members=el.select_code_states(w, 2, spectrum=spec),
+                           k=2, d=1, n_qubits=9)
+        rep = el.kl_residuals(op, spec, code, metadata={"betas": [0.5, 1.0]})
+        assert np.abs(rep.epsilon.imag).max() > 0  # both parts carry data
+        back = el.KlResidualReport.from_dict(rep.to_dict())
+        assert back.code == rep.code
+        for name in ("c_a", "eps_max", "eps_code", "diagonal_spread", "metadata"):
+            assert getattr(back, name) == getattr(rep, name), name
+        for name in ("epsilon", "omega", "member_energies"):
+            assert np.array_equal(getattr(back, name), getattr(rep, name)), name
 
     def test_dimension_mismatch(self, synth512):
         spec, _, _ = synth512
@@ -122,7 +137,7 @@ class TestKlResiduals:
         # the full frequency range (adjacent states would all have w ~ 0)
         members = tuple(np.unique(np.linspace(w.start, w.stop - 1,
                                               32).astype(int)))
-        rep = el.kl_residuals(op.operator, spec,
+        rep = el.kl_residuals(op, spec,
                               el.CodeSpec(members=members, k=5, d=1))
         iu = np.triu_indices(32, 1)
         omegas = np.abs(rep.omega[iu])
@@ -205,7 +220,7 @@ class TestCheckBounds:
     def _report(self, spec, op, k=1, d=1):
         w = el.microcanonical_window(spec, 2.0, 0.4)
         members = el.select_code_states(w, k, spectrum=spec)
-        return el.kl_residuals(op.operator, spec,
+        return el.kl_residuals(op, spec,
                                el.CodeSpec(members=members, k=k, d=d))
 
     def test_saturating_envelope_implies_chaos_bound(self):
@@ -216,7 +231,7 @@ class TestCheckBounds:
         ent = el.EntropyModel.constant(np.log(1024), 0, 4)
         op = el.synth_eth_operator(spec, ent,
                                    el.EnvelopeSpec(gamma=beta / 4), seed=21)
-        env = el.envelope_estimate(op.operator, spec, ent)
+        env = el.envelope_estimate(op, spec, ent)
         report = self._report(spec, op)
         bound = el.check_bounds(report, ent, beta, envelope=env)
         assert bound.lambda_source == "envelope-implied"
@@ -237,7 +252,7 @@ class TestCheckBounds:
     def test_lambda_source_precedence(self, synth512):
         spec, ent, op = synth512
         rep = self._report(spec, op)
-        env = el.envelope_estimate(op.operator, spec, ent)
+        env = el.envelope_estimate(op, spec, ent)
         fitted = el.check_bounds(rep, ent, 1.0, envelope=env, lyapunov_fit=2.5)
         assert fitted.lambda_source == "fitted"
         assert fitted.lambda_used == 2.5
@@ -263,11 +278,23 @@ class TestCheckBounds:
         if bound.slack_ratios["code_error"] <= 1 and bound.lambda_lower:
             assert bound.lambda_lower <= bound.lambda_used * (1 + 1e-12)
 
-    def test_report_serialization_fields(self, synth512):
+    def test_bare_gamma_matches_envelope(self, synth512):
+        spec, ent, op = synth512
+        rep = self._report(spec, op)
+        env = el.envelope_estimate(op, spec, ent)
+        from_model = el.check_bounds(rep, ent, 1.0, envelope=env)
+        from_gamma = el.check_bounds(rep, ent, 1.0, envelope=env.central_gamma)
+        assert from_gamma == from_model
+        assert from_gamma.lambda_source == "envelope-implied"
+        unfitted = el.check_bounds(rep, ent, 1.0, envelope=float("nan"))
+        assert unfitted.lambda_source == "chaos-bound"
+
+    def test_report_serialization_fields(self, synth512, tmp_path):
         spec, ent, op = synth512
         rep = self._report(spec, op)
         bound = el.check_bounds(rep, ent, 1.0)
-        d = bound.to_dict()
+        dump_json(tmp_path / "bound.json", bound)
+        d = load_json(tmp_path / "bound.json")
         for key in ("code_error", "code_error_rhs", "code_error_rhs_weak",
                     "lambda_lower", "lambda_used", "lambda_source",
                     "chaos_bound", "flags", "slack_ratios", "per_pair"):

@@ -494,7 +494,7 @@ class TestFluctuationBounds:
         ok = 0
         for seed in range(20):
             state = el.gaussian_wavepacket(spec, 2.0, 0.2, seed=seed)
-            measured = el.dynamical_fluctuation(op.operator, state)
+            measured = el.dynamical_fluctuation(op, state)
             rep = el.fluctuation_bounds(s_val, 1.0, 0.0, lam=lam,
                                         measured_dynamical=measured)
             ok += rep.slack_ratios["dynamical_rate"] <= rep.slack

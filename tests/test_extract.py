@@ -17,7 +17,7 @@ class TestDiagonalProfile:
         ent = el.EntropyModel.constant(np.log(2000), 0, 4)
         op = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=0.25),
                                    diagonal=lambda e: np.tanh(e), seed=17)
-        prof = el.diagonal_profile(op.operator, spec, bandwidth=0.08)
+        prof = el.diagonal_profile(op, spec, bandwidth=0.08)
         bulk = (prof.energies > np.quantile(spec.eigenvalues, 0.2)) & \
                (prof.energies < np.quantile(spec.eigenvalues, 0.8))
         dev = np.abs(prof.values[bulk] - np.tanh(prof.energies[bulk]))
@@ -49,7 +49,7 @@ class TestDiagonalProfile:
 
 class TestEnvelopeEstimate:
     def test_gamma_roundtrip(self, synth2000):
-        model = el.envelope_estimate(synth2000["op"].operator,
+        model = el.envelope_estimate(synth2000["op"],
                                      synth2000["spec"], synth2000["entropy"])
         assert abs(model.central_gamma - 0.25) <= 0.025
 
@@ -57,13 +57,13 @@ class TestEnvelopeEstimate:
         op = el.synth_eth_operator(synth2000["spec"], synth2000["entropy"],
                                    el.EnvelopeSpec(form="constant", f0=1.0),
                                    seed=301)
-        model = el.envelope_estimate(op.operator, synth2000["spec"],
+        model = el.envelope_estimate(op, synth2000["spec"],
                                      synth2000["entropy"])
         assert abs(model.central_gamma) <= 0.02
 
     def test_low_count_bins_dropped(self, synth2000):
         binn = el.BinningSpec(e_bins=8, omega_bins=48, min_count=10**9)
-        model = el.envelope_estimate(synth2000["op"].operator,
+        model = el.envelope_estimate(synth2000["op"],
                                      synth2000["spec"], synth2000["entropy"],
                                      binn)
         assert np.all(np.isnan(model.f2))
@@ -71,7 +71,7 @@ class TestEnvelopeEstimate:
 
     def test_bin_refinement_stability(self, synth2000):
         spec, ent = synth2000["spec"], synth2000["entropy"]
-        a = synth2000["op"].operator
+        a = synth2000["op"]
         coarse = el.envelope_estimate(a, spec, ent,
                                       el.BinningSpec(omega_bins=40))
         fine = el.envelope_estimate(a, spec, ent,
@@ -93,7 +93,7 @@ class TestEnvelopeEstimate:
                     dim=dim, dos_shape="flat", bandwidth=4.0, seed=500 + seed))
                 ent = el.EntropyModel.constant(np.log(dim), 0, 4)
                 op = el.synth_eth_operator(spec, ent, env, seed=600 + seed)
-                model = el.envelope_estimate(op.operator, spec, ent, binn)
+                model = el.envelope_estimate(op, spec, ent, binn)
                 samples.append(model.f2[2, 4])
                 count = model.counts[2, 4]
             variances.append(np.var(samples))
@@ -104,7 +104,7 @@ class TestEnvelopeEstimate:
         assert 0.3 * expected <= measured <= 3.0 * expected
 
     def test_out_of_range_lookup_is_nan(self, synth2000):
-        model = el.envelope_estimate(synth2000["op"].operator,
+        model = el.envelope_estimate(synth2000["op"],
                                      synth2000["spec"], synth2000["entropy"])
         assert np.isnan(model.f2_at(2.0, 1e9))
 
@@ -112,9 +112,9 @@ class TestEnvelopeEstimate:
 class TestGaussianityStats:
     def test_synthetic_roundtrip(self, synth2000):
         spec, ent = synth2000["spec"], synth2000["entropy"]
-        model = el.envelope_estimate(synth2000["op"].operator, spec, ent)
+        model = el.envelope_estimate(synth2000["op"], spec, ent)
         w = el.microcanonical_window(spec, 2.0, 0.5)
-        gs = el.gaussianity_stats(synth2000["op"].operator, spec, model, w)
+        gs = el.gaussianity_stats(synth2000["op"], spec, model, w)
         sigma_mean = 1.0 / np.sqrt(gs.sample_size)
         assert abs(gs.mean) <= 3 * sigma_mean
         assert abs(gs.variance - 1.0) <= 0.05
@@ -123,7 +123,7 @@ class TestGaussianityStats:
 
     def test_diagonal_only_matrix_raises(self, synth2000):
         spec, ent = synth2000["spec"], synth2000["entropy"]
-        model = el.envelope_estimate(synth2000["op"].operator, spec, ent)
+        model = el.envelope_estimate(synth2000["op"], spec, ent)
         diag = el.OperatorEigenbasis(matrix=np.diag(spec.eigenvalues))
         w = el.microcanonical_window(spec, 2.0, 0.5)
         with pytest.raises(el.ValidationError):
@@ -132,9 +132,9 @@ class TestGaussianityStats:
 
     def test_single_state_window_raises(self, synth2000):
         spec, ent = synth2000["spec"], synth2000["entropy"]
-        model = el.envelope_estimate(synth2000["op"].operator, spec, ent)
+        model = el.envelope_estimate(synth2000["op"], spec, ent)
         e0 = spec.eigenvalues[1000]
         w = el.MicrocanonicalWindow(center=e0, half_width=1e-9,
                                     start=1000, stop=1001)
         with pytest.raises(el.ValidationError):
-            el.gaussianity_stats(synth2000["op"].operator, spec, model, w)
+            el.gaussianity_stats(synth2000["op"], spec, model, w)

@@ -97,6 +97,15 @@ class TestJson:
         assert back == {"x": None, "y": None, "z": 1.0}
         json.loads(path.read_text())  # standard JSON, parses strictly
 
+    def test_dataclass_and_array_written_as_fields(self, tmp_path):
+        window = el.MicrocanonicalWindow(center=0.5, half_width=0.25,
+                                         start=3, stop=9)
+        path = tmp_path / "d.json"
+        dump_json(path, {"w": window, "a": np.array([[1.0, np.nan], [2.0, 3.0]])})
+        assert load_json(path) == {
+            "w": {"center": 0.5, "half_width": 0.25, "start": 3, "stop": 9},
+            "a": [[1.0, None], [2.0, 3.0]]}
+
 
 class TestRunConfig:
     def test_roundtrip_identity(self):
@@ -128,6 +137,12 @@ class TestRunConfig:
         with pytest.raises(el.ValidationError):
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
                                  "thermal": {"betas": []}})
+
+    def test_zero_time_points_rejected(self):
+        # the dynamics stage records and rescales by F2(0), the first point
+        with pytest.raises(el.ValidationError):
+            RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
+                                 "dynamics": {"t_points": 0}})
 
     def test_hash_changes_with_content(self):
         c1 = demo_config()

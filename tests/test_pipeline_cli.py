@@ -7,7 +7,8 @@ import pytest
 import ethlab as el
 from ethlab.cli import main as cli_main
 from ethlab.config import RunConfig
-from ethlab.io import load_json, read_csv
+from ethlab import pipeline
+from ethlab.io import dump_json, load_json, read_csv
 from ethlab.pipeline import run, sweep
 
 
@@ -70,6 +71,30 @@ class TestRun:
         data = load_json(os.path.join(out, "code_error.json"))
         assert data["eps_code"] == 0.0
         assert data["eps_max"] == 0.0
+
+    def test_bound_reports_match_in_memory_check(self, tmp_path):
+        # the bounds stage reads back only the code-error report and the
+        # central decay rate; its reports must equal those of the in-memory
+        # chain that holds the whole envelope model
+        out = str(tmp_path / "codec")
+        cfg = small_synth_config(out)
+        run(cfg)
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=300, dos_shape="flat", bandwidth=4.0, seed=3))
+        ent = el.EntropyModel.constant(np.log(300), spec.eigenvalues[0],
+                                       spec.eigenvalues[-1])
+        a = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=0.25), seed=3)
+        env = el.envelope_estimate(a, spec, ent, el.BinningSpec(min_count=20))
+        members = load_json(os.path.join(out, "code_error.json"))["members"]
+        report = el.kl_residuals(a, spec, el.CodeSpec(members=members, k=1, d=1))
+        per_beta = load_json(os.path.join(out, "bounds.json"))["per_beta"]
+        assert per_beta
+        for entry in per_beta:
+            fit = entry["fit"].get("lambda")
+            bound = el.check_bounds(report, ent, entry["beta"], envelope=env,
+                                    lyapunov_fit=fit, slack=cfg.data["slack"])
+            dump_json(tmp_path / "bound.json", bound)
+            assert entry["bound_report"] == load_json(tmp_path / "bound.json")
 
     def test_stage_rerun_reproduces_outputs(self, tmp_path):
         out = str(tmp_path / "stages")
@@ -164,6 +189,29 @@ class TestSweep:
         ok_dir = os.path.join(out, "points")
         assert any("bounds.json" in files
                    for _, _, files in os.walk(ok_dir))
+
+    def test_serial_isolation_on_unexpected_error(self, tmp_path, monkeypatch):
+        # a non-EthLabError inside one point must become that point's error
+        # row, exactly as it does in a process-pool sweep
+        real = pipeline._STAGE_FUNCS["dynamics"]
+
+        def dynamics_failing_for_seed_2(cfg, out):
+            if cfg.data["seed"] == 2:
+                raise RuntimeError("boom")
+            return real(cfg, out)
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "dynamics",
+                            dynamics_failing_for_seed_2)
+        out = str(tmp_path / "swraise")
+        d = small_synth_config(out, dim=200).to_dict()
+        d["sweep"] = {"grid": {"seed": [1, 2]}, "workers": 1}
+        _, rows, any_error = sweep(RunConfig.from_dict(d))
+        assert any_error
+        statuses = {row["seed"]: row["status"] for row in rows}
+        assert statuses == {1: "ok", 2: "error: RuntimeError: boom"}
+        assert os.path.exists(os.path.join(out, "aggregate.csv"))
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["points"] == {"seed=1": "ok", "seed=2": "error"}
 
     def test_empty_grid_rejected(self, tmp_path):
         base = small_synth_config(str(tmp_path / "x"))

@@ -102,7 +102,7 @@ class TestSynthOperator:
         # estimate on an independently seeded realization of the same model
         fresh = el.synth_eth_operator(synth2000["spec"], synth2000["entropy"],
                                       synth2000["envelope"], seed=777)
-        model = el.envelope_estimate(fresh.operator, synth2000["spec"],
+        model = el.envelope_estimate(fresh, synth2000["spec"],
                                      synth2000["entropy"])
         assert abs(model.central_gamma - 0.25) <= 0.025
 
