@@ -37,6 +37,38 @@ def rel_dev(x, y):
     return np.abs(x - y).max() / max(np.abs(y).max(), 1e-300)
 
 
+def synth_complex(dim, seed):
+    """Complex Hermitian ETH operator in the identity basis of a flat spectrum."""
+    spec = el.synth_spectrum(el.SynthSpectrumParams(
+        dim=dim, dos_shape="flat", bandwidth=4.0, seed=seed))
+    ent = el.EntropyModel.constant(np.log(dim), spec.eigenvalues[0],
+                                   spec.eigenvalues[-1])
+    env = el.EnvelopeSpec(form="exp_decay", gamma=0.25, f0=1.0)
+    return spec, el.synth_eth_operator(spec, ent, env, seed=seed + 1)
+
+
+def dense_broadened(a, spectrum, beta, sigma, omegas):
+    """Untruncated Gaussian sum over every pair peak, built from the matrix."""
+    e = spectrum.eigenvalues
+    rho = el.thermal_state(spectrum, beta).weights
+    abs2 = np.abs(a.matrix) ** 2
+    off = ~np.eye(e.size, dtype=bool)
+    freqs = (e[None, :] - e[:, None])[off]          # w = E_n - E_m
+    f_w = (0.5 * (rho[:, None] + rho[None, :]) * abs2)[off]
+    r_w = (0.25 * (rho[:, None] - rho[None, :]) * abs2)[off]
+    diag = np.real(np.diagonal(a.matrix))
+    freqs = np.append(freqs, 0.0)
+    f_w = np.append(f_w, np.dot(rho, diag**2) - np.dot(rho, diag) ** 2)
+    r_w = np.append(r_w, 0.0)
+    norm = 1.0 / (math.sqrt(2 * math.pi) * sigma)
+    f_vals, r_vals = [], []
+    for w in omegas:
+        kern = norm * np.exp(-0.5 * ((w - freqs) / sigma) ** 2)
+        f_vals.append(kern @ f_w)
+        r_vals.append(kern @ r_w)
+    return np.array(f_vals), np.array(r_vals)
+
+
 class TestThermalState:
     def test_infinite_temperature_uniform(self, ising8):
         st_ = el.thermal_state(ising8["spec"], 0.0)
@@ -167,6 +199,21 @@ class TestOtoc:
             direct.append(np.trace(at @ z0 @ at @ z0) / 256)
         assert rel_dev(oto.values, np.array(direct)) <= 1e-10
 
+    def test_complex_operator_matches_direct_trace(self):
+        spec, a = synth_complex(128, seed=21)
+        beta, times = 1.0, np.array([0.0, 0.4, 1.3, 2.9])
+        e = spec.eigenvalues
+        r4 = np.diag(np.exp(-0.25 * beta * e)) / \
+            np.exp(-beta * e).sum() ** 0.25
+        direct = []
+        for t in times:
+            u = np.diag(np.exp(1j * e * t))
+            at = u @ a.matrix @ u.conj().T
+            direct.append(np.trace(r4 @ at @ r4 @ a.matrix @ r4 @ at @ r4
+                                   @ a.matrix))
+        oto = el.otoc(a, spec, beta, times)
+        assert rel_dev(oto.values, np.array(direct)) <= 1e-10
+
     def test_cost_guard(self):
         e = np.linspace(0, 1, 1 << 13)
         spec = el.EnergySpectrum(e)
@@ -207,6 +254,38 @@ class TestSpectralDensities:
         with pytest.raises(el.ValidationError):
             el.spectral_densities(ising8["a"], ising8["spec"], 1.0, 1e-4,
                                   np.linspace(-1, 1, 11))
+
+    def test_sigma_one_level_spacing_boundary(self, ising8):
+        spacing = el.mean_level_spacing(ising8["spec"].eigenvalues)
+        om = np.linspace(-1, 1, 11)
+        with pytest.raises(el.ValidationError):
+            el.spectral_densities(ising8["a"], ising8["spec"], 1.0,
+                                  0.99 * spacing, om)
+        el.spectral_densities(ising8["a"], ising8["spec"], 1.0,
+                              1.01 * spacing, om)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
+    def test_windowed_matches_dense_sum_ising(self, ising8, beta):
+        self._check_against_dense(ising8["a"], ising8["spec"], beta)
+
+    def test_windowed_matches_dense_sum_complex(self):
+        spec, a = synth_complex(256, seed=7)
+        self._check_against_dense(a, spec, 1.0)
+
+    @staticmethod
+    def _check_against_dense(a, spec, beta):
+        sigma = 0.1
+        band = spec.bandwidth
+        # asymmetric grid through w = 0, running past the largest pair
+        # frequency so that the outermost windows hold no peak at all
+        om = sigma * np.arange(-round(1.1 * band / sigma),
+                               round(1.4 * band / sigma) + 1)
+        sd = el.spectral_densities(a, spec, beta, sigma, om)
+        f_ref, r_ref = dense_broadened(a, spec, beta, sigma, om)
+        assert om.max() > band + 9 * sigma and 0.0 in om
+        scale = np.abs(f_ref).max()
+        assert np.abs(sd.f_values - f_ref).max() <= 1e-12 * scale
+        assert np.abs(sd.rho_values - r_ref).max() <= 1e-12 * scale
 
     def test_broadened_symmetric_density_nonnegative(self, ising8):
         band = ising8["spec"].bandwidth
