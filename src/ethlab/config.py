@@ -150,9 +150,11 @@ def _dynamics_block(raw):
         "wavepacket_sigma_fraction": _take(d, "wavepacket_sigma_fraction", 0.04, float),
         "fdt_threshold": _take(d, "fdt_threshold", 0.3, float),
     }
-    if out["t_points"] < 1:
-        # F2(0), the first point of the two-point series, rescales the fits
-        raise ValidationError("dynamics.t_points must be >= 1")
+    # t_points >= 1: F2(0), the first point of the two-point series,
+    # rescales the fits; the other counts only feed np.linspace
+    for key, least in (("t_points", 1), ("otoc_points", 0), ("omega_points", 0)):
+        if out[key] < least:
+            raise ValidationError(f"dynamics.{key} must be >= {least}")
     if out["fit_window"] is not None:
         if len(out["fit_window"]) != 2:
             raise ValidationError("dynamics.fit_window must be [lo, hi]")

@@ -9,7 +9,17 @@ regulated correlators for a Hermitian observable A are
     Foto(t) = Tr[rho^(1/4) A(t) rho^(1/4) A rho^(1/4) A(t) rho^(1/4) A]
 
 F2 and Foto are real for Hermitian A thanks to the symmetric regulator
-splitting; Resp is purely imaginary.
+splitting, and only their validated real part is kept; Resp is purely
+imaginary.
+
+F2 and <A(t) A>_beta, from which Fsym and Resp are built, share one Lehmann
+sum with weights u_m u_n (u = rho^(1/2)) and rho_m respectively:
+
+    sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t)
+        = (left v)^T |A|^2 (right conj(v)),   v_m(t) = exp(i E_m t),
+
+evaluated as one real matrix product of |A|^2 with the float view of the
+complex d x T block right * conj(v).
 
 Frequency space: the symmetric and response spectra are delta combs over
 pair frequencies w = E_n - E_m with weights
@@ -27,7 +37,7 @@ dropped term is below exp(-40.5) ~ 2.6e-18 of its peak's normalised weight.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,41 +114,39 @@ class CorrelatorSeries:
         return self.values.real
 
 
-def _phase_matrix(eigenvalues, times):
-    return np.exp(1j * np.outer(eigenvalues, times))
-
-
 def _check_hermitian_operator(a):
     if not a.is_hermitian():
         raise ValidationError("correlators require a Hermitian observable")
+
+
+def _lehmann_sum(a, spectrum, left, right, times):
+    """sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t) at each time."""
+    v = np.exp(1j * np.outer(spectrum.eigenvalues, times))
+    rv = right[:, None] * v.conj()
+    # |A|^2 is real: one real product with the (d, 2T) float view of rv
+    s = (np.abs(a.matrix) ** 2 @ rv.view(float)).view(complex)
+    return np.einsum("mt,mt->t", left[:, None] * v, s)
 
 
 def two_point(a, spectrum, beta, times):
     """F2(t) as a double eigenstate sum with symmetric sqrt(rho) regulators."""
     _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
-    st = thermal_state(spectrum, beta)
-    u = st.fractional_weights(0.5)
-    w = (u[:, None] * u[None, :]) * np.abs(a.matrix) ** 2
-    v = _phase_matrix(spectrum.eigenvalues, times)
-    vals = np.einsum("mt,mt->t", v, w @ v.conj())
-    series = CorrelatorSeries(kind="F2", times=times, values=vals,
+    u = thermal_state(spectrum, beta).fractional_weights(0.5)
+    series = CorrelatorSeries(kind="F2", times=times,
+                              values=_lehmann_sum(a, spectrum, u, u, times),
                               beta=float(beta), regulator=0.5)
-    series.real_values()  # assert realness early
-    return series
+    return replace(series, values=series.real_values())
 
 
 def symmetric_and_response(a, spectrum, beta, times):
     """Connected symmetric correlator and the commutator response function."""
     _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
-    st = thermal_state(spectrum, beta)
-    rho = st.weights
+    rho = thermal_state(spectrum, beta).weights
     diag = np.real(np.diagonal(a.matrix))
     mean = float(np.dot(rho, diag))
-    w = rho[:, None] * np.abs(a.matrix) ** 2
-    v = _phase_matrix(spectrum.eigenvalues, times)
-    c = np.einsum("mt,mt->t", v, w @ v.conj())   # <A(t) A>_beta
+    c = _lehmann_sum(a, spectrum, rho, np.ones_like(rho), times)  # <A(t) A>
     fsym = CorrelatorSeries(kind="Fsym", times=times,
                             values=(c.real - mean**2).astype(complex),
                             beta=float(beta), regulator=0.0)
@@ -177,8 +185,7 @@ def otoc(a, spectrum, beta, times):
         vals[i] = np.einsum("ij,ji->", m, m)  # Tr[m m], m not conjugated
     series = CorrelatorSeries(kind="OTOC", times=times, values=vals,
                               beta=float(beta), regulator=0.25)
-    series.real_values()
-    return series
+    return replace(series, values=series.real_values())
 
 
 @dataclass(frozen=True)

@@ -48,11 +48,10 @@ class SpinChainParams:
 
 @dataclass(frozen=True)
 class LocalObservableSpec:
-    """A Pauli word on a set of sites, optionally shifted to zero thermal mean."""
+    """A Pauli word on a set of sites."""
 
     sites: tuple
     paulis: str
-    traceless_shift: bool = False
 
     def __post_init__(self):
         sites = tuple(int(s) for s in self.sites)
@@ -96,14 +95,8 @@ def build_mixed_field_ising(params):
     return h
 
 
-def build_local_observable(spec, n_sites, spectrum=None, beta=None):
-    """Embed a Pauli word by identity padding; optionally subtract its thermal mean.
-
-    With ``traceless_shift`` set, the thermal expectation Tr(rho_beta A) is
-    subtracted times the identity, which requires the spectrum and beta of
-    the run. Pauli words are already traceless, so the shift only matters
-    once operators are combined or against a finite-beta reference.
-    """
+def build_local_observable(spec, n_sites):
+    """Embed a Pauli word by identity padding (real when the word is real)."""
     for s in spec.sites:
         if not 0 <= s < n_sites:
             raise ValidationError(f"site {s} out of range for {n_sites} qubits")
@@ -113,26 +106,7 @@ def build_local_observable(spec, n_sites, spectrum=None, beta=None):
         op = np.kron(op, PAULI[letters.get(site, "I")])
     if np.abs(op.imag).max() == 0.0:
         op = op.real.copy()
-    if spec.traceless_shift:
-        if spectrum is None or beta is None:
-            raise ValidationError(
-                "traceless_shift needs the spectrum and beta of the run"
-            )
-        mean = thermal_expectation(op, spectrum, beta)
-        op = op - mean * np.eye(op.shape[0], dtype=op.dtype)
     return op
-
-
-def thermal_expectation(op, spectrum, beta):
-    """Tr(rho_beta A) with rho_beta = exp(-beta H)/Z, computed in the eigenbasis."""
-    e = spectrum.eigenvalues
-    logw = -beta * e
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    v = spectrum.basis_matrix()
-    diag = np.einsum("in,in->n", v.conj(), op @ v)
-    return float(np.real(np.dot(w, diag)))
 
 
 def to_eigenbasis(op, spectrum):

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .dynamics import (dissipation_time, dynamical_fluctuation, fdt_check,
                        fit_lyapunov, fluctuation_bounds, gaussian_wavepacket,
                        otoc, spectral_densities, static_fluctuation,
-                       symmetric_and_response, two_point)
+                       symmetric_and_response, thermal_state, two_point)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -89,15 +89,15 @@ def stage_generate(cfg, out):
         spectrum = eigendecompose(h)
         obs = cfg.data["observable"]
         spec_obs = LocalObservableSpec(sites=tuple(obs["sites"]),
-                                       paulis=obs["paulis"],
-                                       traceless_shift=obs["traceless_shift"])
+                                       paulis=obs["paulis"])
+        a = to_eigenbasis(build_local_observable(spec_obs, model["n_sites"]),
+                          spectrum)
         if obs["traceless_shift"]:
-            site_op = build_local_observable(
-                spec_obs, model["n_sites"], spectrum=spectrum,
-                beta=cfg.data["thermal"]["betas"][0])
-        else:
-            site_op = build_local_observable(spec_obs, model["n_sites"])
-        a = to_eigenbasis(site_op, spectrum)
+            # V^dag (op - c I) V = A - c I: subtract the thermal mean at the
+            # first beta from the eigenbasis diagonal
+            rho = thermal_state(spectrum, cfg.data["thermal"]["betas"][0]).weights
+            diag = np.diag_indices(spectrum.dim)
+            a.matrix[diag] -= np.dot(rho, a.matrix[diag].real)
         sigma_s = cfg.data["extract"]["sigma_s"]
         ent = entropy_model(spectrum, sigma_s=sigma_s)
     else:
@@ -393,6 +393,8 @@ def sweep(cfg, out_dir=None):
                 except Exception as exc:  # a worker that died returns nothing
                     results[futures[fut]] = _failure(exc)
 
+    metric_cols = ["eps_max", "eps_code", "gamma_hat", "lambda_used",
+                   "code_error_slack", "fdt_max_deviation"]
     rows = []
     any_error = False
     manifests = {}
@@ -403,10 +405,8 @@ def sweep(cfg, out_dir=None):
         row["point"] = name
         if status == "error":
             any_error = True
-            row.update({"status": f"error: {payload}", "eps_max": math.nan,
-                        "eps_code": math.nan, "gamma_hat": math.nan,
-                        "lambda_used": math.nan, "code_error_slack": math.nan,
-                        "fdt_max_deviation": math.nan})
+            row.update(dict.fromkeys(metric_cols, math.nan),
+                       status=f"error: {payload}")
         else:
             manifests[name] = payload
             pdir = os.path.join(out, "points", name)
@@ -432,8 +432,6 @@ def sweep(cfg, out_dir=None):
             })
         rows.append(row)
 
-    metric_cols = ["eps_max", "eps_code", "gamma_hat", "lambda_used",
-                   "code_error_slack", "fdt_max_deviation"]
     header = paths + metric_cols + ["status"]
     with open(os.path.join(out, "aggregate.csv"), "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

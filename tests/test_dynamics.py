@@ -37,14 +37,15 @@ def rel_dev(x, y):
     return np.abs(x - y).max() / max(np.abs(y).max(), 1e-300)
 
 
-def synth_complex(dim, seed):
+def synth_complex(dim, seed, diagonal=None):
     """Complex Hermitian ETH operator in the identity basis of a flat spectrum."""
     spec = el.synth_spectrum(el.SynthSpectrumParams(
         dim=dim, dos_shape="flat", bandwidth=4.0, seed=seed))
     ent = el.EntropyModel.constant(np.log(dim), spec.eigenvalues[0],
                                    spec.eigenvalues[-1])
     env = el.EnvelopeSpec(form="exp_decay", gamma=0.25, f0=1.0)
-    return spec, el.synth_eth_operator(spec, ent, env, seed=seed + 1)
+    return spec, el.synth_eth_operator(spec, ent, env, diagonal=diagonal,
+                                       seed=seed + 1)
 
 
 def dense_broadened(a, spectrum, beta, sigma, omegas):
@@ -164,6 +165,39 @@ class TestSymmetricAndResponse:
         _, resp = el.symmetric_and_response(ising8["a"], ising8["spec"], 1.0,
                                             np.linspace(0, 2, 5))
         assert np.abs(resp.values.real).max() <= 1e-12
+
+
+class TestLehmannSum:
+    def test_complex_operator_matches_direct_traces(self):
+        # |A_mn|^2 differs from A_mn^2 only for a complex operator, and the
+        # left/right weights of <A(t) A> are not symmetric
+        spec, a = synth_complex(128, seed=33, diagonal=np.tanh)
+        assert np.abs(a.matrix.imag).max() > 0.1 * np.abs(a.matrix).max()
+        beta, times = 1.0, np.array([0.0, 0.4, 1.3, 2.9])
+        e = spec.eigenvalues
+        z = np.exp(-beta * e).sum()
+        rho = np.diag(np.exp(-beta * e)) / z
+        r2 = np.diag(np.exp(-0.5 * beta * e)) / math.sqrt(z)
+        mean = np.trace(rho @ a.matrix).real
+        direct_f2, direct_c = [], []
+        for t in times:
+            u = np.diag(np.exp(1j * e * t))
+            at = u @ a.matrix @ u.conj().T
+            direct_f2.append(np.trace(r2 @ at @ r2 @ a.matrix))
+            direct_c.append(np.trace(rho @ at @ a.matrix))
+        direct_c = np.array(direct_c)
+        f2 = el.two_point(a, spec, beta, times)
+        fsym, resp = el.symmetric_and_response(a, spec, beta, times)
+        assert rel_dev(f2.values, np.array(direct_f2)) <= 1e-10
+        assert rel_dev(fsym.values, direct_c.real - mean**2) <= 1e-10
+        assert rel_dev(resp.values, direct_c - direct_c.conj()) <= 1e-10
+
+    def test_f2_and_otoc_keep_only_real_part(self, ising8):
+        times = np.linspace(0, 3, 7)
+        f2 = el.two_point(ising8["a"], ising8["spec"], 1.0, times)
+        oto = el.otoc(ising8["a"], ising8["spec"], 1.0, times)
+        assert np.all(f2.values.imag == 0.0)
+        assert np.all(oto.values.imag == 0.0)
 
 
 class TestOtoc:

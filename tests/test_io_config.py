@@ -138,11 +138,15 @@ class TestRunConfig:
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
                                  "thermal": {"betas": []}})
 
-    def test_zero_time_points_rejected(self):
-        # the dynamics stage records and rescales by F2(0), the first point
-        with pytest.raises(el.ValidationError):
+    @pytest.mark.parametrize("key,value", [("t_points", 0),
+                                           ("otoc_points", -1),
+                                           ("omega_points", -3)])
+    def test_bad_point_counts_rejected(self, key, value):
+        # the dynamics stage records and rescales by F2(0), the first point;
+        # negative counts would only fail later, inside np.linspace
+        with pytest.raises(el.ValidationError, match=f"dynamics.{key}"):
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
-                                 "dynamics": {"t_points": 0}})
+                                 "dynamics": {key: value}})
 
     def test_hash_changes_with_content(self):
         c1 = demo_config()

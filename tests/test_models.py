@@ -67,20 +67,6 @@ class TestLocalObservable:
             el.build_local_observable(
                 el.LocalObservableSpec(sites=(5,), paulis="X"), 4)
 
-    def test_traceless_shift_requires_thermal_context(self):
-        spec = el.LocalObservableSpec(sites=(0,), paulis="Z",
-                                      traceless_shift=True)
-        with pytest.raises(el.ValidationError):
-            el.build_local_observable(spec, 4)
-
-    def test_traceless_shift_zeroes_thermal_mean(self, ising8):
-        spec8 = ising8["spec"]
-        obs = el.LocalObservableSpec(sites=(0,), paulis="Z",
-                                     traceless_shift=True)
-        op = el.build_local_observable(obs, 8, spectrum=spec8, beta=1.0)
-        from ethlab.models import thermal_expectation
-        assert abs(thermal_expectation(op, spec8, 1.0)) < 1e-10
-
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3),
            st.integers(min_value=0, max_value=3))

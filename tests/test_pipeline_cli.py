@@ -8,7 +8,7 @@ import ethlab as el
 from ethlab.cli import main as cli_main
 from ethlab.config import RunConfig
 from ethlab import pipeline
-from ethlab.io import dump_json, load_json, read_csv
+from ethlab.io import dump_json, load_json, read_array, read_csv
 from ethlab.pipeline import run, sweep
 
 
@@ -129,6 +129,11 @@ class TestConfigBranches:
         half = 0.1 * (np.ptp(np.asarray(
             load_json(os.path.join(out, "extract.json"))["e_edges"])))
         assert np.all(np.abs(e) <= half * 1.5)
+        # the shift zeroes the thermal mean of the written operator at beta
+        spec = el.EnergySpectrum(read_array(os.path.join(out, "spectrum.ethb")))
+        rho = el.thermal_state(spec, 0.8).weights
+        a = read_array(os.path.join(out, "operator.ethb"))
+        assert abs(np.dot(rho, np.diagonal(a).real)) <= 1e-12
 
     def test_synthetic_table_envelope(self, tmp_path):
         out = str(tmp_path / "table")
