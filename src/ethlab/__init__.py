@@ -25,13 +25,13 @@ from .extract import (BinningSpec, DiagonalProfile, EnvelopeModel,
                       gaussianity_stats)
 from .models import (LocalObservableSpec, SpinChainParams,
                      build_local_observable, build_mixed_field_ising,
-                     reflection_parities, restrict_to_reflection_sector,
-                     to_eigenbasis)
+                     reflection_parities, reflection_permutation,
+                     restrict_to_reflection_sector, to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, MicrocanonicalWindow,
                        OperatorEigenbasis, eigendecompose, entropy_model,
                        mean_level_spacing, microcanonical_window,
                        spacing_ratio_mean)
-from .synth import (EnvelopeSpec, SynthSpectrumParams, gue_matrix,
-                    synth_eth_operator, synth_spectrum)
+from .synth import (EnvelopeSpec, SynthSpectrumParams, synth_eth_operator,
+                    synth_spectrum)
 
 __version__ = "0.1.0"

@@ -200,6 +200,11 @@ class RunConfig:
             "sweep": _sweep_block(_take(d, "sweep", None, dict)),
         }
         _reject_unknown(d, "config")
+        if (out["model"]["kind"] == "synthetic"
+                and out["observable"] != _observable_block({})):
+            raise ValidationError(
+                "observable applies to Ising models only; a synthetic model "
+                "takes its operator from model.envelope and model.diagonal")
         if out["seed"] < 0:
             raise ValidationError("seed must be a nonnegative 64-bit integer")
         return cls(out)

@@ -465,14 +465,6 @@ def static_fluctuation(a, n):
     return float(np.sum(col))
 
 
-def static_fluctuation_variance_form(a, n):
-    """Same quantity as <n|A^2|n> - <n|A|n>^2, via the operator square."""
-    row = a.matrix[n, :]
-    col = a.matrix[:, n]
-    a2_nn = complex(np.dot(row, col))
-    return float(a2_nn.real - np.real(a.matrix[n, n]) ** 2)
-
-
 def static_fluct_integral(lam, beta):
     """Closed form of the static-fluctuation frequency integral.
 

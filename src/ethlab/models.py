@@ -8,10 +8,16 @@ Bit-order convention: site 0 is the most significant qubit, i.e. basis state
 index s carries the spin of site i in bit (N-1-i). This is fixed so golden
 files are stable.
 
-Note that a uniform open chain commutes with the spatial reflection
+A uniform chain, open or periodic, commutes with the spatial reflection
 (site i -> N-1-i), so its spectrum is a superposition of two independent
-sectors. Level statistics and matrix-element statistics should be computed
-per sector; see :func:`restrict_to_reflection_sector`.
+sectors. The pipeline passes :func:`reflection_permutation` to
+:func:`ethlab.spectral.eigendecompose`, which diagonalizes the two
+reflection blocks and reassembles the full basis, so every eigenstate is an
+exact parity eigenstate. Level statistics and matrix-element statistics
+should be computed per sector; see :func:`restrict_to_reflection_sector`.
+
+A Pauli word is applied as a signed permutation of the basis states (a bit
+flip mask and a per-state phase), which costs O(d) per vector.
 """
 
 from dataclasses import dataclass
@@ -22,13 +28,6 @@ from .errors import SizeError, ValidationError
 from .spectral import EnergySpectrum, OperatorEigenbasis
 
 MAX_SITES = 13
-
-PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "I": np.eye(2, dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -95,22 +94,62 @@ def build_mixed_field_ising(params):
     return h
 
 
-def build_local_observable(spec, n_sites):
-    """Embed a Pauli word by identity padding (real when the word is real)."""
+def _pauli_word_action(spec, n_sites):
+    """Signed-permutation form of a Pauli word: (P v)[s] = factor * sign[s] * v[source[s]].
+
+    X and Y flip their site's bit, so source = s ^ flip. Z and Y contribute
+    (-1)^bit of the source state and each Y a factor i, so i^(#Y) is split
+    into the real (-1)^(#Y // 2), folded into ``sign``, and ``factor``, which
+    is 1j for an odd number of Ys and 1 otherwise.
+    """
     for s in spec.sites:
         if not 0 <= s < n_sites:
             raise ValidationError(f"site {s} out of range for {n_sites} qubits")
-    letters = dict(zip(spec.sites, spec.paulis))
-    op = np.array([[1.0 + 0j]])
-    for site in range(n_sites):
-        op = np.kron(op, PAULI[letters.get(site, "I")])
-    if np.abs(op.imag).max() == 0.0:
-        op = op.real.copy()
+    states = np.arange(1 << n_sites)
+    flip = sum(1 << (n_sites - 1 - s) for s, p in zip(spec.sites, spec.paulis)
+               if p != "Z")
+    source = states ^ flip
+    parity = np.zeros_like(states)
+    for s, p in zip(spec.sites, spec.paulis):
+        if p != "X":
+            parity ^= (source >> (n_sites - 1 - s)) & 1
+    n_y = spec.paulis.count("Y")
+    sign = (1.0 - 2.0 * parity) * (-1) ** (n_y // 2)
+    return source, sign, 1j if n_y % 2 else 1
+
+
+def build_local_observable(spec, n_sites):
+    """Dense Pauli word on ``n_sites`` qubits (real when the word is real).
+
+    The matrix is filled from the word's signed-permutation form, one
+    nonzero per row.
+    """
+    source, sign, factor = _pauli_word_action(spec, n_sites)
+    op = np.zeros((source.size, source.size), dtype=float if factor == 1 else complex)
+    op[np.arange(source.size), source] = factor * sign
     return op
 
 
 def to_eigenbasis(op, spectrum):
-    """Transform a site-basis operator to A_mn = V^dag op V."""
+    """Transform a site-basis operator to A_mn = V^dag op V.
+
+    ``op`` is a dense matrix or a :class:`LocalObservableSpec` on
+    log2(dim) qubits. A Pauli word P acts on V as a row gather times signs,
+    so V^dag (P V) is one matrix product and no d x d operator is built.
+    """
+    if isinstance(op, LocalObservableSpec):
+        n_sites = spectrum.dim.bit_length() - 1
+        if spectrum.dim != 1 << n_sites:
+            raise ValidationError(
+                f"a Pauli word needs a power-of-two dimension, got {spectrum.dim}")
+        if spectrum.basis is None:
+            return OperatorEigenbasis(matrix=build_local_observable(op, n_sites))
+        source, sign, factor = _pauli_word_action(op, n_sites)
+        v = spectrum.basis
+        pv = v[source]
+        pv *= sign[:, None]
+        a = v.conj().T @ pv
+        return OperatorEigenbasis(matrix=a if factor == 1 else factor * a)
     op = np.asarray(op)
     if op.shape != (spectrum.dim, spectrum.dim):
         raise ValidationError(

@@ -27,7 +27,7 @@ from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
 from .io import (dump_json, file_sha256, format_number, load_json, read_array,
                  read_csv, write_array, write_csv, write_series_csv)
 from .models import (LocalObservableSpec, SpinChainParams,
-                     build_local_observable, build_mixed_field_ising,
+                     build_mixed_field_ising, reflection_permutation,
                      to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, OperatorEigenbasis,
                        eigendecompose, entropy_model, microcanonical_window)
@@ -85,13 +85,11 @@ def stage_generate(cfg, out):
         params = SpinChainParams(n_sites=model["n_sites"], j=model["j"],
                                  hx=model["hx"], hz=model["hz"],
                                  boundary=model["boundary"])
-        h = build_mixed_field_ising(params)
-        spectrum = eigendecompose(h)
+        spectrum = eigendecompose(build_mixed_field_ising(params),
+                                  symmetry=reflection_permutation(params.n_sites))
         obs = cfg.data["observable"]
-        spec_obs = LocalObservableSpec(sites=tuple(obs["sites"]),
-                                       paulis=obs["paulis"])
-        a = to_eigenbasis(build_local_observable(spec_obs, model["n_sites"]),
-                          spectrum)
+        a = to_eigenbasis(LocalObservableSpec(sites=tuple(obs["sites"]),
+                                              paulis=obs["paulis"]), spectrum)
         if obs["traceless_shift"]:
             # V^dag (op - c I) V = A - c I: subtract the thermal mean at the
             # first beta from the eigenbasis diagonal

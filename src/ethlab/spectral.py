@@ -7,7 +7,10 @@ smoothing of the level density (the level count per unit energy), with
 beta(E) = S'(E) obtained by centered finite differences.
 
 Storage is dense only; dimensions are capped at 2**13 because every formula
-in the package needs the full eigenbasis.
+in the package needs the full eigenbasis. A Hamiltonian that commutes with an
+involutive index permutation r (the reflection of a uniform Ising chain) is
+diagonalized in its two r-parity blocks, which are reassembled into the full
+basis, so its columns are exact parity eigenstates.
 """
 
 from dataclasses import dataclass
@@ -67,19 +70,97 @@ class EnergySpectrum:
     def bandwidth(self):
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
-    def basis_matrix(self):
-        """Return the eigenvector matrix, materializing the identity if needed."""
-        if self.basis is None:
-            return np.eye(self.dim)
-        return self.basis
+
+def _eigh(h):
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
-def eigendecompose(h):
+def _require_commuting_involution(h, r, rtol=HERMITICITY_RTOL):
+    """Validate that ``r`` is an involutive index permutation with h[r][:, r] = h."""
+    r = np.asarray(r)
+    d = h.shape[0]
+    if (r.shape != (d,) or not np.issubdtype(r.dtype, np.integer)
+            or r.min() < 0 or r.max() >= d
+            or not np.array_equal(r[r], np.arange(d))):
+        raise ValidationError(
+            f"symmetry must be an involutive permutation of the {d} basis indices")
+    # row chunks keep the check at O(d) extra memory; np.take gathers the
+    # columns several times faster than fancy indexing
+    step = max(1, (1 << 20) // d)
+    dev = np.sqrt(sum(
+        np.linalg.norm(np.take(h[r[i:i + step]], r, axis=1) - h[i:i + step]) ** 2
+        for i in range(0, d, step)))
+    norm = np.linalg.norm(h)
+    if dev > rtol * norm:
+        raise ValidationError(
+            f"symmetry does not commute with the hamiltonian: relative deviation "
+            f"{dev / norm:.3e}")
+    return r
+
+
+def _eigh_parity_blocks(h, r):
+    """Eigenpairs of ``h`` from its even and odd blocks under the involution r.
+
+    The parity-adapted basis is |s> for the fixed points s = r(s) (even only)
+    and (|s> +- |r(s)>)/sqrt(2) for the pairs s < r(s). With A = h[s, s'] and
+    B = h[s, r(s')] over the representatives s <= r(s), the even block is
+    c_s c_s' (A + B), where c = 1 on pairs and 1/sqrt(2) on fixed points, and
+    the odd block is A - B over the pairs. Both are index gathers and the
+    block eigenvectors are scattered back the same way, so no transform
+    matrix and no d^3 product is formed.
+    """
+    d = h.shape[0]
+    states = np.arange(d)
+    reps = states[states <= r]
+    pair = r[reps] != reps
+    a = h[np.ix_(reps, reps)]
+    b = h[np.ix_(reps, r[reps])]
+    c = np.where(pair, 1.0, np.sqrt(0.5))
+    even = a + b
+    even *= c
+    even *= c[:, None]
+    a -= b
+    del b
+    e_even, u_even = _eigh(even)
+    del even
+    e_odd, u_odd = _eigh(a[np.ix_(pair, pair)])
+    del a
+    eigenvalues = np.concatenate([e_even, e_odd])
+    order = np.argsort(eigenvalues, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[order] = states
+    even_cols, odd_cols = column[:e_even.size], column[e_even.size:]
+    basis = np.zeros((d, d), dtype=np.result_type(u_even, u_odd))
+    # a fixed point carries the even amplitude itself, a pair member 1/sqrt(2) of it
+    u_even *= np.where(pair, np.sqrt(0.5), 1.0)[:, None]
+    basis[np.ix_(reps, even_cols)] = u_even
+    basis[np.ix_(r[reps], even_cols)] = u_even
+    u_odd *= np.sqrt(0.5)
+    basis[np.ix_(reps[pair], odd_cols)] = u_odd
+    basis[np.ix_(r[reps[pair]], odd_cols)] = -u_odd
+    return eigenvalues[order], basis
+
+
+def eigendecompose(h, symmetry=None):
     """Diagonalize a Hermitian matrix into an :class:`EnergySpectrum`.
 
     Real-symmetric input takes the real LAPACK path, so the returned basis is
     real in that case. Eigenvalues come back sorted ascending; within
     degenerate subspaces the basis is an arbitrary orthonormal choice.
+
+    ``symmetry`` is an optional involutive index permutation r with
+    h[r][:, r] = h, such as :func:`ethlab.models.reflection_permutation` for
+    a uniform Ising chain. The even and odd blocks of the parity-adapted
+    basis (|s> +- |r(s)>)/sqrt(2) are then diagonalized separately, at about
+    a quarter of the cost of one full ``eigh``, and their eigenvectors are
+    scattered back into the full d x d basis, so every column is an exact
+    parity eigenstate. The eigenvalues of the two blocks are merged by a
+    stable sort (even before odd on ties). A permutation that is not an
+    involution, or that does not commute with ``h`` to relative Frobenius
+    tolerance ``HERMITICITY_RTOL``, raises :class:`ValidationError`.
     """
     h = require_hermitian(h, name="hamiltonian")
     if h.shape[0] > MAX_DENSE_DIM:
@@ -88,10 +169,11 @@ def eigendecompose(h):
         )
     if np.iscomplexobj(h) and np.abs(h.imag).max(initial=0.0) == 0.0:
         h = h.real
-    try:
-        eigenvalues, basis = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed: {exc}") from exc
+    if symmetry is None:
+        eigenvalues, basis = _eigh(h)
+    else:
+        eigenvalues, basis = _eigh_parity_blocks(
+            h, _require_commuting_involution(h, symmetry))
     return EnergySpectrum(eigenvalues=eigenvalues, basis=basis)
 
 

@@ -150,12 +150,3 @@ def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0):
     lower = np.tril_indices(d, -1)
     a[lower] = a.conj().T[lower]
     return OperatorEigenbasis(matrix=a)
-
-
-def gue_matrix(dim, seed):
-    """Hermitian draw from the Gaussian unitary ensemble, E|H_mn|^2 = 1 off-diagonal."""
-    rng = _stream(seed, _SPECTRUM_STREAM - np.uint64(1))
-    x = rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim))
-    a = (x + 1j * y) * np.sqrt(0.5)
-    return (a + a.conj().T) * np.sqrt(0.5)

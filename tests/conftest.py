@@ -4,25 +4,25 @@ import pytest
 import ethlab as el
 
 
+def _ising_chain(n_sites):
+    """The pipeline's path: reflection-blocked eigh, Z_0 applied as a Pauli word."""
+    h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites))
+    spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+    z0 = el.LocalObservableSpec(sites=(0,), paulis="Z")
+    a = el.to_eigenbasis(z0, spec)
+    return {"h": h, "spec": spec, "z0": el.build_local_observable(z0, n_sites),
+            "a": a}
+
+
 @pytest.fixture(scope="session")
 def ising8():
     """L=8 chain at the chaotic defaults with the site-0 Z observable."""
-    h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=8))
-    spec = el.eigendecompose(h)
-    z0 = el.build_local_observable(
-        el.LocalObservableSpec(sites=(0,), paulis="Z"), 8)
-    a = el.to_eigenbasis(z0, spec)
-    return {"h": h, "spec": spec, "z0": z0, "a": a}
+    return _ising_chain(8)
 
 
 @pytest.fixture(scope="session")
 def ising10():
-    h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=10))
-    spec = el.eigendecompose(h)
-    z0 = el.build_local_observable(
-        el.LocalObservableSpec(sites=(0,), paulis="Z"), 10)
-    a = el.to_eigenbasis(z0, spec)
-    return {"h": h, "spec": spec, "z0": z0, "a": a}
+    return _ising_chain(10)
 
 
 @pytest.fixture(scope="session")

@@ -27,10 +27,9 @@ def verdict(num, ok, detail):
 @pytest.fixture(scope="module")
 def ising12_sector():
     h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=12))
-    spec = el.eigendecompose(h)
-    z0 = el.build_local_observable(
-        el.LocalObservableSpec(sites=(0,), paulis="Z"), 12)
-    a = el.to_eigenbasis(z0, spec)
+    spec = el.eigendecompose(h, symmetry=el.reflection_permutation(12))
+    del h
+    a = el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
     sub_spec, sub_a = el.restrict_to_reflection_sector(spec, a, 12, parity=1)
     return sub_spec, sub_a
 

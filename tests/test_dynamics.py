@@ -9,6 +9,14 @@ from hypothesis import given, settings, strategies as st
 import ethlab as el
 
 
+def static_fluctuation_variance_form(a, n):
+    """Same quantity as <n|A^2|n> - <n|A|n>^2, via the operator square."""
+    row = a.matrix[n, :]
+    col = a.matrix[:, n]
+    a2_nn = complex(np.dot(row, col))
+    return float(a2_nn.real - np.real(a.matrix[n, n]) ** 2)
+
+
 def heisenberg_oracle(h, op, beta, times):
     """Direct-evolution correlators via Pade expm, no eigenbasis involved.
 
@@ -472,7 +480,6 @@ class TestFluctuations:
             assert 0.0 <= val <= 1.0
 
     def test_static_two_formulas_agree(self, ising8):
-        from ethlab.dynamics import static_fluctuation_variance_form
         a = ising8["a"]
         for n in (5, 100, 250):
             s1 = el.static_fluctuation(a, n)
@@ -482,7 +489,6 @@ class TestFluctuations:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_static_two_formulas_agree_random(self, seed):
-        from ethlab.dynamics import static_fluctuation_variance_form
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         x = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
         a = el.OperatorEigenbasis(matrix=x + x.conj().T)

@@ -133,6 +133,23 @@ class TestRunConfig:
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4,
                                            "boundary": "twisted"}})
 
+    @pytest.mark.parametrize("observable", [
+        {"traceless_shift": True}, {"paulis": "X"}, {"sites": [1]}])
+    def test_synthetic_rejects_observable_block(self, observable):
+        with pytest.raises(el.ValidationError, match="observable"):
+            RunConfig.from_dict({"model": {"kind": "synthetic", "dim": 64},
+                                 "observable": observable})
+
+    def test_synthetic_canonical_dict_roundtrip(self):
+        # sweep hands each point cfg.to_dict(), which materializes the
+        # default observable block
+        cfg = RunConfig.from_dict({
+            "model": {"kind": "synthetic", "dim": 64},
+            "sweep": {"grid": {"model.dim": [64, 128]}}})
+        again = RunConfig.from_dict(cfg.to_dict())
+        assert again.to_dict() == cfg.to_dict()
+        assert cfg.with_path_value("model.dim", 128).data["model"]["dim"] == 128
+
     def test_empty_betas_rejected(self):
         with pytest.raises(el.ValidationError):
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},

@@ -4,6 +4,20 @@ from hypothesis import given, settings, strategies as st
 
 import ethlab as el
 
+PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+         "Y": np.array([[0, -1j], [1j, 0]]),
+         "Z": np.diag([1.0, -1.0]).astype(complex),
+         "I": np.eye(2, dtype=complex)}
+
+
+def kron_word(spec, n_sites):
+    """Reference Pauli word by identity padding, site 0 most significant."""
+    letters = dict(zip(spec.sites, spec.paulis))
+    op = np.ones((1, 1), dtype=complex)
+    for site in range(n_sites):
+        op = np.kron(op, PAULI[letters.get(site, "I")])
+    return op
+
 
 class TestBuildIsing:
     def test_zz_only_two_sites(self):
@@ -78,6 +92,17 @@ class TestLocalObservable:
         assert np.allclose(op @ op, np.eye(2**n))
         assert abs(np.trace(op)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=4),
+           st.permutations(range(5)))
+    def test_matches_kron_product(self, letters, order):
+        spec = el.LocalObservableSpec(sites=tuple(order[:len(letters)]),
+                                      paulis="".join(letters))
+        op = el.build_local_observable(spec, 5)
+        want = kron_word(spec, 5)
+        assert np.array_equal(op, want)
+        assert np.iscomplexobj(op) == (spec.paulis.count("Y") % 2 == 1)
+
 
 class TestToEigenbasis:
     def test_identity_is_exact(self, ising8):
@@ -104,6 +129,29 @@ class TestToEigenbasis:
     def test_dimension_mismatch(self, ising8):
         with pytest.raises(el.ValidationError):
             el.to_eigenbasis(np.eye(8), ising8["spec"])
+
+    @pytest.mark.parametrize("sites,paulis", [
+        ((0,), "X"), ((3,), "Y"), ((7,), "Z"), ((1, 2, 4), "XYZ"), ((2, 6), "YY")])
+    def test_pauli_word_matches_dense(self, ising8, sites, paulis):
+        spec = ising8["spec"]
+        word = el.LocalObservableSpec(sites=sites, paulis=paulis)
+        dense = el.build_local_observable(word, 8)
+        v = spec.basis
+        want = v.T @ dense @ v
+        got = el.to_eigenbasis(word, spec).matrix
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_pauli_word_identity_basis(self):
+        spec = el.EnergySpectrum(np.arange(16.0))
+        word = el.LocalObservableSpec(sites=(1, 3), paulis="YX")
+        a = el.to_eigenbasis(word, spec)
+        assert np.array_equal(a.matrix, el.build_local_observable(word, 4))
+
+    def test_pauli_word_needs_qubit_dimension(self):
+        spec = el.EnergySpectrum(np.arange(12.0))
+        with pytest.raises(el.ValidationError):
+            el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
 
 
 class TestReflectionSectors:

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import ethlab as el
-from ethlab.synth import gue_matrix
+
+
+def gue_matrix(dim, seed):
+    """Hermitian draw from the Gaussian unitary ensemble, E|H_mn|^2 = 1 off-diagonal."""
+    key = np.array([seed, (1 << 63) - 1], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = rng.standard_normal((dim, dim))
+    y = rng.standard_normal((dim, dim))
+    a = (x + 1j * y) * np.sqrt(0.5)
+    return (a + a.conj().T) * np.sqrt(0.5)
 
 
 class TestEigendecompose:
@@ -44,6 +53,37 @@ class TestEigendecompose:
         op = x + x.conj().T
         a = el.to_eigenbasis(op, spec)
         assert abs(np.trace(a.matrix) - np.trace(op)) <= 1e-10 * abs(np.trace(op))
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("n_sites,boundary",
+                             [(7, "open"), (8, "open"), (8, "periodic")])
+    def test_blocked_matches_full(self, n_sites, boundary):
+        # odd L has 2^((L+1)/2) palindromic states, even L 2^(L/2)
+        h = el.build_mixed_field_ising(
+            el.SpinChainParams(n_sites=n_sites, boundary=boundary))
+        full = el.eigendecompose(h)
+        spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+        scale = np.abs(full.eigenvalues).max()
+        assert np.abs(spec.eigenvalues - full.eigenvalues).max() <= 1e-12 * scale
+        v = spec.basis
+        assert not np.iscomplexobj(v)
+        assert np.abs(v.T @ v - np.eye(h.shape[0])).max() <= 1e-12
+        assert np.abs((v * spec.eigenvalues) @ v.T - h).max() <= 1e-12
+        p = el.reflection_parities(spec, n_sites)
+        assert np.abs(np.abs(p) - 1.0).max() <= 1e-12
+        d = 1 << n_sites
+        assert (p > 0).sum() == (d + (1 << ((n_sites + 1) // 2))) // 2
+
+    @pytest.mark.parametrize("symmetry", [
+        np.roll(np.arange(128), 1),         # a permutation, not an involution
+        np.arange(64),                      # wrong length
+        np.arange(128) ^ 1,                 # involution that does not commute
+    ])
+    def test_rejects_bad_symmetry(self, symmetry):
+        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=7))
+        with pytest.raises(el.ValidationError):
+            el.eigendecompose(h, symmetry=symmetry)
 
 
 class TestEntropyModel:
