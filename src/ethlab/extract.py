@@ -134,16 +134,6 @@ class EnvelopeModel:
         mid = 0.5 * (self.e_edges[0] + self.e_edges[-1])
         return float(self.gamma[ok[np.argmin(np.abs(self.e_centers[ok] - mid))]])
 
-    def to_rows(self):
-        """(e_center, omega_center, f2, count) rows for surviving bins."""
-        rows = []
-        for i, ec in enumerate(self.e_centers):
-            for j, wc in enumerate(self.omega_centers):
-                if np.isfinite(self.f2[i, j]):
-                    rows.append((float(ec), float(wc), float(self.f2[i, j]),
-                                 int(self.counts[i, j])))
-        return rows
-
 
 def _pair_bins(e, values_sq, e_edges, omega_edges, row_chunk=256):
     """Accumulate per-bin counts and |A|^2 sums over off-diagonal pairs."""

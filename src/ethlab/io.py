@@ -85,7 +85,9 @@ def read_array(path):
 
 
 def format_number(x):
-    """Canonical numeric formatting: 17 significant digits."""
+    """Canonical numeric formatting: 17 significant digits; a str passes."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
@@ -113,12 +115,6 @@ def read_csv(path):
     rows = [ln.split(",") for ln in lines[1:]]
     cols = [np.array([float(r[j]) for r in rows]) for j in range(len(header))]
     return header, cols
-
-
-def write_series_csv(path, label, grid, values):
-    """Time/frequency series export: (label, re, im) columns."""
-    values = np.asarray(values, dtype=complex)
-    write_csv(path, [label, "re", "im"], [grid, values.real, values.imag])
 
 
 def _sanitize(obj):

@@ -1,13 +1,33 @@
 """Batch pipeline: generate -> extract -> code-error -> dynamics -> bounds.
 
-Each stage reads its inputs from files written by earlier stages, so stages
-are independently re-runnable. All numeric payloads (CSV / JSON) are
-deterministic functions of (config, seed); the manifest additionally records
-wall-clock times and file hashes, and hashes are the determinism contract.
+Stages communicate through files in the output directory, so each stage can
+be re-run on its own; :func:`run` is the only code that touches that
+directory. A stage is a function ``stage_*(cfg, inputs)`` that returns
+``{filename: payload}``: an ndarray for ``.ethb``, ``(header, columns)`` for
+``.csv`` and an object for ``.json``. The runner keeps three promises:
+
+- Inputs are read once per run: ``inputs`` reads an earlier stage's file on
+  first use and keeps it. Stages run in pipeline order, so no file is
+  rewritten after it was read.
+- Outputs are replaced atomically (:func:`write_outputs`): a stage that
+  fails leaves the previous files and no ``.tmp`` file.
+- ``manifest.json`` is merged, not overwritten. Per stage it records the
+  files with their sha256, wall-clock seconds, a ``status`` ("ok" or
+  "error: <message>") and a fingerprint: the sha256 of the config keys that
+  the stage and its upstream stages read (``_CONFIG_KEYS``). A stage whose
+  upstream stage has no fingerprint, or another config's, is refused with a
+  ValidationError that names the stage to re-run.
+
+Payloads are deterministic functions of (config, seed): the file hashes are
+the determinism contract, the wall-clock times are not part of it.
 """
 
 import concurrent.futures
+import contextlib
+import functools
+import hashlib
 import itertools
+import json
 import math
 import os
 import time
@@ -25,7 +45,7 @@ from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
 from .io import (dump_json, file_sha256, format_number, load_json, read_array,
-                 read_csv, write_array, write_csv, write_series_csv)
+                 read_csv, write_array, write_csv)
 from .models import (LocalObservableSpec, SpinChainParams,
                      build_mixed_field_ising, reflection_permutation,
                      to_eigenbasis)
@@ -35,9 +55,41 @@ from .synth import EnvelopeSpec, SynthSpectrumParams, synth_eth_operator, synth_
 
 STAGES = ("generate", "extract", "code-error", "dynamics", "bounds")
 
+# The stages whose files each stage reads (closed under "upstream of").
+_UPSTREAM = {
+    "generate": (),
+    "extract": ("generate",),
+    "code-error": ("generate",),
+    "dynamics": ("generate",),
+    "bounds": ("generate", "extract", "code-error", "dynamics"),
+}
 
-def _beta_tag(beta):
-    return format_number(beta)
+_WINDOW_KEYS = ("code.window_center", "code.window_half_width_fraction")
+
+# The config keys each stage reads, as dotted paths; a number indexes a list.
+# generate reads thermal.betas.0 (the traceless shift) and extract.sigma_s
+# for Ising models only, but both are always part of its fingerprint.
+_CONFIG_KEYS = {
+    "generate": ("seed", "model", "observable", "thermal.betas.0",
+                 "extract.sigma_s"),
+    "extract": ("extract",) + _WINDOW_KEYS,
+    "code-error": ("seed", "code", "thermal.betas"),
+    "dynamics": ("seed", "dynamics", "thermal.betas") + _WINDOW_KEYS,
+    "bounds": ("slack",),
+}
+
+
+def _fingerprint(cfg, stage):
+    """sha256 of the config keys read by ``stage`` and its upstream stages."""
+    keys = set(_CONFIG_KEYS[stage]).union(
+        *(_CONFIG_KEYS[up] for up in _UPSTREAM[stage]))
+    values = {}
+    for key in sorted(keys):
+        node = cfg.data
+        for part in key.split("."):
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        values[key] = node
+    return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
 
 
 def _diag_callable(block):
@@ -51,34 +103,50 @@ def _diag_callable(block):
     return lambda e: np.tanh(np.asarray(e, dtype=float) / scale)
 
 
-def _load_spectrum(out):
-    eigenvalues = read_array(os.path.join(out, "spectrum.ethb"))
-    return EnergySpectrum(eigenvalues=np.asarray(eigenvalues, float), basis=None)
+class _Inputs:
+    """The earlier stages' files in ``out``, each read on first use and kept."""
+
+    def __init__(self, cfg, out):
+        self.cfg = cfg
+        self.out = out
+        self._reports = {}
+
+    @functools.cached_property
+    def spectrum(self):
+        return EnergySpectrum(read_array(os.path.join(self.out, "spectrum.ethb")))
+
+    @functools.cached_property
+    def operator(self):
+        return OperatorEigenbasis(read_array(os.path.join(self.out, "operator.ethb")))
+
+    @functools.cached_property
+    def entropy(self):
+        _, (e, s, beta) = read_csv(os.path.join(self.out, "entropy.csv"))
+        return EntropyModel(sigma_s=0.0, grid_energies=e, grid_entropy=s, grid_beta=beta)
+
+    @functools.cached_property
+    def window(self):
+        """The code window: ``code.window_center`` (the entropy peak inside
+        the spectrum for "dos_peak") +- ``code.window_half_width_fraction``
+        of the bandwidth."""
+        code_cfg = self.cfg.data["code"]
+        spectrum, center = self.spectrum, code_cfg["window_center"]
+        if center == "dos_peak":
+            g = self.entropy.grid_energies
+            sel = (g >= spectrum.eigenvalues[0]) & (g <= spectrum.eigenvalues[-1])
+            center = float(g[sel][np.argmax(self.entropy.grid_entropy[sel])])
+        half = code_cfg["window_half_width_fraction"] * spectrum.bandwidth
+        return microcanonical_window(spectrum, center, half)
+
+    def report(self, name):
+        """The JSON report ``name`` of an earlier stage."""
+        if name not in self._reports:
+            self._reports[name] = load_json(os.path.join(self.out, name))
+        return self._reports[name]
 
 
-def _load_operator(out):
-    return OperatorEigenbasis(matrix=read_array(os.path.join(out, "operator.ethb")))
-
-
-def _load_entropy(out):
-    _, (e, s, beta) = read_csv(os.path.join(out, "entropy.csv"))
-    return EntropyModel(sigma_s=0.0, grid_energies=e, grid_entropy=s, grid_beta=beta)
-
-
-def _window_from_config(cfg, spectrum, ent):
-    code_cfg = cfg.data["code"]
-    center = code_cfg["window_center"]
-    if center == "dos_peak":
-        g = ent.grid_energies
-        sel = (g >= spectrum.eigenvalues[0]) & (g <= spectrum.eigenvalues[-1])
-        center = float(g[sel][np.argmax(ent.grid_entropy[sel])])
-    half = code_cfg["window_half_width_fraction"] * spectrum.bandwidth
-    return microcanonical_window(spectrum, center, half)
-
-
-def stage_generate(cfg, out):
+def stage_generate(cfg, inputs):
     """Build or synthesize the spectrum, the operator, and the entropy model."""
-    os.makedirs(out, exist_ok=True)
     model = cfg.data["model"]
     seed = cfg.data["seed"]
     if model["kind"] == "ising":
@@ -117,31 +185,21 @@ def stage_generate(cfg, out):
         a = synth_eth_operator(spectrum, ent, envelope,
                                diagonal=_diag_callable(model["diagonal"]),
                                seed=seed)
-    write_array(os.path.join(out, "spectrum.ethb"), spectrum.eigenvalues)
-    write_array(os.path.join(out, "operator.ethb"), a.matrix)
-    write_csv(os.path.join(out, "entropy.csv"), ["e", "s", "beta"],
-              [ent.grid_energies, ent.grid_entropy, ent.grid_beta])
-    return ["spectrum.ethb", "operator.ethb", "entropy.csv"]
+    return {"spectrum.ethb": spectrum.eigenvalues,
+            "operator.ethb": a.matrix,
+            "entropy.csv": (["e", "s", "beta"],
+                            [ent.grid_energies, ent.grid_entropy, ent.grid_beta])}
 
 
-def stage_extract(cfg, out):
+def stage_extract(cfg, inputs):
     """Diagonal profile, envelope estimate, and Gaussianity statistics."""
-    spectrum = _load_spectrum(out)
-    a = _load_operator(out)
-    ent = _load_entropy(out)
+    spectrum, a, window = inputs.spectrum, inputs.operator, inputs.window
     x = cfg.data["extract"]
     profile = diagonal_profile(a, spectrum, bandwidth=x["profile_bandwidth"])
-    write_csv(os.path.join(out, "profile.csv"), ["e", "value", "scatter"],
-              [profile.energies, profile.values, profile.scatter])
     fit_window = tuple(x["fit_window"]) if x["fit_window"] else None
     binning = BinningSpec(e_bins=x["e_bins"], omega_bins=x["omega_bins"],
                           min_count=x["min_count"], fit_window=fit_window)
-    env = envelope_estimate(a, spectrum, ent, binning)
-    rows = env.to_rows()
-    write_csv(os.path.join(out, "envelope.csv"),
-              ["e_center", "omega_center", "f2", "count"],
-              [np.array([r[i] for r in rows]) for i in range(4)])
-    window = _window_from_config(cfg, spectrum, ent)
+    env = envelope_estimate(a, spectrum, inputs.entropy, binning)
     try:
         gauss = gaussianity_stats(a, spectrum, env, window)
     except ValidationError as exc:
@@ -150,34 +208,33 @@ def stage_extract(cfg, out):
         "e_edges", "omega_edges", "gamma", "gamma_stderr", "fit_residual",
         "fit_window", "central_gamma", "min_count", "density_boost")}
     report.update(gaussianity=gauss, window=window)
-    dump_json(os.path.join(out, "extract.json"), report)
-    return ["profile.csv", "envelope.csv", "extract.json"]
+    alive = np.isfinite(env.f2)  # bins that kept an estimate, row-major
+    rows, cols = np.nonzero(alive)
+    return {"profile.csv": (["e", "value", "scatter"],
+                            [profile.energies, profile.values, profile.scatter]),
+            "envelope.csv": (["e_center", "omega_center", "f2", "count"],
+                             [env.e_centers[rows], env.omega_centers[cols],
+                              env.f2[alive], env.counts[alive]]),
+            "extract.json": report}
 
 
-def stage_code_error(cfg, out):
+def stage_code_error(cfg, inputs):
     """Knill-Laflamme residual report for the configured code."""
-    spectrum = _load_spectrum(out)
-    a = _load_operator(out)
-    ent = _load_entropy(out)
-    window = _window_from_config(cfg, spectrum, ent)
     code_cfg = cfg.data["code"]
-    members = select_code_states(window, code_cfg["k"],
+    members = select_code_states(inputs.window, code_cfg["k"],
                                  method=code_cfg["selection"],
-                                 spectrum=spectrum, seed=cfg.data["seed"])
+                                 spectrum=inputs.spectrum, seed=cfg.data["seed"])
     n_qubits = cfg.data["model"].get("n_sites")
     code = CodeSpec(members=members, k=code_cfg["k"], d=code_cfg["d"],
                     n_qubits=n_qubits)
-    report = kl_residuals(a, spectrum, code,
+    report = kl_residuals(inputs.operator, inputs.spectrum, code,
                           metadata={"betas": cfg.data["thermal"]["betas"]})
-    dump_json(os.path.join(out, "code_error.json"), report.to_dict())
-    return ["code_error.json"]
+    return {"code_error.json": report.to_dict()}
 
 
-def stage_dynamics(cfg, out):
+def stage_dynamics(cfg, inputs):
     """Correlators, spectral densities, FDT deviation, fluctuations, fit."""
-    spectrum = _load_spectrum(out)
-    a = _load_operator(out)
-    ent = _load_entropy(out)
+    spectrum, a, window = inputs.spectrum, inputs.operator, inputs.window
     dyn = cfg.data["dynamics"]
     times = np.linspace(0.0, dyn["t_max"], dyn["t_points"])
     otoc_times = np.linspace(0.0, dyn["t_max"], dyn["otoc_points"])
@@ -185,34 +242,28 @@ def stage_dynamics(cfg, out):
     if omega_max is None:
         omega_max = 0.6 * spectrum.bandwidth
     omegas = np.linspace(-omega_max, omega_max, dyn["omega_points"])
-    window = _window_from_config(cfg, spectrum, ent)
     state = gaussian_wavepacket(
         spectrum, window.center,
         dyn["wavepacket_sigma_fraction"] * spectrum.bandwidth,
         seed=cfg.data["seed"])
     center_idx = int(window.start + np.argmin(
         np.abs(window.member_energies(spectrum) - window.center)))
-    files = []
+    payloads = {}
     per_beta = []
     for beta in cfg.data["thermal"]["betas"]:
-        tag = _beta_tag(beta)
+        tag = format_number(beta)
         f2 = two_point(a, spectrum, beta, times)
         fsym, resp = symmetric_and_response(a, spectrum, beta, times)
-        series_list = [(f2, "f2"), (fsym, "fsym"), (resp, "resp")]
+        series = {"f2": f2, "fsym": fsym, "resp": resp}
         oto = None
         if dyn["otoc_points"] > 0:
-            oto = otoc(a, spectrum, beta, otoc_times)
-            series_list.append((oto, "otoc"))
-        for series, name in series_list:
-            fname = f"correlator_{name}_beta{tag}.csv"
-            write_series_csv(os.path.join(out, fname), "t", series.times,
-                             series.values)
-            files.append(fname)
+            series["otoc"] = oto = otoc(a, spectrum, beta, otoc_times)
+        for name, s in series.items():
+            payloads[f"correlator_{name}_beta{tag}.csv"] = (
+                ["t", "re", "im"], [s.times, s.values.real, s.values.imag])
         sd = spectral_densities(a, spectrum, beta, dyn["sigma_omega"], omegas)
-        fname = f"spectral_density_beta{tag}.csv"
-        write_csv(os.path.join(out, fname), ["omega", "f", "rho"],
-                  [sd.omegas, sd.f_values, sd.rho_values])
-        files.append(fname)
+        payloads[f"spectral_density_beta{tag}.csv"] = (
+            ["omega", "f", "rho"], [sd.omegas, sd.f_values, sd.rho_values])
         dev = fdt_check(sd, threshold=dyn["fdt_threshold"])
         f2_zero = float(f2.real_values()[0])
         fit_info = {"status": "not-attempted"}
@@ -238,35 +289,31 @@ def stage_dynamics(cfg, out):
             "measured_static_fluctuation": static_fluctuation(a, center_idx),
             "static_eigenstate_index": center_idx,
         })
-    dump_json(os.path.join(out, "dynamics.json"),
-              {"per_beta": per_beta,
-               "gap_degeneracy_note": (
-                   "time-average formulas assume nondegenerate energy gaps; "
-                   "rare coincidences are not corrected for")})
-    files.append("dynamics.json")
-    return files
+    payloads["dynamics.json"] = {
+        "per_beta": per_beta,
+        "gap_degeneracy_note": (
+            "time-average formulas assume nondegenerate energy gaps; "
+            "rare coincidences are not corrected for")}
+    return payloads
 
 
-def stage_bounds(cfg, out):
+def stage_bounds(cfg, inputs):
     """Bound checks combining the code error, envelope, and dynamics outputs.
 
     Of the envelope only its central decay rate is needed; ``extract.json``
     stores it, with null meaning no slice could be fitted.
     """
-    ent = _load_entropy(out)
-    gamma = load_json(os.path.join(out, "extract.json"))["central_gamma"]
-    report = KlResidualReport.from_dict(
-        load_json(os.path.join(out, "code_error.json")))
-    dyn_data = load_json(os.path.join(out, "dynamics.json"))
+    gamma = inputs.report("extract.json")["central_gamma"]
+    report = KlResidualReport.from_dict(inputs.report("code_error.json"))
     slack = cfg.data["slack"]
     per_beta = []
     all_ok = True
-    for entry in dyn_data["per_beta"]:
+    for entry in inputs.report("dynamics.json")["per_beta"]:
         beta = entry["beta"]
         fit = None
         if entry["fit"].get("status") == "accepted":
             fit = entry["fit"]["lambda"]
-        bound = check_bounds(report, ent, beta, envelope=gamma,
+        bound = check_bounds(report, inputs.entropy, beta, envelope=gamma,
                              lyapunov_fit=fit, slack=slack)
         lam = bound.lambda_used
         fluct = fluctuation_bounds(
@@ -286,10 +333,8 @@ def stage_bounds(cfg, out):
                          "dissipation_time": entry["dissipation_time"],
                          "fit": entry["fit"],
                          "within_slack": ok})
-    dump_json(os.path.join(out, "bounds.json"),
-              {"per_beta": per_beta, "all_within_slack": all_ok,
-               "slack": slack})
-    return ["bounds.json"]
+    return {"bounds.json": {"per_beta": per_beta, "all_within_slack": all_ok,
+                            "slack": slack}}
 
 
 _STAGE_FUNCS = {
@@ -301,36 +346,85 @@ _STAGE_FUNCS = {
 }
 
 
-def run(cfg, out_dir=None, stages=STAGES):
-    """Execute pipeline stages and return the manifest dict.
+def write_outputs(out, payloads):
+    """Write ``{filename: payload}`` into ``out`` and return the names.
 
-    The manifest lists per-stage outputs with sha256 hashes (the payload
-    determinism contract) and wall-clock seconds (not part of the contract).
+    Every payload goes to ``<name>.tmp`` first and is renamed into place
+    only when all of them are written, so a failure leaves the previous
+    files and no ``.tmp`` file. A str payload is written as it is.
     """
+    tmps = []
+    try:
+        for name, payload in payloads.items():
+            tmp = os.path.join(out, name + ".tmp")
+            tmps.append(tmp)
+            if isinstance(payload, str):
+                with open(tmp, "w") as fh:
+                    fh.write(payload)
+            elif name.endswith(".ethb"):
+                write_array(tmp, payload)
+            elif name.endswith(".csv"):
+                write_csv(tmp, *payload)
+            else:
+                dump_json(tmp, payload)
+        for name, tmp in zip(payloads, tmps):
+            os.replace(tmp, os.path.join(out, name))
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    return list(payloads)
+
+
+def run(cfg, out_dir=None, stages=STAGES):
+    """Execute pipeline stages, in pipeline order, and return the manifest.
+
+    A stage that raises records its status, loses its fingerprint, and the
+    exception propagates once the manifest is written.
+    """
+    if not set(stages) <= set(STAGES):
+        raise ValidationError(f"unknown stages in {list(stages)}")
+    stages = [s for s in STAGES if s in stages]
     out = out_dir or cfg.data["out_dir"]
+    path = os.path.join(out, "manifest.json")
+    manifest = load_json(path) if os.path.exists(path) else {}
+    for key in ("stages", "files", "wall_clock_seconds", "status", "fingerprints"):
+        manifest.setdefault(key, {})
+    for stage in stages:
+        for up in _UPSTREAM[stage]:
+            if up not in stages and (manifest["fingerprints"].get(up)
+                                     != _fingerprint(cfg, up)):
+                raise ValidationError(
+                    f"{stage}: the {up} outputs in {out} are missing or come "
+                    f"from another config; re-run {up}")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.json"), "w") as fh:
-        fh.write(cfg.canonical_json())
-    manifest = {
-        "artifact_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "stages": {},
-        "files": {},
-        "wall_clock_seconds": {},
-    }
+    write_outputs(out, {"config.json": cfg.canonical_json()})
+    manifest.update(artifact_version=__version__, config_hash=cfg.config_hash())
+    inputs = _Inputs(cfg, out)
     for stage in stages:
         t0 = time.perf_counter()
-        files = _STAGE_FUNCS[stage](cfg, out)
+        try:
+            files = write_outputs(out, _STAGE_FUNCS[stage](cfg, inputs))
+        except Exception as exc:
+            manifest["status"][stage] = "error: " + _failure(exc)[1]
+            manifest["fingerprints"].pop(stage, None)
+            write_outputs(out, {"manifest.json": manifest})
+            raise
+        for f in manifest["stages"].get(stage, ()):
+            manifest["files"].pop(f, None)
         manifest["wall_clock_seconds"][stage] = time.perf_counter() - t0
         manifest["stages"][stage] = files
-        for f in files:
-            manifest["files"][f] = file_sha256(os.path.join(out, f))
+        manifest["files"].update(
+            (f, file_sha256(os.path.join(out, f))) for f in files)
+        manifest["status"][stage] = "ok"
+        manifest["fingerprints"][stage] = _fingerprint(cfg, stage)
     if "bounds" in stages:
-        bounds = load_json(os.path.join(out, "bounds.json"))
+        bounds = inputs.report("bounds.json")
         manifest["all_within_slack"] = bounds["all_within_slack"]
         manifest["lambda_source"] = [
             e["bound_report"]["lambda_source"] for e in bounds["per_beta"]]
-    dump_json(os.path.join(out, "manifest.json"), manifest)
+    write_outputs(out, {"manifest.json": manifest})
     return manifest
 
 
@@ -339,8 +433,8 @@ def _point_name(items):
 
 
 def _failure(exc):
-    """A failed point's record: ("error", message); the message is str(exc)
-    for an EthLabError and "Type: message" for anything else."""
+    """A failed stage's or point's record: ("error", message); the message is
+    str(exc) for an EthLabError and "Type: message" for anything else."""
     if isinstance(exc, EthLabError):
         return "error", str(exc)
     return "error", f"{type(exc).__name__}: {exc}"
@@ -431,17 +525,12 @@ def sweep(cfg, out_dir=None):
         rows.append(row)
 
     header = paths + metric_cols + ["status"]
-    with open(os.path.join(out, "aggregate.csv"), "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [format_number(row[p]) for p in paths]
-            cells += [format_number(row[c]) for c in metric_cols]
-            cells.append(row["status"])
-            fh.write(",".join(cells) + "\n")
-    dump_json(os.path.join(out, "manifest.json"), {
-        "artifact_version": __version__,
-        "config_hash": cfg.config_hash(),
-        "points": {name: results[name][0] for name in sorted(results)},
-        "aggregate": "aggregate.csv",
-    })
+    write_outputs(out, {
+        "aggregate.csv": (header, [[row[c] for row in rows] for c in header]),
+        "manifest.json": {
+            "artifact_version": __version__,
+            "config_hash": cfg.config_hash(),
+            "points": {name: results[name][0] for name in sorted(results)},
+            "aggregate": "aggregate.csv",
+        }})
     return manifests, rows, any_error

@@ -6,8 +6,7 @@ import pytest
 import ethlab as el
 from ethlab.config import RunConfig, demo_config
 from ethlab.io import (dump_json, file_sha256, format_number, load_json,
-                       read_array, read_csv, write_array, write_csv,
-                       write_series_csv)
+                       read_array, read_csv, write_array, write_csv)
 
 
 class TestArrayContainer:
@@ -67,16 +66,6 @@ class TestCsv:
         raw = path.read_bytes().decode()
         assert "\r" not in raw
         assert raw == "v\n3.1415926535897931\n"
-
-    def test_series_csv_columns(self, tmp_path):
-        path = tmp_path / "s.csv"
-        t = np.array([0.0, 0.5])
-        vals = np.array([1 + 2j, 3 - 4j])
-        write_series_csv(path, "t", t, vals)
-        header, cols = read_csv(path)
-        assert header == ["t", "re", "im"]
-        assert np.array_equal(cols[1], vals.real)
-        assert np.array_equal(cols[2], vals.imag)
 
     def test_format_number_integer_passthrough(self):
         assert format_number(42) == "42"

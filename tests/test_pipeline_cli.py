@@ -280,6 +280,106 @@ class TestSweep:
             assert manifests_s[name]["files"] == manifests_p[name]["files"]
 
 
+class TestRunner:
+    def _cli(self, tmp_path, cfg, *cmds, extra=()):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.canonical_json())
+        return [cli_main([cmd, "--config", str(cfg_path), *extra]) for cmd in cmds]
+
+    def test_stagewise_manifest_merges_stages(self, tmp_path):
+        full = run(small_synth_config(str(tmp_path / "full"), dim=200))
+        out = str(tmp_path / "steps")
+        cfg = small_synth_config(out, dim=200)
+        assert self._cli(tmp_path, cfg, "generate", "extract",
+                         "code-error") == [0, 0, 0]
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert set(manifest["stages"]) == {"generate", "extract", "code-error"}
+        assert manifest["status"] == dict.fromkeys(manifest["stages"], "ok")
+        assert len(manifest["files"]) == 7
+        assert manifest["files"] == {f: full["files"][f] for f in manifest["files"]}
+        assert manifest["fingerprints"] == {
+            s: full["fingerprints"][s] for s in manifest["stages"]}
+
+    def test_input_from_other_config_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "mixed")
+        cfg = small_synth_config(out, dim=200, seed=3)
+        assert self._cli(tmp_path, cfg, "generate") == [0]
+        assert self._cli(tmp_path, cfg, "extract", extra=("--seed", "4")) == [1]
+        assert "re-run generate" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "extract.json"))
+        assert load_json(os.path.join(out, "config.json"))["seed"] == 3
+
+    def test_rerun_after_own_key_change_accepted(self, tmp_path):
+        out = str(tmp_path / "tmax")
+        run(small_synth_config(out, dim=200))
+        d = small_synth_config(out, dim=200).to_dict()
+        d["dynamics"]["t_max"] = 3.0
+        cfg = RunConfig.from_dict(d)
+        run(cfg, stages=("dynamics",))
+        manifest = run(cfg, stages=("bounds",))
+        assert manifest["status"]["bounds"] == "ok"
+        # the earlier dynamics fingerprint no longer matches the old config
+        with pytest.raises(el.ValidationError, match="re-run dynamics"):
+            run(small_synth_config(out, dim=200), stages=("bounds",))
+
+    def test_failed_write_leaves_previous_files_and_a_record(self, tmp_path,
+                                                             monkeypatch):
+        out = str(tmp_path / "atomic")
+        cfg = small_synth_config(out, dim=200)
+        run(cfg, stages=("generate", "extract"))
+        before = {f: open(os.path.join(out, f), "rb").read()
+                  for f in ("profile.csv", "envelope.csv", "extract.json")}
+        real = pipeline.write_csv
+
+        def write_half_then_fail(path, header, columns):
+            if str(path).endswith("envelope.csv.tmp"):
+                with open(path, "w") as fh:
+                    fh.write(",".join(header) + "\n0.5,")
+                raise OSError("disk full")
+            real(path, header, columns)
+
+        monkeypatch.setattr(pipeline, "write_csv", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run(cfg, stages=("extract",))
+        for f, data in before.items():
+            assert open(os.path.join(out, f), "rb").read() == data, f
+        assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["status"] == {"generate": "ok",
+                                      "extract": "error: OSError: disk full"}
+        assert set(manifest["fingerprints"]) == {"generate"}
+        monkeypatch.undo()
+        with pytest.raises(el.ValidationError, match="re-run extract"):
+            run(cfg, stages=("bounds",))
+
+    def test_stage_that_raises_writes_nothing(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "raise")
+        cfg = small_synth_config(out, dim=200)
+
+        def generate_then_fail(cfg, inputs):
+            pipeline.stage_generate(cfg, inputs)
+            raise el.NumericError("eigensolver failed")
+
+        monkeypatch.setitem(pipeline._STAGE_FUNCS, "generate", generate_then_fail)
+        assert self._cli(tmp_path, cfg, "generate") == [1]
+        assert sorted(os.listdir(out)) == ["config.json", "manifest.json"]
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["status"] == {"generate": "error: eigensolver failed"}
+
+    def test_correlator_csv_layout(self, tmp_path):
+        out = str(tmp_path / "series")
+        manifest = run(small_synth_config(out, dim=200))
+        for name in ("f2", "fsym", "resp", "otoc"):
+            header, cols = read_csv(os.path.join(out, f"correlator_{name}_beta1.csv"))
+            assert header == ["t", "re", "im"]
+            if name in ("f2", "otoc"):
+                assert np.all(cols[2] == 0.0)
+        assert manifest["stages"]["dynamics"] == [
+            "correlator_f2_beta1.csv", "correlator_fsym_beta1.csv",
+            "correlator_resp_beta1.csv", "correlator_otoc_beta1.csv",
+            "spectral_density_beta1.csv", "dynamics.json"]
+
+
 def read_csv_text(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]

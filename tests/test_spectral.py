@@ -55,6 +55,20 @@ class TestEigendecompose:
         assert abs(np.trace(a.matrix) - np.trace(op)) <= 1e-10 * abs(np.trace(op))
 
 
+class TestHermitianDeviation:
+    def test_tiled_matches_dense_frobenius(self):
+        # 300 is not a multiple of the 64-row tile, so edge tiles are ragged
+        from ethlab.spectral import _hermitian_deviation
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+        dense = np.linalg.norm(m - m.conj().T)
+        assert abs(_hermitian_deviation(m) - dense) <= 1e-12 * dense
+        h = m + m.conj().T
+        assert _hermitian_deviation(h) == 0.0
+        assert el.OperatorEigenbasis(h).is_hermitian()
+        assert not el.OperatorEigenbasis(m).is_hermitian()
+
+
 class TestParityBlocks:
     @pytest.mark.parametrize("n_sites,boundary",
                              [(7, "open"), (8, "open"), (8, "periodic")])
