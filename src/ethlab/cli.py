@@ -11,7 +11,7 @@ Subcommands map one-to-one onto pipeline stages plus sweep and demo:
     ethlab demo       [--config CFG] [--out DIR]
 
 Exit codes: 0 all checks within slack, 2 a bound check exceeded the slack
-factor, 1 execution error.
+factor (for a sweep: at any point), 1 execution error.
 """
 
 import argparse
@@ -81,15 +81,13 @@ def main(argv=None):
     try:
         cfg = _load_config(args)
         if args.command == "sweep":
-            _, rows, any_error = sweep(cfg)
-            violations = any(
-                row["status"] == "ok" and row["code_error_slack"] > cfg.data["slack"]
-                for row in rows)
+            manifests, rows, any_error = sweep(cfg)
             print(f"sweep: {len(rows)} points, "
                   f"{sum(r['status'] != 'ok' for r in rows)} errors")
             if any_error:
                 return 1
-            return 2 if violations else 0
+            return 2 if any(m["all_within_slack"] is False
+                            for m in manifests.values()) else 0
         if args.command == "demo":
             manifest = run(cfg)
             print(f"demo complete in {cfg.data['out_dir']}; "

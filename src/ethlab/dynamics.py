@@ -29,9 +29,12 @@ pair frequencies w = E_n - E_m with weights
 
 normalized so that the fluctuation-dissipation identity
 F(w) = 2*coth(beta*w/2)*rho(w) holds exactly peak by peak at w != 0.
-For plotting and sum rules each peak is replaced by a unit-mass Gaussian of
-width sigma_omega, shared by both densities so the identity survives
-broadening away from peak overlap. The Gaussians are truncated at
+The pair (n, m) mirrors (m, n) at -w with the same F weight and the opposite
+rho weight, so F is even and rho odd: the comb is stored as a half comb over
+m < n (w >= 0) and the mirror is applied when broadening. For plotting and
+sum rules each peak is replaced by a unit-mass Gaussian of width
+sigma_omega, shared by both densities so the identity survives broadening
+away from peak overlap. The Gaussians are truncated at
 +-9*sigma_omega: each omega sums only the peaks inside that window, and every
 dropped term is below exp(-40.5) ~ 2.6e-18 of its peak's normalised weight.
 """
@@ -92,8 +95,6 @@ class CorrelatorSeries:
     kind: str                 # F2 | Fsym | Resp | OTOC
     times: np.ndarray
     values: np.ndarray
-    beta: float
-    regulator: float          # thermal power inserted per operator slot
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -134,8 +135,7 @@ def two_point(a, spectrum, beta, times):
     times = np.asarray(times, dtype=float)
     u = thermal_state(spectrum, beta).fractional_weights(0.5)
     series = CorrelatorSeries(kind="F2", times=times,
-                              values=_lehmann_sum(a, spectrum, u, u, times),
-                              beta=float(beta), regulator=0.5)
+                              values=_lehmann_sum(a, spectrum, u, u, times))
     return replace(series, values=series.real_values())
 
 
@@ -148,11 +148,8 @@ def symmetric_and_response(a, spectrum, beta, times):
     mean = float(np.dot(rho, diag))
     c = _lehmann_sum(a, spectrum, rho, np.ones_like(rho), times)  # <A(t) A>
     fsym = CorrelatorSeries(kind="Fsym", times=times,
-                            values=(c.real - mean**2).astype(complex),
-                            beta=float(beta), regulator=0.0)
-    resp = CorrelatorSeries(kind="Resp", times=times,
-                            values=2j * c.imag,
-                            beta=float(beta), regulator=0.0)
+                            values=(c.real - mean**2).astype(complex))
+    resp = CorrelatorSeries(kind="Resp", times=times, values=2j * c.imag)
     return fsym, resp
 
 
@@ -183,8 +180,7 @@ def otoc(a, spectrum, beta, times):
         m *= v.conj()
         m = m @ b
         vals[i] = np.einsum("ij,ji->", m, m)  # Tr[m m], m not conjugated
-    series = CorrelatorSeries(kind="OTOC", times=times, values=vals,
-                              beta=float(beta), regulator=0.25)
+    series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
     return replace(series, values=series.real_values())
 
 
@@ -200,42 +196,37 @@ class SpectralDensity:
 
 
 def spectral_peaks(a, spectrum, beta):
-    """Delta-comb weights of Fsym and Resp over pair frequencies.
+    """Half delta comb of Fsym and Resp: each pair frequency stored once.
 
-    Returns (freqs, f_weights, rho_weights) for all ordered pairs m != n at
-    w = E_n - E_m, plus one w = 0 entry holding the diagonal (connected)
-    symmetric weight. Weights satisfy f_w = 2*coth(beta*w/2)*rho_w exactly
-    for w != 0.
+    Returns (freqs, f_weights, rho_weights) for the pairs m < n, in
+    row-major order, at w = E_n - E_m >= 0, followed by one w = 0 entry
+    holding the diagonal (connected) symmetric weight: d(d-1)/2 + 1 entries
+    in all. The mirrored pair (n, m) sits at -w with the same F weight and
+    the opposite rho weight and is not stored. Weights satisfy
+    f_w = 2*coth(beta*w/2)*rho_w exactly for w != 0.
     """
     _check_hermitian_operator(a)
-    st = thermal_state(spectrum, beta)
-    rho = st.weights
+    rho = thermal_state(spectrum, beta).weights
     e = spectrum.eigenvalues
-    d = e.size
-    abs2 = np.abs(a.matrix) ** 2
-    iu = np.triu_indices(d, 1)
-    w_up = e[iu[1]] - e[iu[0]]          # E_n - E_m for m < n
-    a2 = abs2[iu]
-    rm, rn = rho[iu[0]], rho[iu[1]]
-    # pair (m, n) contributes at w = E_n - E_m; (n, m) mirrors it at -w
-    freqs = np.concatenate([w_up, -w_up])
-    f_w = np.concatenate([0.5 * (rm + rn) * a2, 0.5 * (rm + rn) * a2])
-    r_w = np.concatenate([0.25 * (rm - rn) * a2, 0.25 * (rn - rm) * a2])
+    m, n = np.triu_indices(e.size, 1)
+    a2 = np.abs(a.matrix[m, n]) ** 2
+    rm, rn = rho[m], rho[n]
     diag = np.real(np.diagonal(a.matrix))
     diag_weight = float(np.dot(rho, diag**2) - np.dot(rho, diag) ** 2)
-    freqs = np.concatenate([freqs, [0.0]])
-    f_w = np.concatenate([f_w, [diag_weight]])
-    r_w = np.concatenate([r_w, [0.0]])
-    return freqs, f_w, r_w
+    return (np.append(e[n] - e[m], 0.0),
+            np.append(0.5 * (rm + rn) * a2, diag_weight),
+            np.append(0.25 * (rm - rn) * a2, 0.0))
 
 
 def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     """Gaussian-broadened spectral densities on the given frequency grid.
 
     sigma_omega must be at least 1 mean bulk level spacing, otherwise the
-    broadened curves are under-resolved combs. The unbroadened delta comb
-    is :func:`spectral_peaks`. Each omega sums only the peaks within
-    BROADENING_RADIUS * sigma_omega of it.
+    broadened curves are under-resolved combs. The unbroadened half comb is
+    :func:`spectral_peaks`; its pairs are sorted once and mirrored here: each
+    omega sums the pairs within BROADENING_RADIUS * sigma_omega of +omega
+    (F and rho weights as stored) and of -omega (F weight, minus the rho
+    weight), plus the diagonal peak at w = 0 once, under the same window.
     """
     omegas = np.asarray(omegas, dtype=float)
     spacing = mean_level_spacing(spectrum.eigenvalues)
@@ -245,19 +236,24 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
             f"bulk level spacing ({spacing:g})"
         )
     freqs, f_w, r_w = spectral_peaks(a, spectrum, beta)
-    order = np.argsort(freqs, kind="stable")
+    diag_weight = f_w[-1]
+    order = np.argsort(freqs[:-1], kind="stable")
     freqs, f_w, r_w = freqs[order], f_w[order], r_w[order]
     reach = BROADENING_RADIUS * sigma_omega
-    lo = np.searchsorted(freqs, omegas - reach, side="left")
-    hi = np.searchsorted(freqs, omegas + reach, side="right")
     norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_omega)
-    f_vals = np.empty_like(omegas)
-    r_vals = np.empty_like(omegas)
-    for i, (w, j, k) in enumerate(zip(omegas, lo, hi)):
-        z = (w - freqs[j:k]) / sigma_omega
-        kern = norm * np.exp(-0.5 * z * z)
-        f_vals[i] = kern @ f_w[j:k]
-        r_vals[i] = kern @ r_w[j:k]
+    z = omegas / sigma_omega
+    f_vals = np.where(np.abs(omegas) <= reach,
+                      diag_weight * norm * np.exp(-0.5 * z * z), 0.0)
+    r_vals = np.zeros_like(omegas)
+    for sign in (1.0, -1.0):
+        centers = sign * omegas
+        lo = np.searchsorted(freqs, centers - reach, side="left")
+        hi = np.searchsorted(freqs, centers + reach, side="right")
+        for i, (c, j, k) in enumerate(zip(centers, lo, hi)):
+            z = (c - freqs[j:k]) / sigma_omega
+            kern = norm * np.exp(-0.5 * z * z)
+            f_vals[i] += kern @ f_w[j:k]
+            r_vals[i] += sign * (kern @ r_w[j:k])
     return SpectralDensity(
         omegas=omegas,
         f_values=f_vals,

@@ -55,10 +55,11 @@ def write_array(path, arr):
         raise ValidationError("only vectors and matrices are supported")
     header = MAGIC + struct.pack("<HBBQQ", FORMAT_VERSION, kind,
                                  _DTYPE[arr.dtype], nrows, ncols)
-    payload = np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"))
+    # a no-op for a C-ordered little-endian array; one copy otherwise
+    payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        payload.tofile(fh)
 
 
 def read_array(path):
@@ -74,11 +75,10 @@ def read_array(path):
             raise ValidationError(f"{path}: corrupt header")
         dtype = _DTYPE_BACK[dtype_code]
         count = nrows * ncols
-        data = np.frombuffer(fh.read(count * dtype.itemsize),
-                             dtype=dtype.newbyteorder("<"))
+        data = np.fromfile(fh, dtype=dtype.newbyteorder("<"), count=count)
         if data.size != count:
             raise ValidationError(f"{path}: truncated payload")
-    data = data.astype(dtype)
+    data = data.astype(dtype, copy=False)
     if _KIND_BACK[kind] == "vector":
         return data
     return data.reshape(nrows, ncols)

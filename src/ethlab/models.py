@@ -13,7 +13,8 @@ A uniform chain, open or periodic, commutes with the spatial reflection
 sectors. The pipeline passes :func:`reflection_permutation` to
 :func:`ethlab.spectral.eigendecompose`, which diagonalizes the two
 reflection blocks and reassembles the full basis, so every eigenstate is an
-exact parity eigenstate. Level statistics and matrix-element statistics
+exact parity eigenstate, and records each eigenstate's parity in
+``EnergySpectrum.parity``. Level statistics and matrix-element statistics
 should be computed per sector; see :func:`restrict_to_reflection_sector`.
 
 A Pauli word is applied as a signed permutation of the basis states (a bit
@@ -172,29 +173,21 @@ def reflection_permutation(n_sites):
     return out
 
 
-def reflection_parities(spectrum, n_sites):
-    """Expectation of the reflection operator in each eigenstate, near +-1.
-
-    Values far from +-1 indicate (near-)degenerate eigenvectors that mix
-    sectors; callers doing sector-resolved statistics should drop those.
-    """
-    if spectrum.basis is None:
-        raise ValidationError("reflection parity needs an explicit eigenbasis")
-    perm = reflection_permutation(n_sites)
-    v = spectrum.basis
-    return np.real(np.einsum("in,in->n", v.conj(), v[perm]))
-
-
-def restrict_to_reflection_sector(spectrum, a, n_sites, parity=1, min_overlap=0.99):
+def restrict_to_reflection_sector(spectrum, a, parity=1):
     """Restrict a spectrum and operator to one reflection-parity sector.
 
+    The sector is read from ``spectrum.parity``, which
+    :func:`ethlab.spectral.eigendecompose` records when it is given the
+    reflection as its symmetry; a spectrum without parities is refused.
     Returns a new (EnergySpectrum, OperatorEigenbasis) pair living in the
     sector eigenbasis (identity basis, sector eigenvalues ascending).
     The restricted operator is the sector block, i.e. the reflection-even
     part of the original observable when the input couples sectors.
     """
-    p = reflection_parities(spectrum, n_sites)
-    sel = np.where(p * parity > min_overlap)[0]
+    if spectrum.parity is None:
+        raise ValidationError(
+            "reflection parity unknown: diagonalize with the reflection symmetry")
+    sel = np.flatnonzero(spectrum.parity == parity)
     if sel.size == 0:
         raise ValidationError("no eigenstates with the requested parity")
     sub_spec = EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel], basis=None)

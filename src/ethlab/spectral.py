@@ -60,10 +60,13 @@ class EnergySpectrum:
     ``basis`` holds column eigenvectors; ``None`` means the identity basis,
     used by synthetic spectra that are generated directly in their own
     eigenbasis (this avoids materializing large identity matrices).
+    ``parity`` holds +-1 per eigenvalue, the symmetry block each eigenvector
+    came from in :func:`eigendecompose`, or ``None`` when it is unknown.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray | None = None
+    parity: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.eigenvalues, dtype=float)
@@ -77,6 +80,11 @@ class EnergySpectrum:
             if b.shape != (e.size, e.size):
                 raise ValidationError("basis shape does not match eigenvalue count")
             object.__setattr__(self, "basis", b)
+        if self.parity is not None:
+            p = np.asarray(self.parity)
+            if p.shape != e.shape or not np.all((p == 1) | (p == -1)):
+                raise ValidationError("parity must be +-1 per eigenvalue")
+            object.__setattr__(self, "parity", p.astype(np.int8))
 
     @property
     def dim(self):
@@ -118,7 +126,7 @@ def _require_commuting_involution(h, r, rtol=HERMITICITY_RTOL):
 
 
 def _eigh_parity_blocks(h, r):
-    """Eigenpairs of ``h`` from its even and odd blocks under the involution r.
+    """Eigenpairs and +-1 parities of ``h`` from its even and odd blocks under r.
 
     The parity-adapted basis is |s> for the fixed points s = r(s) (even only)
     and (|s> +- |r(s)>)/sqrt(2) for the pairs s < r(s). With A = h[s, s'] and
@@ -157,7 +165,7 @@ def _eigh_parity_blocks(h, r):
     u_odd *= np.sqrt(0.5)
     basis[np.ix_(reps[pair], odd_cols)] = u_odd
     basis[np.ix_(r[reps[pair]], odd_cols)] = -u_odd
-    return eigenvalues[order], basis
+    return eigenvalues[order], basis, np.where(order < e_even.size, 1, -1)
 
 
 def eigendecompose(h, symmetry=None):
@@ -173,7 +181,8 @@ def eigendecompose(h, symmetry=None):
     basis (|s> +- |r(s)>)/sqrt(2) are then diagonalized separately, at about
     a quarter of the cost of one full ``eigh``, and their eigenvectors are
     scattered back into the full d x d basis, so every column is an exact
-    parity eigenstate. The eigenvalues of the two blocks are merged by a
+    parity eigenstate, and ``parity`` records which block (+1 even, -1 odd)
+    each column came from. The eigenvalues of the two blocks are merged by a
     stable sort (even before odd on ties). A permutation that is not an
     involution, or that does not commute with ``h`` to relative Frobenius
     tolerance ``HERMITICITY_RTOL``, raises :class:`ValidationError`.
@@ -187,10 +196,11 @@ def eigendecompose(h, symmetry=None):
         h = h.real
     if symmetry is None:
         eigenvalues, basis = _eigh(h)
+        parity = None
     else:
-        eigenvalues, basis = _eigh_parity_blocks(
+        eigenvalues, basis, parity = _eigh_parity_blocks(
             h, _require_commuting_involution(h, symmetry))
-    return EnergySpectrum(eigenvalues=eigenvalues, basis=basis)
+    return EnergySpectrum(eigenvalues=eigenvalues, basis=basis, parity=parity)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ def ising12_sector():
     spec = el.eigendecompose(h, symmetry=el.reflection_permutation(12))
     del h
     a = el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
-    sub_spec, sub_a = el.restrict_to_reflection_sector(spec, a, 12, parity=1)
+    sub_spec, sub_a = el.restrict_to_reflection_sector(spec, a, parity=1)
     return sub_spec, sub_a
 
 
@@ -232,8 +232,7 @@ def test_criterion_08_lyapunov_fit_fidelity():
     t = np.linspace(4, 8, 81)
     clean = el.CorrelatorSeries(
         kind="OTOC", times=t,
-        values=(1 - np.exp(lam * (t - t_s))).astype(complex),
-        beta=1.0, regulator=0.25)
+        values=(1 - np.exp(lam * (t - t_s))).astype(complex))
     fit = el.fit_lyapunov(clean, 1.0, 0.0, (4, 8))
     err_clean = abs(fit.lam - lam)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
@@ -241,8 +240,7 @@ def test_criterion_08_lyapunov_fit_fidelity():
     noisy_vals = (1 - np.exp(lam * (t2 - t_s))
                   + 1e-3 * rng.standard_normal(t2.size))
     noisy = el.CorrelatorSeries(kind="OTOC", times=t2,
-                                values=noisy_vals.astype(complex),
-                                beta=1.0, regulator=0.25)
+                                values=noisy_vals.astype(complex))
     fit2 = el.fit_lyapunov(noisy, 1.0, 0.0, (7, 9.5))
     err_noisy = abs(fit2.lam - lam) / lam
     ok = err_clean <= 1e-8 and err_noisy <= 0.02

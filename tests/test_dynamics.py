@@ -342,6 +342,20 @@ class TestSpectralDensities:
         dev = np.abs(f_w[nz] - 2.0 * coth * r_w[nz])
         assert dev.max() <= 1e-10 * f_w[nz].max()
 
+    def test_peaks_are_a_half_comb(self, ising8):
+        spec, a = ising8["spec"], ising8["a"]
+        d = spec.dim
+        freqs, f_w, r_w = el.spectral_peaks(a, spec, 1.0)
+        assert freqs.shape == f_w.shape == r_w.shape == (d * (d - 1) // 2 + 1,)
+        assert freqs.min() >= 0.0
+        rho = el.thermal_state(spec, 1.0).weights
+        diag = np.diagonal(a.matrix).real
+        assert freqs[-1] == 0.0 and r_w[-1] == 0.0
+        assert f_w[-1] == pytest.approx(rho @ diag**2 - (rho @ diag) ** 2)
+        # the pairs are the upper triangle, row-major
+        m, n = np.triu_indices(d, 1)
+        assert np.array_equal(freqs[:-1], spec.eigenvalues[n] - spec.eigenvalues[m])
+
 
 class TestFdtCheck:
     def test_infinite_temperature_flagged(self, ising8):
@@ -378,8 +392,7 @@ class TestFdtCheck:
 class TestFitLyapunov:
     def _series(self, t, values):
         return el.CorrelatorSeries(kind="OTOC", times=t,
-                                   values=np.asarray(values, complex),
-                                   beta=1.0, regulator=0.25)
+                                   values=np.asarray(values, complex))
 
     def test_noiseless_recovery(self):
         lam, t_s = 1.5, 10.0

@@ -34,6 +34,18 @@ class TestArrayContainer:
         write_array(p2, v)
         assert file_sha256(p1) == file_sha256(p2)
 
+    def test_layout_and_byte_order_do_not_change_bytes(self, tmp_path):
+        m = np.sqrt(np.arange(12.0)).reshape(3, 4)
+        variants = {"c": m, "fortran": np.asfortranarray(m),
+                    "big": m.astype(">f8")}
+        for name, arr in variants.items():
+            write_array(tmp_path / f"{name}.ethb", arr)
+        want = (tmp_path / "c.ethb").read_bytes()
+        assert len(want) == 24 + m.nbytes
+        for name in ("fortran", "big"):
+            assert (tmp_path / f"{name}.ethb").read_bytes() == want
+            assert np.array_equal(read_array(tmp_path / f"{name}.ethb"), m)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ethb"
         path.write_bytes(b"NOPE" + b"\x00" * 40)

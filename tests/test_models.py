@@ -52,7 +52,7 @@ class TestBuildIsing:
         # uniform open chains keep spatial reflection symmetry; the r
         # statistic is chaotic within each parity sector
         spec, a = ising10["spec"], ising10["a"]
-        sub_spec, _ = el.restrict_to_reflection_sector(spec, a, 10, parity=1)
+        sub_spec, _ = el.restrict_to_reflection_sector(spec, a, parity=1)
         r = el.spacing_ratio_mean(sub_spec.eigenvalues)
         assert abs(r - 0.53) <= 0.03
 
@@ -156,19 +156,25 @@ class TestToEigenbasis:
 
 class TestReflectionSectors:
     def test_parities_near_unit(self, ising8):
-        p = el.reflection_parities(ising8["spec"], 8)
-        assert np.all(np.abs(np.abs(p) - 1.0) < 1e-6)
+        spec = ising8["spec"]
+        v = spec.basis
+        r_v = v[el.reflection_permutation(8)]
+        expectation = np.einsum("in,in->n", v.conj(), r_v).real
+        assert np.abs(expectation - spec.parity).max() <= 1e-12
 
     def test_sector_sizes(self, ising8):
-        p = el.reflection_parities(ising8["spec"], 8)
-        even = (p > 0.99).sum()
-        odd = (p < -0.99).sum()
+        p = ising8["spec"].parity
         # symmetric states: (2^8 + 2^4)/2 = 136
-        assert even == 136 and odd == 120
+        assert (p == 1).sum() == 136 and (p == -1).sum() == 120
+
+    def test_unknown_parity_rejected(self, ising8):
+        spec = el.EnergySpectrum(ising8["spec"].eigenvalues)
+        with pytest.raises(el.ValidationError):
+            el.restrict_to_reflection_sector(spec, ising8["a"])
 
     def test_restricted_operator_hermitian(self, ising8):
         sub_spec, sub_a = el.restrict_to_reflection_sector(
-            ising8["spec"], ising8["a"], 8, parity=1)
+            ising8["spec"], ising8["a"], parity=1)
         assert sub_spec.dim == 136
         assert sub_a.is_hermitian()
         assert np.all(np.diff(sub_spec.eigenvalues) >= 0)

@@ -267,6 +267,35 @@ class TestSweep:
         for row in rows:
             assert row["fdt_max_deviation"] <= 0.05
 
+    def test_exit_code_follows_every_point_verdict(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(RunConfig.from_dict({
+            "seed": 1,
+            "model": {"kind": "synthetic", "dim": 256},
+            "dynamics": {"t_max": 4.0, "t_points": 17, "otoc_points": 3,
+                         "sigma_omega": 0.08, "omega_points": 101},
+            "sweep": {"grid": {"model.dim": [256, 384]}, "workers": 2},
+        }).canonical_json())
+        out = str(tmp_path / "sw")
+        assert cli_main(["sweep", "--config", str(cfg_path), "--out", out]) == 0
+        code_error, gating = [], []
+        for name in os.listdir(os.path.join(out, "points")):
+            bounds = load_json(os.path.join(out, "points", name, "bounds.json"))
+            for entry in bounds["per_beta"]:
+                ratios = entry["bound_report"]["slack_ratios"]
+                code_error.append(ratios["code_error"])
+                gating += ratios.values()
+                fluct = entry["fluctuation_report"]["slack_ratios"]
+                gating += (fluct[k] for k in ("dynamical_rate", "static")
+                           if k in fluct)
+        # a slack between the largest code-error ratio and the largest gating
+        # ratio fails a check that the aggregate's code_error_slack misses
+        assert max(code_error) < max(gating)
+        slack = 0.5 * (max(code_error) + max(gating))
+        code = cli_main(["sweep", "--config", str(cfg_path), "--out", out,
+                         "--slack", repr(slack)])
+        assert code == 2
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg_serial = self._sweep_config(str(tmp_path / "ser"))
         manifests_s, _, _ = sweep(cfg_serial)

@@ -84,10 +84,16 @@ class TestParityBlocks:
         assert not np.iscomplexobj(v)
         assert np.abs(v.T @ v - np.eye(h.shape[0])).max() <= 1e-12
         assert np.abs((v * spec.eigenvalues) @ v.T - h).max() <= 1e-12
-        p = el.reflection_parities(spec, n_sites)
-        assert np.abs(np.abs(p) - 1.0).max() <= 1e-12
+        assert full.parity is None
+        r_v = v[el.reflection_permutation(n_sites)]
+        assert np.abs(np.einsum("in,in->n", v, r_v) - spec.parity).max() <= 1e-12
         d = 1 << n_sites
-        assert (p > 0).sum() == (d + (1 << ((n_sites + 1) // 2))) // 2
+        assert (spec.parity == 1).sum() == (d + (1 << ((n_sites + 1) // 2))) // 2
+
+    @pytest.mark.parametrize("parity", [[1, 0, -1], [1, -1], [0.5, 1, 1]])
+    def test_rejects_bad_parity(self, parity):
+        with pytest.raises(el.ValidationError):
+            el.EnergySpectrum(np.arange(3.0), parity=parity)
 
     @pytest.mark.parametrize("symmetry", [
         np.roll(np.arange(128), 1),         # a permutation, not an involution
