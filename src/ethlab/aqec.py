@@ -21,7 +21,7 @@ configurable slack factor because the inequalities hold up to O(1) factors.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class CodeSpec:
             raise ValidationError("error locality d exceeds qubit count")
 
 
-def select_code_states(window, k, method="nearest", spectrum=None, seed=None):
-    """Pick 2**k member indices inside a window.
+def select_code_states(window, k, method="nearest", *, spectrum, seed=None):
+    """Pick 2**k member indices inside a window of ``spectrum``.
 
     ``nearest`` takes the states closest to the window center (narrowest
     shell); ``random`` draws uniformly inside the window for robustness
@@ -68,8 +68,6 @@ def select_code_states(window, k, method="nearest", spectrum=None, seed=None):
             f"window holds {idx.size} states, need {need} for k={k}"
         )
     if method == "nearest":
-        if spectrum is None:
-            raise ValidationError("nearest selection needs the spectrum")
         e = spectrum.eigenvalues[idx]
         order = np.argsort(np.abs(e - window.center), kind="stable")
         chosen = np.sort(idx[order[:need]])
@@ -93,7 +91,7 @@ class KlResidualReport:
     omega: np.ndarray
     member_energies: np.ndarray
     diagonal_spread: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     @property
     def omega_char(self):

@@ -10,7 +10,9 @@ import copy
 import hashlib
 import json
 
+from .aqec import DEFAULT_SLACK
 from .errors import ValidationError
+from .synth import DOS_SHAPES, ENVELOPE_FORMS
 
 _MISSING = object()
 
@@ -54,14 +56,12 @@ def _model_block(raw):
         out["boundary"] = _take(d, "boundary", "open", str, ("open", "periodic"))
     else:
         out["dim"] = _take(d, "dim", kind=int)
-        out["dos_shape"] = _take(d, "dos_shape", "flat", str,
-                                 ("flat", "gaussian", "semicircle"))
+        out["dos_shape"] = _take(d, "dos_shape", "flat", str, DOS_SHAPES)
         out["bandwidth"] = _take(d, "bandwidth", 4.0, float)
         env = dict(_take(d, "envelope", {"form": "exp_decay", "gamma": 0.25, "f0": 1.0},
                          dict))
         out["envelope"] = {
-            "form": _take(env, "form", "exp_decay", str,
-                          ("exp_decay", "constant", "table")),
+            "form": _take(env, "form", "exp_decay", str, ENVELOPE_FORMS),
             "gamma": _take(env, "gamma", 0.25, float),
             "f0": _take(env, "f0", 1.0, float),
             "table": _take(env, "table", None, list),
@@ -174,6 +174,8 @@ def _sweep_block(raw):
         if not isinstance(values, list) or not values:
             raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
     out = {"grid": grid, "workers": _take(d, "workers", 1, int)}
+    if out["workers"] < 1:
+        raise ValidationError("sweep.workers must be >= 1")
     _reject_unknown(d, "sweep")
     return out
 
@@ -189,7 +191,7 @@ class RunConfig:
         d = dict(raw)
         out = {
             "seed": _take(d, "seed", 0, int),
-            "slack": _take(d, "slack", 10.0, float),
+            "slack": _take(d, "slack", DEFAULT_SLACK, float),
             "out_dir": _take(d, "out_dir", "runs/out", str),
             "model": _model_block(_take(d, "model", kind=dict)),
             "observable": _observable_block(_take(d, "observable", {}, dict)),
@@ -268,7 +270,6 @@ def demo_config(out_dir="runs/demo"):
     """The bundled end-to-end demonstration configuration."""
     return RunConfig.from_dict({
         "seed": 7,
-        "slack": 10.0,
         "out_dir": out_dir,
         "model": {"kind": "ising", "n_sites": 10},
         "observable": {"sites": [0], "paulis": "Z"},

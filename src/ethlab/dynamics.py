@@ -40,10 +40,11 @@ dropped term is below exp(-40.5) ~ 2.6e-18 of its peak's normalised weight.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .aqec import DEFAULT_SLACK
 from .errors import (CostGuardError, DivergentIntegralError, FitRejectedError,
                      ValidationError)
 from .spectral import mean_level_spacing
@@ -270,7 +271,10 @@ class FdtDeviation:
     max_rel_dev: float
     n_admissible: int
     degenerate_beta: bool
-    empty: bool
+
+    @property
+    def empty(self):
+        return self.n_admissible == 0
 
 
 def fdt_check(sd, threshold=0.3):
@@ -286,21 +290,21 @@ def fdt_check(sd, threshold=0.3):
     """
     if sd.beta == 0:
         return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=True, empty=True)
+                            degenerate_beta=True)
     rho_scale = np.abs(sd.rho_values).max(initial=0.0)
     if rho_scale == 0:
         return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=False, empty=True)
+                            degenerate_beta=False)
     sel = (np.abs(sd.rho_values) >= threshold * rho_scale) & \
           (np.abs(sd.omegas) >= 4 * sd.sigma_omega)
     if not np.any(sel):
         return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=False, empty=True)
+                            degenerate_beta=False)
     w = sd.omegas[sel]
     predicted = 2.0 / np.tanh(sd.beta * w / 2.0) * sd.rho_values[sel]
     dev = np.abs(sd.f_values[sel] - predicted) / sd.f_values[sel]
     return FdtDeviation(max_rel_dev=float(dev.max()), n_admissible=int(sel.sum()),
-                        degenerate_beta=False, empty=False)
+                        degenerate_beta=False)
 
 
 @dataclass(frozen=True)
@@ -310,9 +314,7 @@ class LyapunovFit:
     lam: float
     t_s: float
     t_d: float            # None when no two-point series was supplied
-    window: tuple
     residual_rms: float
-    eps_reg: float
     reliability: str
 
     def __post_init__(self):
@@ -383,7 +385,7 @@ def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, f2=None):
     x = t[sel]
     logg = np.log(growth)
     slope, intercept = np.polyfit(x, logg, 1)
-    if slope <= 0 or slope * (x[-1] - x[0]) < 1e-10:
+    if slope * (x[-1] - x[0]) < 1e-10:
         raise FitRejectedError("non-growing series: fitted rate <= 0")
     lam = float(slope)
     t_s = float(-intercept / slope)
@@ -394,8 +396,7 @@ def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, f2=None):
     fitted = intercept + slope * x
     residual = float(np.sqrt(np.mean((logg - fitted) ** 2)))
     t_d = dissipation_time(f2) if f2 is not None else None
-    return LyapunovFit(lam=lam, t_s=t_s, t_d=t_d, window=(float(lo), float(hi)),
-                       residual_rms=residual, eps_reg=float(eps_reg),
+    return LyapunovFit(lam=lam, t_s=t_s, t_d=t_d, residual_rms=residual,
                        reliability=_reliability_grade(residual))
 
 
@@ -417,20 +418,15 @@ class PureStateCoefficients:
         return np.abs(self.c) ** 2
 
 
-def gaussian_wavepacket(spectrum, center, sigma, seed=None):
-    """Gaussian-weighted superposition of eigenstates around an energy.
-
-    Random phases are applied when a seed is given; amplitudes are real
-    otherwise.
-    """
+def gaussian_wavepacket(spectrum, center, sigma, seed):
+    """Gaussian-weighted superposition of eigenstates around an energy,
+    with random phases drawn from the Philox stream keyed by ``seed``."""
     e = spectrum.eigenvalues
     amp = np.exp(-((e - center) ** 2) / (4.0 * sigma**2))
     if amp.max() <= 0:
         raise ValidationError("wavepacket has no support on the spectrum")
-    c = amp.astype(complex)
-    if seed is not None:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        c = c * np.exp(2j * math.pi * rng.random(e.size))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    c = amp.astype(complex) * np.exp(2j * math.pi * rng.random(e.size))
     c /= np.linalg.norm(c)
     return PureStateCoefficients(c=c)
 
@@ -500,20 +496,30 @@ class FluctuationReport:
     fdt_bound_code: float
     omega: float
     entropy_value: float
-    measured_dynamical: float = None
-    measured_static: float = None
-    slack: float = 10.0
-    slack_ratios: dict = field(default_factory=dict)
+    measured_dynamical: float
+    measured_static: float
+    slack: float
+    slack_ratios: dict
+
+    @property
+    def all_within_slack(self):
+        """Only ``dynamical_rate`` and ``static`` gate: substituting the lower
+        bound of lam into the decreasing exponent makes the code form a
+        reference expression, not a valid ceiling, whenever eps_code sits
+        below its saturation scale (unitary observables drive it to zero)."""
+        return all(ratio <= self.slack for name, ratio in self.slack_ratios.items()
+                   if name in ("dynamical_rate", "static"))
 
 
 def fluctuation_bounds(entropy_value, beta, omega, lam=None, eps_code=None,
                        d=0, k=0, measured_dynamical=None, measured_static=None,
-                       slack=10.0):
+                       slack=DEFAULT_SLACK):
     """Evaluate the fluctuation bounds from a growth rate and/or a code error.
 
     At least one of ``lam`` and ``eps_code`` must be given. Bounds that need
     the missing input come back NaN. Measured values, when supplied, produce
-    slack ratios (measured / bound).
+    slack ratios (measured / bound); which of them gate is stated by
+    :attr:`FluctuationReport.all_within_slack`.
     """
     if lam is None and eps_code is None:
         raise ValidationError("need a growth rate or a code error")
@@ -542,10 +548,6 @@ def fluctuation_bounds(entropy_value, beta, omega, lam=None, eps_code=None,
     else:
         dyn_code, fdt_code = nan, nan
 
-    # Only the rate form gates: substituting the lower bound of lam into the
-    # decreasing exponent makes the code form a reference expression, not a
-    # valid ceiling, whenever eps_code sits below its saturation scale
-    # (unitary observables drive it to zero outright).
     ratios = {}
     if measured_dynamical is not None:
         if np.isfinite(dyn_rate) and dyn_rate > 0:

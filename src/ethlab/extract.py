@@ -24,15 +24,15 @@ class DiagonalProfile:
     energies: np.ndarray
     values: np.ndarray
     scatter: np.ndarray
-    bandwidth: float
 
 
-def diagonal_profile(a, spectrum, bandwidth=None, grid_points=201):
+def diagonal_profile(a, spectrum, bandwidth=None):
     """Nadaraya-Watson smoothing of the diagonal matrix elements.
 
-    Bandwidth defaults to 2% of the spectral bandwidth and must be at least
-    3 mean bulk level spacings, otherwise the regression just reproduces
-    level-to-level scatter.
+    The profile is evaluated on 201 evenly spaced energies from the lowest
+    to the highest eigenvalue. Bandwidth defaults to 2% of the spectral
+    bandwidth and must be at least 3 mean bulk level spacings, otherwise the
+    regression just reproduces level-to-level scatter.
     """
     e = spectrum.eigenvalues
     diag = np.real(np.diagonal(a.matrix)).astype(float)
@@ -45,7 +45,7 @@ def diagonal_profile(a, spectrum, bandwidth=None, grid_points=201):
         raise ValidationError(
             f"bandwidth {bandwidth:g} below 3 mean level spacings ({3 * spacing:g})"
         )
-    grid = np.linspace(e[0], e[-1], grid_points)
+    grid = np.linspace(e[0], e[-1], 201)
     values = np.empty_like(grid)
     scatter = np.empty_like(grid)
     for i, g in enumerate(grid):
@@ -55,8 +55,7 @@ def diagonal_profile(a, spectrum, bandwidth=None, grid_points=201):
         var = np.dot(w, (diag - mean) ** 2) / total
         values[i] = mean
         scatter[i] = np.sqrt(max(var, 0.0))
-    return DiagonalProfile(energies=grid, values=values, scatter=scatter,
-                           bandwidth=bandwidth)
+    return DiagonalProfile(energies=grid, values=values, scatter=scatter)
 
 
 @dataclass(frozen=True)
@@ -135,28 +134,26 @@ class EnvelopeModel:
         return float(self.gamma[ok[np.argmin(np.abs(self.e_centers[ok] - mid))]])
 
 
-def _pair_bins(e, values_sq, e_edges, omega_edges, row_chunk=256):
-    """Accumulate per-bin counts and |A|^2 sums over off-diagonal pairs."""
+def _pair_bins(e, values_sq, e_edges, omega_edges):
+    """Per-bin counts and |A|^2 sums over off-diagonal pairs, 256 rows at a time."""
     ne, nw = len(e_edges) - 1, len(omega_edges) - 1
     counts = np.zeros((ne, nw), dtype=np.int64)
     sums = np.zeros((ne, nw), dtype=float)
     d = e.size
-    for start in range(0, d, row_chunk):
-        stop = min(start + row_chunk, d)
+    for start in range(0, d, 256):
+        stop = min(start + 256, d)
         eb = 0.5 * (e[start:stop, None] + e[None, :])
         om = np.abs(e[start:stop, None] - e[None, :])
-        w = values_sq[start:stop, :].copy()
         rows = np.arange(start, stop)
-        w[rows - start, rows] = 0.0
         ii = np.digitize(eb.ravel(), e_edges) - 1
         jj = np.digitize(om.ravel(), omega_edges) - 1
         ok = (ii >= 0) & (ii < ne) & (jj >= 0) & (jj < nw)
         mask = np.ones(eb.shape, dtype=bool)
-        mask[rows - start, rows] = False  # keep the diagonal out of the counts
+        mask[rows - start, rows] = False  # no diagonal in counts or sums
         ok &= mask.ravel()
         flat = ii[ok] * nw + jj[ok]
         counts += np.bincount(flat, minlength=ne * nw).reshape(ne, nw)
-        sums += np.bincount(flat, weights=w.ravel()[ok],
+        sums += np.bincount(flat, weights=values_sq[start:stop].ravel()[ok],
                             minlength=ne * nw).reshape(ne, nw)
     return counts, sums
 
@@ -252,13 +249,14 @@ class GaussianityStats:
     low_power: bool
 
 
-def gaussianity_stats(a, spectrum, envelope, window, low_power_threshold=1000):
+def gaussianity_stats(a, spectrum, envelope, window):
     """Moments of R_hat = A_mn * exp(S/2) / f_hat over window pairs, m != n.
 
     exp(S/2) comes from the envelope's recorded density boost and
     f_hat = sqrt(|f|^2) from its bins, so an envelope estimated on an
     independent realization can be used to normalize this one. Pairs in
     bins without an estimate are excluded; raises when nothing survives.
+    A sample of fewer than 1000 values is flagged ``low_power``.
     """
     idx = window.indices
     if idx.size < 2:
@@ -279,10 +277,10 @@ def gaussianity_stats(a, spectrum, envelope, window, low_power_threshold=1000):
         sample = np.real(r_hat)
     else:
         sample = np.concatenate([np.real(r_hat), np.imag(r_hat)]) * np.sqrt(2.0)
-    return _moments(sample, low_power_threshold)
+    return _moments(sample)
 
 
-def _moments(sample, low_power_threshold):
+def _moments(sample):
     n = sample.size
     mean = float(sample.mean())
     centered = sample - mean
@@ -297,5 +295,5 @@ def _moments(sample, low_power_threshold):
         skewness=m3 / m2**1.5,
         excess_kurtosis=m4 / m2**2 - 3.0,
         sample_size=int(n),
-        low_power=bool(n < low_power_threshold),
+        low_power=bool(n < 1000),
     )

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .spectral import EnergySpectrum, OperatorEigenbasis
-
-MAX_SITES = 13
+from .spectral import MAX_DENSE_DIM, EnergySpectrum, OperatorEigenbasis
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,10 @@ def _site_z(n_sites):
 def build_mixed_field_ising(params):
     """Dense real-symmetric H = sum J Z_i Z_{i+1} + sum (hx X_i + hz Z_i)."""
     n = params.n_sites
-    if n > MAX_SITES:
-        raise SizeError(f"{n} sites exceeds dense cap of {MAX_SITES}")
     dim = 1 << n
+    if dim > MAX_DENSE_DIM:
+        raise SizeError(
+            f"{n} sites: dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
     z = _site_z(n)
     bonds = [(i, i + 1) for i in range(n - 1)]
     if params.boundary == "periodic":

@@ -122,7 +122,7 @@ class _Inputs:
     @functools.cached_property
     def entropy(self):
         _, (e, s, beta) = read_csv(os.path.join(self.out, "entropy.csv"))
-        return EntropyModel(sigma_s=0.0, grid_energies=e, grid_entropy=s, grid_beta=beta)
+        return EntropyModel(grid_energies=e, grid_entropy=s, grid_beta=beta)
 
     @functools.cached_property
     def window(self):
@@ -248,6 +248,9 @@ def stage_dynamics(cfg, inputs):
         seed=cfg.data["seed"])
     center_idx = int(window.start + np.argmin(
         np.abs(window.member_energies(spectrum) - window.center)))
+    # neither fluctuation depends on beta
+    measured_dynamical = dynamical_fluctuation(a, state)
+    measured_static = static_fluctuation(a, center_idx)
     payloads = {}
     per_beta = []
     for beta in cfg.data["thermal"]["betas"]:
@@ -285,8 +288,8 @@ def stage_dynamics(cfg, inputs):
             "fdt_degenerate_beta": dev.degenerate_beta,
             "dissipation_time": dissipation_time(f2),
             "fit": fit_info,
-            "measured_dynamical_fluctuation": dynamical_fluctuation(a, state),
-            "measured_static_fluctuation": static_fluctuation(a, center_idx),
+            "measured_dynamical_fluctuation": measured_dynamical,
+            "measured_static_fluctuation": measured_static,
             "static_eigenstate_index": center_idx,
         })
     payloads["dynamics.json"] = {
@@ -322,9 +325,7 @@ def stage_bounds(cfg, inputs):
             measured_dynamical=entry["measured_dynamical_fluctuation"],
             measured_static=entry["measured_static_fluctuation"],
             slack=slack)
-        gating = {k_: v for k_, v in fluct.slack_ratios.items()
-                  if k_ in ("dynamical_rate", "static")}
-        ok = bound.all_within_slack and all(r <= slack for r in gating.values())
+        ok = bound.all_within_slack and fluct.all_within_slack
         all_ok = all_ok and ok
         # time-scale metadata recorded alongside the code checks; no gating
         # on the dissipation/scrambling hierarchy is applied
@@ -452,47 +453,45 @@ def _run_sweep_point(args):
         return _failure(exc)
 
 
-def sweep(cfg, out_dir=None):
+def sweep(cfg):
     """Cartesian-product sweep with per-point isolation and an aggregate CSV.
 
     Returns (manifests, aggregate_rows, any_error). Failing points record an
-    error row; sibling points are unaffected.
+    error row; sibling points are unaffected. A grid that names one point
+    twice (say 1 and 1.0) is refused before anything is written.
     """
     sweep_cfg = cfg.data.get("sweep")
     if not sweep_cfg:
         raise ValidationError("config has no sweep block")
-    out = out_dir or cfg.data["out_dir"]
-    os.makedirs(os.path.join(out, "points"), exist_ok=True)
+    out = cfg.data["out_dir"]
     paths = sorted(sweep_cfg["grid"])
     values = [sweep_cfg["grid"][p] for p in paths]
     points = [list(zip(paths, combo)) for combo in itertools.product(*values)]
-    jobs = []
-    for items in points:
-        name = _point_name(items)
-        jobs.append((cfg.to_dict(), items, os.path.join(out, "points", name)))
-    workers = max(1, int(sweep_cfg["workers"]))
-    results = {}
+    names = [_point_name(items) for items in points]
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise ValidationError(f"sweep grid names the point {twice[0]} twice")
+    os.makedirs(os.path.join(out, "points"), exist_ok=True)
+    jobs = [(cfg.to_dict(), items, os.path.join(out, "points", name))
+            for items, name in zip(points, names)]
+    workers = sweep_cfg["workers"]
     if workers == 1:
-        for job in jobs:
-            results[_point_name(job[1])] = _run_sweep_point(job)
+        results = [_run_sweep_point(job) for job in jobs]
     else:
+        results = []
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_sweep_point, job): _point_name(job[1])
-                       for job in jobs}
-            for fut in concurrent.futures.as_completed(futures):
+            for fut in [pool.submit(_run_sweep_point, job) for job in jobs]:
                 try:
-                    results[futures[fut]] = fut.result()
+                    results.append(fut.result())
                 except Exception as exc:  # a worker that died returns nothing
-                    results[futures[fut]] = _failure(exc)
+                    results.append(_failure(exc))
 
     metric_cols = ["eps_max", "eps_code", "gamma_hat", "lambda_used",
                    "code_error_slack", "fdt_max_deviation"]
     rows = []
     any_error = False
     manifests = {}
-    for items in points:
-        name = _point_name(items)
-        status, payload = results[name]
+    for items, name, (status, payload) in zip(points, names, results):
         row = {path: v for path, v in items}
         row["point"] = name
         if status == "error":
@@ -530,7 +529,7 @@ def sweep(cfg, out_dir=None):
         "manifest.json": {
             "artifact_version": __version__,
             "config_hash": cfg.config_hash(),
-            "points": {name: results[name][0] for name in sorted(results)},
+            "points": {name: status for name, (status, _) in zip(names, results)},
             "aggregate": "aggregate.csv",
         }})
     return manifests, rows, any_error

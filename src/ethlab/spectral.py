@@ -23,14 +23,14 @@ MAX_DENSE_DIM = 1 << 13
 HERMITICITY_RTOL = 1e-12
 
 
-def _hermitian_deviation(m, tile=64):
-    """Frobenius norm of m - m^H, summed over the upper tile x tile tiles.
+def _hermitian_deviation(m):
+    """Frobenius norm of m - m^H, summed over the upper 64 x 64 tiles.
 
     Tile (I, J) with I < J holds X_IJ - X_JI^H, whose squared norm counts
     twice; a diagonal tile counts once. Small contiguous tiles avoid the
     strided full-matrix transpose of ``m - m.conj().T``.
     """
-    d = m.shape[0]
+    d, tile = m.shape[0], 64
     total = 0.0
     for i in range(0, d, tile):
         for j in range(i, d, tile):
@@ -39,14 +39,14 @@ def _hermitian_deviation(m, tile=64):
     return np.sqrt(total)
 
 
-def require_hermitian(h, rtol=HERMITICITY_RTOL, name="matrix"):
-    """Validate that ``h`` is square and Hermitian to relative Frobenius tolerance."""
+def require_hermitian(h, name="matrix"):
+    """Validate that ``h`` is square and Hermitian within ``HERMITICITY_RTOL``."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {h.shape}")
     norm = np.linalg.norm(h)
     dev = _hermitian_deviation(h)
-    if norm > 0 and dev > rtol * norm:
+    if norm > 0 and dev > HERMITICITY_RTOL * norm:
         raise ValidationError(
             f"{name} is not Hermitian: relative deviation {dev / norm:.3e}"
         )
@@ -102,7 +102,7 @@ def _eigh(h):
         raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
-def _require_commuting_involution(h, r, rtol=HERMITICITY_RTOL):
+def _require_commuting_involution(h, r):
     """Validate that ``r`` is an involutive index permutation with h[r][:, r] = h."""
     r = np.asarray(r)
     d = h.shape[0]
@@ -118,7 +118,7 @@ def _require_commuting_involution(h, r, rtol=HERMITICITY_RTOL):
         np.linalg.norm(np.take(h[r[i:i + step]], r, axis=1) - h[i:i + step]) ** 2
         for i in range(0, d, step)))
     norm = np.linalg.norm(h)
-    if dev > rtol * norm:
+    if dev > HERMITICITY_RTOL * norm:
         raise ValidationError(
             f"symmetry does not commute with the hamiltonian: relative deviation "
             f"{dev / norm:.3e}")
@@ -219,20 +219,21 @@ class OperatorEigenbasis:
     def dim(self):
         return self.matrix.shape[0]
 
-    def is_hermitian(self, rtol=1e-10):
+    def is_hermitian(self):
+        """True when ||A - A^H||_F <= 2e-10 ||A||_F."""
         norm = np.linalg.norm(self.matrix)
         if norm == 0:
             return True
-        return _hermitian_deviation(self.matrix) <= rtol * norm * 2
+        return _hermitian_deviation(self.matrix) <= 1e-10 * norm * 2
 
 
-def mean_level_spacing(eigenvalues, bulk_fraction=0.6):
-    """Mean spacing over the central ``bulk_fraction`` of the sorted spectrum."""
+def mean_level_spacing(eigenvalues):
+    """Mean spacing over the central 60% of the sorted spectrum."""
     e = np.asarray(eigenvalues, dtype=float)
     if e.size < 2:
         raise ValidationError("need at least two levels for a spacing")
     n = e.size
-    lo = int(round(n * (1 - bulk_fraction) / 2))
+    lo = int(round(0.2 * n))  # 20% off each end
     hi = max(lo + 2, n - lo)
     spacings = np.diff(e[lo:hi])
     if spacings.size == 0:
@@ -240,8 +241,8 @@ def mean_level_spacing(eigenvalues, bulk_fraction=0.6):
     return float(spacings.mean())
 
 
-def spacing_ratio_mean(eigenvalues, bulk_fraction=0.5):
-    """Mean consecutive-spacing ratio <r> over the central bulk.
+def spacing_ratio_mean(eigenvalues):
+    """Mean consecutive-spacing ratio <r> over the central 50% of the spectrum.
 
     r_n = min(s_n, s_{n+1}) / max(s_n, s_{n+1}) for consecutive spacings s_n.
     Chaotic (GOE) spectra give <r> near 0.5307; uncorrelated (Poisson)
@@ -249,7 +250,7 @@ def spacing_ratio_mean(eigenvalues, bulk_fraction=0.5):
     """
     e = np.sort(np.asarray(eigenvalues, dtype=float))
     n = e.size
-    lo = int(round(n * (1 - bulk_fraction) / 2))
+    lo = int(round(0.25 * n))  # 25% off each end
     hi = max(lo + 3, n - lo)
     s = np.diff(e[lo:hi])
     if s.size < 2:
@@ -265,12 +266,11 @@ def spacing_ratio_mean(eigenvalues, bulk_fraction=0.5):
 class EntropyModel:
     """Smooth S(E) and beta(E) = S'(E) on an energy grid.
 
-    ``exp(S(E))`` approximates the level density per unit energy at kernel
-    bandwidth ``sigma_s``. Evaluation between grid points is linear
-    interpolation; outside the grid the edge value is used.
+    ``exp(S(E))`` approximates the level density per unit energy.
+    Evaluation between grid points is linear interpolation; outside the grid
+    the edge value is used.
     """
 
-    sigma_s: float
     grid_energies: np.ndarray
     grid_entropy: np.ndarray
     grid_beta: np.ndarray
@@ -286,18 +286,19 @@ class EntropyModel:
         """Energy-independent entropy, e.g. S = log(D) for flat synthetic models."""
         grid = np.linspace(float(e_min), float(e_max), 17)
         s = np.full_like(grid, float(value))
-        return cls(sigma_s=0.0, grid_energies=grid, grid_entropy=s,
-                   grid_beta=np.gradient(s, grid))
+        return cls(grid_energies=grid, grid_entropy=s, grid_beta=np.gradient(s, grid))
 
 
-def entropy_model(spectrum, sigma_s=None, grid_points=2049):
+def entropy_model(spectrum, sigma_s=None):
     """Gaussian-kernel entropy model from a finite spectrum.
 
     exp(S(E)) is the kernel-smoothed level density
-    sum_n N(E; E_n, sigma_s**2), and beta(E) comes from centered finite
-    differences of S on the grid. The default bandwidth is 2% of the
-    spectral bandwidth; bandwidths below 3 mean bulk level spacings are
-    rejected because the estimate would resolve level discreteness.
+    sum_n N(E; E_n, sigma_s**2) on a uniform grid of 2049 energies spanning
+    the spectrum padded by 2 sigma_s on each side, and beta(E) comes from
+    centered finite differences of S on that grid. The default bandwidth is
+    2% of the spectral bandwidth; bandwidths below 3 mean bulk level
+    spacings are rejected because the estimate would resolve level
+    discreteness.
     """
     e = spectrum.eigenvalues
     span = spectrum.bandwidth
@@ -312,10 +313,10 @@ def entropy_model(spectrum, sigma_s=None, grid_points=2049):
             f"sigma_s={sigma_s:g} below 3 mean bulk level spacings ({3 * spacing:g})"
         )
     pad = 2 * sigma_s
-    grid = np.linspace(e[0] - pad, e[-1] + pad, grid_points)
+    grid = np.linspace(e[0] - pad, e[-1] + pad, 2049)
     norm = 1.0 / (np.sqrt(2 * np.pi) * sigma_s)
     density = np.zeros_like(grid)
-    chunk = max(1, int(2**22 // max(grid.size, 1)))
+    chunk = 2**22 // grid.size
     for start in range(0, e.size, chunk):
         block = e[start:start + chunk]
         z = (grid[:, None] - block[None, :]) / sigma_s
@@ -323,8 +324,7 @@ def entropy_model(spectrum, sigma_s=None, grid_points=2049):
     density = np.maximum(density, 1e-300)
     s = np.log(density)
     beta = np.gradient(s, grid)
-    return EntropyModel(sigma_s=sigma_s, grid_energies=grid,
-                        grid_entropy=s, grid_beta=beta)
+    return EntropyModel(grid_energies=grid, grid_entropy=s, grid_beta=beta)
 
 
 @dataclass(frozen=True)

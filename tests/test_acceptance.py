@@ -301,8 +301,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
     m2 = load_json(os.path.join(out2, "manifest.json"))
     same_hashes = m1["files"] == m2["files"]
     byte_identical = all(
-        open(os.path.join(out1, f), "rb").read()
-        == open(os.path.join(out2, f), "rb").read()
+        (tmp_path / "d1" / f).read_bytes() == (tmp_path / "d2" / f).read_bytes()
         for f in m1["files"])
     exit_ok = code1 == 0 and code2 == 0
     # the slack policy drives the exit code: a vanishing slack must flip it

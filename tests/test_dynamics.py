@@ -613,6 +613,21 @@ class TestFluctuationBounds:
         assert "dynamical_rate" in rep.slack_ratios
         assert "static" in rep.slack_ratios
 
+    @pytest.mark.parametrize("ratios, within", [
+        ({"dynamical_rate": 0.5, "dynamical_code": 1.6e14, "static": 2.0}, True),
+        ({"dynamical_rate": 0.5, "dynamical_code": 0.1, "static": 11.0}, False),
+        ({"dynamical_rate": 10.5, "static": 2.0}, False),
+    ])
+    def test_only_rate_and_static_ratios_gate(self, ratios, within):
+        nan = float("nan")
+        rep = el.FluctuationReport(
+            dynamical_bound_rate=nan, dynamical_bound_code=nan,
+            static_bound=nan, static_divergent=False, fdt_bound_rate=nan,
+            fdt_bound_code=nan, omega=0.5, entropy_value=2.0,
+            measured_dynamical=None, measured_static=None, slack=10.0,
+            slack_ratios=ratios)
+        assert rep.all_within_slack is within
+
     def test_synthetic_ensemble_within_slack(self):
         # mid-spectrum wavepacket fluctuations sit below the rate bound
         spec = el.synth_spectrum(el.SynthSpectrumParams(

@@ -225,6 +225,33 @@ class TestSweep:
         with pytest.raises(el.ValidationError):
             RunConfig.from_dict(d)
 
+    def test_point_named_twice_refused_before_any_write(self, tmp_path):
+        # 1 and 1.0 both name the point thermal.betas=1
+        out = tmp_path / "twice"
+        d = small_synth_config(str(out), dim=256).to_dict()
+        d["sweep"] = {"grid": {"thermal.betas": [1, 1.0]}, "workers": 1}
+        cfg = RunConfig.from_dict(d)
+        with pytest.raises(el.ValidationError, match="thermal.betas=1 twice"):
+            sweep(cfg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.canonical_json())
+        assert cli_main(["sweep", "--config", str(cfg_path)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        out = tmp_path / "w"
+        d = small_synth_config(str(out), dim=256).to_dict()
+        d["sweep"] = {"grid": {"seed": [1, 2]}, "workers": workers}
+        with pytest.raises(el.ValidationError, match="sweep.workers"):
+            RunConfig.from_dict(d)
+        d["sweep"]["workers"] = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(RunConfig.from_dict(d).canonical_json())
+        assert cli_main(["sweep", "--config", str(cfg_path),
+                         f"--workers={workers}"]) == 1
+        assert not out.exists()
+
     def test_dimension_sweep_scaling(self, tmp_path):
         # aggregate over growing dimension: log eps_max strictly decreasing
         out = str(tmp_path / "dsweep")
@@ -356,7 +383,7 @@ class TestRunner:
         out = str(tmp_path / "atomic")
         cfg = small_synth_config(out, dim=200)
         run(cfg, stages=("generate", "extract"))
-        before = {f: open(os.path.join(out, f), "rb").read()
+        before = {f: (tmp_path / "atomic" / f).read_bytes()
                   for f in ("profile.csv", "envelope.csv", "extract.json")}
         real = pipeline.write_csv
 
@@ -371,7 +398,7 @@ class TestRunner:
         with pytest.raises(OSError, match="disk full"):
             run(cfg, stages=("extract",))
         for f, data in before.items():
-            assert open(os.path.join(out, f), "rb").read() == data, f
+            assert (tmp_path / "atomic" / f).read_bytes() == data, f
         assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == {"generate": "ok",
