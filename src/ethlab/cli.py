@@ -27,7 +27,8 @@ def _add_common(p, need_config=True):
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("--slack", type=float, default=None, help="slack factor override")
-    p.add_argument("--workers", type=int, default=None, help="sweep worker count")
+    p.add_argument("--workers", type=int, default=None,
+                   help="sweep worker count (the config needs a sweep block)")
 
 
 def build_parser():
@@ -48,23 +49,11 @@ def build_parser():
 
 
 def _load_config(args):
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = demo_config()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.slack is not None:
-        overrides["slack"] = args.slack
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        cfg = cfg.override(**overrides)
-    if args.workers is not None and cfg.data.get("sweep"):
-        d = cfg.to_dict()
-        d["sweep"]["workers"] = args.workers
-        cfg = RunConfig.from_dict(d)
+    cfg = RunConfig.from_file(args.config) if args.config else demo_config()
+    for path, flag in (("seed", args.seed), ("slack", args.slack),
+                       ("out_dir", args.out), ("sweep.workers", args.workers)):
+        if flag is not None:
+            cfg = cfg.with_path_value(path, flag)
     return cfg
 
 

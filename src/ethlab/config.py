@@ -1,9 +1,26 @@
 """Run configuration: strict schema, canonical serialization, hashing.
 
-Configs are JSON objects. Unknown keys are rejected at every level so a
-typo cannot silently fall back to a default. ``RunConfig.from_dict`` then
-``to_dict`` round-trips identically (defaults are materialized on parse),
-and the config hash is the sha256 of the canonical JSON text.
+Configs are JSON objects checked against ``SCHEMA``, where each key maps to
+one of:
+
+- ``(default, type)`` or ``(default, type, rule)``: a value. ``REQUIRED``
+  as the default makes the key mandatory. A float key also takes an int;
+  no number key takes a bool. A rule is a tuple of allowed values or the
+  least allowed integer.
+- a nested dict: a block. A missing block takes all of its defaults. A
+  block whose ``kind`` maps to sub-schemas (``model``) takes the remaining
+  keys of the sub-schema its kind names.
+- ``(None, {...})``: a block that may be absent or null (``sweep``).
+
+A value may be null only where its default is null. Unknown keys are
+rejected at every level, so a typo cannot silently fall back to a default,
+and every error names the dotted key. The few rules a table cannot state
+are checked in ``RunConfig.from_dict``.
+
+``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
+are materialized on parse), the config hash is the sha256 of the canonical
+JSON text, and ``RunConfig.with_path_value`` is the one way to change a
+config.
 """
 
 import copy
@@ -14,170 +31,97 @@ from .aqec import DEFAULT_SLACK
 from .errors import ValidationError
 from .synth import DOS_SHAPES, ENVELOPE_FORMS
 
-_MISSING = object()
+REQUIRED = object()
+
+SCHEMA = {
+    "seed": (0, int), "slack": (DEFAULT_SLACK, float), "out_dir": ("runs/out", str),
+    "model": {"kind": {
+        "ising": {"n_sites": (REQUIRED, int), "j": (1.0, float), "hx": (0.9045, float),
+                  "hz": (0.8090, float), "boundary": ("open", str, ("open", "periodic"))},
+        "synthetic": {
+            "dim": (REQUIRED, int), "dos_shape": ("flat", str, DOS_SHAPES),
+            "bandwidth": (4.0, float),
+            "envelope": {"form": ("exp_decay", str, ENVELOPE_FORMS),
+                         "gamma": (0.25, float), "f0": (1.0, float),
+                         "table": (None, list)},
+            "diagonal": {"kind": ("zero", str, ("zero", "constant", "tanh")),
+                         "value": (0.0, float), "scale": (1.0, float)},
+            "entropy": {"kind": ("log_dim", str, ("log_dim", "smoothed")),
+                        "sigma_s": (None, float)},
+        },
+    }},
+    "observable": {"sites": ([0], list), "paulis": ("Z", str),
+                   "traceless_shift": (False, bool)},
+    "thermal": {"betas": ([1.0], list)},
+    "code": {"k": (1, int, 0), "d": (1, int, 0), "window_center": ("dos_peak", object),
+             "window_half_width_fraction": (0.05, float),
+             "selection": ("nearest", str, ("nearest", "random"))},
+    "extract": {"e_bins": (8, int), "omega_bins": (48, int), "min_count": (50, int),
+                "fit_window": (None, list), "profile_bandwidth": (None, float),
+                "sigma_s": (None, float)},
+    # t_points >= 1: F2(0), the first point of the two-point series, rescales
+    # the fits; the other counts only feed np.linspace
+    "dynamics": {"t_max": (6.0, float), "t_points": (61, int, 1),
+                 "otoc_points": (9, int, 0), "sigma_omega": (0.05, float),
+                 "omega_points": (241, int, 0), "omega_max": (None, float),
+                 "fit_window": (None, list), "eps_reg": (0.0, float),
+                 "wavepacket_sigma_fraction": (0.04, float),
+                 "fdt_threshold": (0.3, float)},
+    "sweep": (None, {"grid": (REQUIRED, dict), "workers": (1, int, 1)}),
+}
 
 
-def _take(d, key, default=_MISSING, kind=None, choices=None):
-    if key in d:
-        val = d.pop(key)
-    elif default is not _MISSING:
-        val = copy.deepcopy(default)
-    else:
-        raise ValidationError(f"missing required config key {key!r}")
-    if val is not None and kind is not None:
-        if (kind is float or kind is int) and isinstance(val, bool):
-            raise ValidationError(f"config key {key!r} must be {kind.__name__}")
-        elif kind is float and isinstance(val, (int, float)):
-            val = float(val)
-        elif not isinstance(val, kind):
-            raise ValidationError(
-                f"config key {key!r} must be {getattr(kind, '__name__', kind)}, "
-                f"got {type(val).__name__}"
-            )
-    if choices is not None and val not in choices:
-        raise ValidationError(f"config key {key!r} must be one of {choices}, got {val!r}")
-    return val
-
-
-def _reject_unknown(d, where):
-    if d:
-        raise ValidationError(f"unknown config keys in {where}: {sorted(d)}")
-
-
-def _model_block(raw):
-    d = dict(raw)
-    kind = _take(d, "kind", kind=str, choices=("ising", "synthetic"))
-    out = {"kind": kind}
-    if kind == "ising":
-        out["n_sites"] = _take(d, "n_sites", kind=int)
-        out["j"] = _take(d, "j", 1.0, float)
-        out["hx"] = _take(d, "hx", 0.9045, float)
-        out["hz"] = _take(d, "hz", 0.8090, float)
-        out["boundary"] = _take(d, "boundary", "open", str, ("open", "periodic"))
-    else:
-        out["dim"] = _take(d, "dim", kind=int)
-        out["dos_shape"] = _take(d, "dos_shape", "flat", str, DOS_SHAPES)
-        out["bandwidth"] = _take(d, "bandwidth", 4.0, float)
-        env = dict(_take(d, "envelope", {"form": "exp_decay", "gamma": 0.25, "f0": 1.0},
-                         dict))
-        out["envelope"] = {
-            "form": _take(env, "form", "exp_decay", str, ENVELOPE_FORMS),
-            "gamma": _take(env, "gamma", 0.25, float),
-            "f0": _take(env, "f0", 1.0, float),
-            "table": _take(env, "table", None, list),
-        }
-        _reject_unknown(env, "model.envelope")
-        diag = dict(_take(d, "diagonal", {"kind": "zero"}, dict))
-        out["diagonal"] = {
-            "kind": _take(diag, "kind", "zero", str, ("zero", "constant", "tanh")),
-            "value": _take(diag, "value", 0.0, float),
-            "scale": _take(diag, "scale", 1.0, float),
-        }
-        _reject_unknown(diag, "model.diagonal")
-        ent = dict(_take(d, "entropy", {"kind": "log_dim"}, dict))
-        out["entropy"] = {
-            "kind": _take(ent, "kind", "log_dim", str, ("log_dim", "smoothed")),
-            "sigma_s": _take(ent, "sigma_s", None, float),
-        }
-        _reject_unknown(ent, "model.entropy")
-    _reject_unknown(d, "model")
+def _walk(raw, schema, where=""):
+    """``raw`` checked against the block ``schema``, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where or 'config'} must be an object, "
+                              f"got {type(raw).__name__}")
+    kinds = schema.get("kind")
+    if isinstance(kinds, dict):  # the block's kind picks the rest of its keys
+        kind = _value(f"{where}.kind", raw.get("kind", REQUIRED),
+                      REQUIRED, str, tuple(kinds))
+        schema = {"kind": (kind, str), **kinds[kind]}
+    out = {}
+    for key, spec in schema.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(spec, dict):
+            out[key] = _walk(raw.get(key, {}), spec, path)
+        else:
+            out[key] = _value(path, raw.get(key, spec[0]), *spec)
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ValidationError(f"unknown config keys in {where or 'config'}: {unknown}")
     return out
 
 
-def _observable_block(raw):
-    d = dict(raw)
-    out = {
-        "sites": list(_take(d, "sites", [0], list)),
-        "paulis": _take(d, "paulis", "Z", str),
-        "traceless_shift": _take(d, "traceless_shift", False, bool),
-    }
-    _reject_unknown(d, "observable")
-    return out
-
-
-def _thermal_block(raw):
-    d = dict(raw)
-    betas = _take(d, "betas", [1.0], list)
-    out = {"betas": [float(b) for b in betas]}
-    if not out["betas"]:
-        raise ValidationError("thermal.betas must be nonempty")
-    _reject_unknown(d, "thermal")
-    return out
-
-
-def _code_block(raw):
-    d = dict(raw)
-    center = _take(d, "window_center", "dos_peak")
-    if not (center == "dos_peak" or isinstance(center, (int, float))):
-        raise ValidationError("code.window_center must be 'dos_peak' or a number")
-    out = {
-        "k": _take(d, "k", 1, int),
-        "d": _take(d, "d", 1, int),
-        "window_center": center if center == "dos_peak" else float(center),
-        "window_half_width_fraction": _take(d, "window_half_width_fraction",
-                                            0.05, float),
-        "selection": _take(d, "selection", "nearest", str, ("nearest", "random")),
-    }
-    _reject_unknown(d, "code")
-    return out
-
-
-def _extract_block(raw):
-    d = dict(raw)
-    out = {
-        "e_bins": _take(d, "e_bins", 8, int),
-        "omega_bins": _take(d, "omega_bins", 48, int),
-        "min_count": _take(d, "min_count", 50, int),
-        "fit_window": _take(d, "fit_window", None, list),
-        "profile_bandwidth": _take(d, "profile_bandwidth", None, float),
-        "sigma_s": _take(d, "sigma_s", None, float),
-    }
-    _reject_unknown(d, "extract")
-    return out
-
-
-def _dynamics_block(raw):
-    d = dict(raw)
-    out = {
-        "t_max": _take(d, "t_max", 6.0, float),
-        "t_points": _take(d, "t_points", 61, int),
-        "otoc_points": _take(d, "otoc_points", 9, int),
-        "sigma_omega": _take(d, "sigma_omega", 0.05, float),
-        "omega_points": _take(d, "omega_points", 241, int),
-        "omega_max": _take(d, "omega_max", None, float),
-        "fit_window": _take(d, "fit_window", None, list),
-        "eps_reg": _take(d, "eps_reg", 0.0, float),
-        "wavepacket_sigma_fraction": _take(d, "wavepacket_sigma_fraction", 0.04, float),
-        "fdt_threshold": _take(d, "fdt_threshold", 0.3, float),
-    }
-    # t_points >= 1: F2(0), the first point of the two-point series,
-    # rescales the fits; the other counts only feed np.linspace
-    for key, least in (("t_points", 1), ("otoc_points", 0), ("omega_points", 0)):
-        if out[key] < least:
-            raise ValidationError(f"dynamics.{key} must be >= {least}")
-    if out["fit_window"] is not None:
-        if len(out["fit_window"]) != 2:
-            raise ValidationError("dynamics.fit_window must be [lo, hi]")
-        out["fit_window"] = [float(x) for x in out["fit_window"]]
-    _reject_unknown(d, "dynamics")
-    return out
-
-
-def _sweep_block(raw):
-    if raw is None:
+def _value(path, val, default, kind, rule=None):
+    """``val``, found at ``path`` or defaulted, checked against its entry."""
+    if val is REQUIRED:
+        raise ValidationError(f"missing required config key {path!r}")
+    if val is None:
+        if default is not None:
+            raise ValidationError(f"config key {path!r} must not be null")
         return None
-    d = dict(raw)
-    grid = dict(_take(d, "grid", kind=dict))
-    if not grid:
-        raise ValidationError("sweep.grid must be a nonempty mapping")
-    for path, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
-    out = {"grid": grid, "workers": _take(d, "workers", 1, int)}
-    if out["workers"] < 1:
-        raise ValidationError("sweep.workers must be >= 1")
-    _reject_unknown(d, "sweep")
-    return out
+    if isinstance(kind, dict):
+        return _walk(val, kind, path)
+    if (isinstance(val, bool) and kind in (int, float)
+            or not isinstance(val, (int, float) if kind is float else kind)):
+        raise ValidationError(f"config key {path!r} must be {kind.__name__}, "
+                              f"got {type(val).__name__}")
+    if kind is float:
+        val = float(val)
+    if isinstance(rule, tuple) and val not in rule:
+        raise ValidationError(f"config key {path!r} must be one of {rule}, got {val!r}")
+    if isinstance(rule, int) and val < rule:
+        raise ValidationError(f"config key {path!r} must be >= {rule}, got {val}")
+    return copy.deepcopy(val) if isinstance(val, (list, dict)) else val
+
+
+def _floats(path, values):
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path} must be a list of numbers") from None
 
 
 class RunConfig:
@@ -188,28 +132,35 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        d = dict(raw)
-        out = {
-            "seed": _take(d, "seed", 0, int),
-            "slack": _take(d, "slack", DEFAULT_SLACK, float),
-            "out_dir": _take(d, "out_dir", "runs/out", str),
-            "model": _model_block(_take(d, "model", kind=dict)),
-            "observable": _observable_block(_take(d, "observable", {}, dict)),
-            "thermal": _thermal_block(_take(d, "thermal", {}, dict)),
-            "code": _code_block(_take(d, "code", {}, dict)),
-            "extract": _extract_block(_take(d, "extract", {}, dict)),
-            "dynamics": _dynamics_block(_take(d, "dynamics", {}, dict)),
-            "sweep": _sweep_block(_take(d, "sweep", None, dict)),
-        }
-        _reject_unknown(d, "config")
-        if (out["model"]["kind"] == "synthetic"
-                and out["observable"] != _observable_block({})):
+        d = _walk(raw, SCHEMA)
+        if not 0 <= d["seed"] < 2**64:
+            raise ValidationError("seed must be a nonnegative 64-bit integer")
+        center = d["code"]["window_center"]
+        if center != "dos_peak":
+            if not isinstance(center, (int, float)):
+                raise ValidationError("code.window_center must be 'dos_peak' or a number")
+            d["code"]["window_center"] = float(center)
+        d["thermal"]["betas"] = _floats("thermal.betas", d["thermal"]["betas"])
+        if not d["thermal"]["betas"]:
+            raise ValidationError("thermal.betas must be nonempty")
+        for block in ("extract", "dynamics"):
+            window = d[block]["fit_window"]
+            if window is not None:
+                if len(window) != 2:
+                    raise ValidationError(f"{block}.fit_window must be [lo, hi]")
+                d[block]["fit_window"] = _floats(f"{block}.fit_window", window)
+        if d["sweep"] is not None:
+            if not d["sweep"]["grid"]:
+                raise ValidationError("sweep.grid must be a nonempty mapping")
+            for path, values in d["sweep"]["grid"].items():
+                if not isinstance(values, list) or not values:
+                    raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
+        if (d["model"]["kind"] == "synthetic" and d["observable"]
+                != {key: spec[0] for key, spec in SCHEMA["observable"].items()}):
             raise ValidationError(
                 "observable applies to Ising models only; a synthetic model "
                 "takes its operator from model.envelope and model.diagonal")
-        if out["seed"] < 0:
-            raise ValidationError("seed must be a nonnegative 64-bit integer")
-        return cls(out)
+        return cls(d)
 
     @classmethod
     def from_file(cls, path):
@@ -230,39 +181,23 @@ class RunConfig:
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
-    def override(self, **kwargs):
-        """Copy with top-level scalar overrides (seed, slack, out_dir)."""
-        d = self.to_dict()
-        for key, val in kwargs.items():
-            if val is None:
-                continue
-            if key not in ("seed", "slack", "out_dir"):
-                raise ValidationError(f"cannot override {key!r}")
-            d[key] = val
-        return RunConfig.from_dict(d)
-
     def with_path_value(self, path, value):
-        """Copy with one dotted-path field replaced (sweep expansion).
+        """Copy with the field at the dotted ``path`` replaced, validated again.
 
         When the target is a list and the value a scalar, the whole list is
         replaced by [value], so sweeping e.g. thermal.betas over scalars
         works naturally.
         """
         d = self.to_dict()
-        parts = path.split(".")
+        *parents, leaf = path.split(".")
         node = d
-        for p in parts[:-1]:
-            if not isinstance(node, dict) or p not in node:
-                raise ValidationError(f"sweep path {path!r} does not exist")
-            node = node[p]
-        leaf = parts[-1]
+        for p in parents:
+            node = node.get(p) if isinstance(node, dict) else None
         if not isinstance(node, dict) or leaf not in node:
-            raise ValidationError(f"sweep path {path!r} does not exist")
+            raise ValidationError(f"config path {path!r} does not exist")
         if isinstance(node[leaf], list) and not isinstance(value, list):
-            node[leaf] = [value]
-        else:
-            node[leaf] = value
-        d["sweep"] = None
+            value = [value]
+        node[leaf] = value
         return RunConfig.from_dict(d)
 
 

@@ -150,9 +150,7 @@ def stage_generate(cfg, inputs):
     model = cfg.data["model"]
     seed = cfg.data["seed"]
     if model["kind"] == "ising":
-        params = SpinChainParams(n_sites=model["n_sites"], j=model["j"],
-                                 hx=model["hx"], hz=model["hz"],
-                                 boundary=model["boundary"])
+        params = SpinChainParams(**{k: v for k, v in model.items() if k != "kind"})
         spectrum = eigendecompose(build_mixed_field_ising(params),
                                   symmetry=reflection_permutation(params.n_sites))
         obs = cfg.data["observable"]
@@ -177,11 +175,9 @@ def stage_generate(cfg, inputs):
                                         spectrum.eigenvalues[-1])
         else:
             ent = entropy_model(spectrum, sigma_s=ent_cfg["sigma_s"])
-        env_cfg = model["envelope"]
-        table = env_cfg["table"]
-        envelope = EnvelopeSpec(form=env_cfg["form"], gamma=env_cfg["gamma"],
-                                f0=env_cfg["f0"],
-                                table=tuple(map(tuple, table)) if table else None)
+        table = model["envelope"]["table"]
+        envelope = EnvelopeSpec(**dict(
+            model["envelope"], table=tuple(map(tuple, table)) if table else None))
         a = synth_eth_operator(spectrum, ent, envelope,
                                diagonal=_diag_callable(model["diagonal"]),
                                seed=seed)
@@ -472,7 +468,9 @@ def sweep(cfg):
     if twice:
         raise ValidationError(f"sweep grid names the point {twice[0]} twice")
     os.makedirs(os.path.join(out, "points"), exist_ok=True)
-    jobs = [(cfg.to_dict(), items, os.path.join(out, "points", name))
+    # a point is one plain run: its config.json records "sweep": null
+    jobs = [(dict(cfg.to_dict(), sweep=None), items,
+             os.path.join(out, "points", name))
             for items, name in zip(points, names)]
     workers = sweep_cfg["workers"]
     if workers == 1:

@@ -305,7 +305,7 @@ def test_criterion_11_end_to_end_determinism(tmp_path):
         for f in m1["files"])
     exit_ok = code1 == 0 and code2 == 0
     # the slack policy drives the exit code: a vanishing slack must flip it
-    cfg = demo_config(out1).override(slack=1e-30)
+    cfg = demo_config(out1).with_path_value("slack", 1e-30)
     from ethlab.pipeline import run as run_pipeline
     manifest = run_pipeline(cfg, stages=("bounds",))
     slack_exit = manifest["all_within_slack"] is False

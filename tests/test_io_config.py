@@ -168,12 +168,75 @@ class TestRunConfig:
 
     def test_hash_changes_with_content(self):
         c1 = demo_config()
-        c2 = c1.override(seed=8)
+        c2 = c1.with_path_value("seed", 8)
         assert c1.config_hash() != c2.config_hash()
 
-    def test_override_restricted(self):
-        with pytest.raises(el.ValidationError):
-            demo_config().override(model={})
+    @pytest.mark.parametrize("model,expected", [
+        ({"kind": "ising", "n_sites": 4},
+         {"kind": "ising", "n_sites": 4, "j": 1.0, "hx": 0.9045, "hz": 0.809,
+          "boundary": "open"}),
+        ({"kind": "synthetic", "dim": 64},
+         {"kind": "synthetic", "dim": 64, "dos_shape": "flat", "bandwidth": 4.0,
+          "envelope": {"form": "exp_decay", "gamma": 0.25, "f0": 1.0,
+                       "table": None},
+          "diagonal": {"kind": "zero", "value": 0.0, "scale": 1.0},
+          "entropy": {"kind": "log_dim", "sigma_s": None}}),
+    ])
+    def test_defaults_pinned(self, model, expected):
+        # the canonical text is hashed into every fingerprint, so a moved
+        # default (or an int where a float was) must show up here
+        expected = {
+            "seed": 0, "slack": 10.0, "out_dir": "runs/out", "model": expected,
+            "observable": {"sites": [0], "paulis": "Z", "traceless_shift": False},
+            "thermal": {"betas": [1.0]},
+            "code": {"k": 1, "d": 1, "window_center": "dos_peak",
+                     "window_half_width_fraction": 0.05, "selection": "nearest"},
+            "extract": {"e_bins": 8, "omega_bins": 48, "min_count": 50,
+                        "fit_window": None, "profile_bandwidth": None,
+                        "sigma_s": None},
+            "dynamics": {"t_max": 6.0, "t_points": 61, "otoc_points": 9,
+                         "sigma_omega": 0.05, "omega_points": 241,
+                         "omega_max": None, "fit_window": None, "eps_reg": 0.0,
+                         "wavepacket_sigma_fraction": 0.04, "fdt_threshold": 0.3},
+            "sweep": None}
+        text = json.dumps(expected, sort_keys=True, separators=(",", ": "),
+                          indent=2) + "\n"
+        assert RunConfig.from_dict({"model": model}).canonical_json() == text
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"slack": None}, "slack"),
+        ({"observable": None}, "observable"),
+        ({"model": None}, "model"),
+        ({"model": {"kind": "ising", "n_sites": None}}, "model.n_sites"),
+        ({"dynamics": {"t_max": None}}, "dynamics.t_max"),
+        ({"code": {"k": -1}}, "code.k"),
+        ({"code": {"d": -1}}, "code.d"),
+        ({"extract": {"fit_window": [1.0]}}, "extract.fit_window"),
+        ({"extract": {"fit_window": ["a", "b"]}}, "extract.fit_window"),
+        ({"dynamics": {"fit_window": ["a", "b"]}}, "dynamics.fit_window"),
+        ({"seed": 2**64}, "seed"),
+    ])
+    def test_values_that_would_crash_a_stage_rejected(self, raw, key):
+        # each of these used to load and then fail inside a stage (or at
+        # load) with a TypeError, ValueError, IndexError or OverflowError
+        d = {"model": {"kind": "ising", "n_sites": 4}, **raw}
+        with pytest.raises(el.ValidationError, match=key):
+            RunConfig.from_dict(d)
+
+    def test_null_allowed_where_default_is_null(self):
+        cfg = RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
+                                   "dynamics": {"omega_max": None},
+                                   "sweep": None})
+        assert cfg.data["dynamics"]["omega_max"] is None
+        assert cfg.data["sweep"] is None
+        assert RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
+                                    "seed": 2**64 - 1}).data["seed"] == 2**64 - 1
+
+    def test_with_path_value_keeps_sweep_block(self):
+        cfg = RunConfig.from_dict({"model": {"kind": "synthetic", "dim": 64},
+                                   "sweep": {"grid": {"model.dim": [64, 128]}}})
+        assert cfg.with_path_value("sweep.workers", 3).data["sweep"] == {
+            "grid": {"model.dim": [64, 128]}, "workers": 3}
 
     def test_with_path_value_scalar_into_list(self):
         cfg = demo_config().with_path_value("thermal.betas", 2.0)

@@ -6,7 +6,7 @@ import pytest
 
 import ethlab as el
 from ethlab.cli import main as cli_main
-from ethlab.config import RunConfig
+from ethlab.config import RunConfig, demo_config
 from ethlab import pipeline
 from ethlab.io import dump_json, load_json, read_array, read_csv
 from ethlab.pipeline import run, sweep
@@ -471,6 +471,28 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"model\": {\"kind\": \"unknown\"}}")
         assert cli_main(["generate", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("key", ["slack", "observable"])
+    def test_null_value_refused_before_any_stage(self, tmp_path, capsys, key):
+        out = tmp_path / "null"
+        d = demo_config(str(out)).to_dict()
+        d[key] = None
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        assert cli_main(["demo", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+    def test_workers_without_sweep_block_refused(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(small_synth_config(str(out), dim=64).canonical_json())
+        assert cli_main(["generate", "--config", str(cfg_path),
+                         "--workers", "2"]) == 1
+        assert ("config path 'sweep.workers' does not exist"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_seed_override_changes_hash(self, tmp_path):
         out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
