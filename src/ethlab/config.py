@@ -118,10 +118,8 @@ def _value(path, val, default, kind, rule=None):
 
 
 def _floats(path, values):
-    try:
-        return [float(x) for x in values]
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path} must be a list of numbers") from None
+    """The list at ``path`` as floats, each element checked as a float key."""
+    return [_value(f"{path}.{i}", x, 0.0, float) for i, x in enumerate(values)]
 
 
 class RunConfig:
@@ -137,7 +135,7 @@ class RunConfig:
             raise ValidationError("seed must be a nonnegative 64-bit integer")
         center = d["code"]["window_center"]
         if center != "dos_peak":
-            if not isinstance(center, (int, float)):
+            if isinstance(center, bool) or not isinstance(center, (int, float)):
                 raise ValidationError("code.window_center must be 'dos_peak' or a number")
             d["code"]["window_center"] = float(center)
         d["thermal"]["betas"] = _floats("thermal.betas", d["thermal"]["betas"])

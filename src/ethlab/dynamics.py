@@ -12,6 +12,18 @@ F2 and Foto are real for Hermitian A thanks to the symmetric regulator
 splitting, and only their validated real part is kept; Resp is purely
 imaginary.
 
+Foto is one d x d product per time point. By cyclicity of the trace,
+
+    Foto(t) = Tr[(S T)^2],   S = diag(s) A diag(conj(s)),
+                             T = diag(conj(s)) A diag(s),
+    s_m = rho_m^(1/8) exp(i E_m t / 2),
+
+with no inverse of rho, so weights that underflow to zero are harmless. For
+a real A, S is Hermitian and T = conj(S) = S^T, so S T = S S^T is one
+symmetric product (syrk, 4 d^3 flops per time point) and Foto is the sum of
+its squared entries. A complex A takes one general complex product per time
+point (8 d^3 flops), rho^(1/4) A(t) times rho^(1/4) A.
+
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, share one Lehmann
 sum with weights u_m u_n (u = rho^(1/2)) and rho_m respectively:
 
@@ -154,33 +166,56 @@ def symmetric_and_response(a, spectrum, beta, times):
     return fsym, resp
 
 
+def check_otoc_cost(a, n_times):
+    """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_MAX_DIM.
+
+    The CostGuardError carries the flops of the path :func:`otoc` would
+    take: 4 d^3 per time point for a real operator, 8 d^3 for a complex one.
+    """
+    d = a.dim
+    if d > OTOC_MAX_DIM:
+        kind, per_point = ("real", 4) if np.isrealobj(a.matrix) else ("complex", 8)
+        flops = float(per_point * d**3 * n_times)
+        raise CostGuardError(
+            f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; estimated {flops:.2e} "
+            f"flops for {n_times} time points ({per_point} d^3 each, {kind} operator)",
+            estimated_flops=flops,
+        )
+
+
 def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
-    Cost is one dense matrix product per time point, so dimensions above
-    2**12 are refused with an estimate instead of silently grinding.
+    One dense product per time point: for a real A the symmetric S S^T of
+    the module docstring's Tr[(S T)^2] form, with T = S^T (4 d^3 flops);
+    for a complex A the general product rho^(1/4) A(t) rho^(1/4) A
+    (8 d^3 flops). Dimensions above OTOC_MAX_DIM are refused by
+    :func:`check_otoc_cost` instead of silently grinding.
     """
     _check_hermitian_operator(a)
-    d = spectrum.dim
     times = np.asarray(times, dtype=float)
-    if d > OTOC_MAX_DIM:
-        flops = 8.0 * d**3 * times.size
-        raise CostGuardError(
-            f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; "
-            f"estimated {flops:.2e} flops for {times.size} time points",
-            estimated_flops=flops,
-        )
+    check_otoc_cost(a, times.size)
     st = thermal_state(spectrum, beta)
-    q = st.fractional_weights(0.25)
-    b = q[:, None] * np.asarray(a.matrix, dtype=complex)   # rho^(1/4) A
     vals = np.empty(times.size, dtype=complex)
-    phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
-    for i in range(times.size):
-        v = phases[i]
-        m = (q * v)[:, None] * a.matrix      # rho^(1/4) A(t), one d x d copy
-        m *= v.conj()
-        m = m @ b
-        vals[i] = np.einsum("ij,ji->", m, m)  # Tr[m m], m not conjugated
+    if np.isrealobj(a.matrix):
+        r = st.fractional_weights(0.125)
+        phases = np.exp(0.5j * np.outer(times, spectrum.eigenvalues))
+        for i in range(times.size):
+            s = r * phases[i]
+            m = s[:, None] * a.matrix            # S, one d x d copy
+            m *= s.conj()
+            c = m @ m.T                          # S S^T: numpy calls syrk
+            vals[i] = np.einsum("ij,ij->", c, c)  # Tr[c c], c symmetric
+    else:
+        q = st.fractional_weights(0.25)
+        b = q[:, None] * a.matrix                # rho^(1/4) A
+        phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
+        for i in range(times.size):
+            v = phases[i]
+            m = (q * v)[:, None] * a.matrix      # rho^(1/4) A(t), one d x d copy
+            m *= v.conj()
+            m = m @ b
+            vals[i] = np.einsum("ij,ji->", m, m)  # Tr[m m], m not conjugated
     series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
     return replace(series, values=series.real_values())
 

@@ -37,10 +37,11 @@ import numpy as np
 from . import __version__
 from .aqec import CodeSpec, KlResidualReport, check_bounds, kl_residuals, select_code_states
 from .config import RunConfig
-from .dynamics import (dissipation_time, dynamical_fluctuation, fdt_check,
-                       fit_lyapunov, fluctuation_bounds, gaussian_wavepacket,
-                       otoc, spectral_densities, static_fluctuation,
-                       symmetric_and_response, thermal_state, two_point)
+from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
+                       fdt_check, fit_lyapunov, fluctuation_bounds,
+                       gaussian_wavepacket, otoc, spectral_densities,
+                       static_fluctuation, symmetric_and_response,
+                       thermal_state, two_point)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -234,6 +235,8 @@ def stage_dynamics(cfg, inputs):
     dyn = cfg.data["dynamics"]
     times = np.linspace(0.0, dyn["t_max"], dyn["t_points"])
     otoc_times = np.linspace(0.0, dyn["t_max"], dyn["otoc_points"])
+    if otoc_times.size:
+        check_otoc_cost(a, otoc_times.size)  # refuse before any correlator runs
     omega_max = dyn["omega_max"]
     if omega_max is None:
         omega_max = 0.6 * spectrum.bandwidth

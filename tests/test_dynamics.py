@@ -256,6 +256,36 @@ class TestOtoc:
         oto = el.otoc(a, spec, beta, times)
         assert rel_dev(oto.values, np.array(direct)) <= 1e-10
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 8.0, 400.0])
+    def test_real_path_matches_complex_path(self, ising8, beta):
+        # a real operator takes the symmetric S S^T path, the same operator
+        # cast to complex the general product; at beta = 400 rho^(1/8) is
+        # exactly zero for the top states
+        a, spec = ising8["a"], ising8["spec"]
+        assert np.isrealobj(a.matrix)
+        weights = el.thermal_state(spec, beta).fractional_weights(0.125)
+        assert np.any(weights == 0) == (beta == 400.0)
+        times = np.linspace(0, 3, 6)
+        real = el.otoc(a, spec, beta, times)
+        cplx = el.otoc(el.OperatorEigenbasis(matrix=a.matrix.astype(complex)),
+                       spec, beta, times)
+        assert np.all(np.isfinite(real.values))
+        assert rel_dev(real.values, cplx.values) <= 1e-13
+
+    @pytest.mark.parametrize("dtype,per_point", [(float, 4), (complex, 8)])
+    def test_cost_guard_states_flops_of_the_path(self, dtype, per_point):
+        # the guard reads only the shape and dtype: a broadcast zero stands
+        # in for the matrix without allocating it
+        d = el.dynamics.OTOC_MAX_DIM
+        at_cap = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
+        el.dynamics.check_otoc_cost(at_cap, 5)
+        above = el.OperatorEigenbasis(
+            matrix=np.broadcast_to(dtype(0), (d + 1, d + 1)))
+        with pytest.raises(el.CostGuardError,
+                           match=f"{per_point} d\\^3 each") as err:
+            el.dynamics.check_otoc_cost(above, 5)
+        assert err.value.estimated_flops == per_point * (d + 1) ** 3 * 5
+
     def test_cost_guard(self):
         e = np.linspace(0, 1, 1 << 13)
         spec = el.EnergySpectrum(e)

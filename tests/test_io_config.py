@@ -223,6 +223,34 @@ class TestRunConfig:
         with pytest.raises(el.ValidationError, match=key):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("raw,key", [
+        ({"thermal": {"betas": [True, 0.5]}}, "thermal.betas.0"),
+        ({"thermal": {"betas": [1.0, "0.5"]}}, "thermal.betas.1"),
+        ({"extract": {"fit_window": [0.5, True]}}, "extract.fit_window.1"),
+        ({"extract": {"fit_window": ["0.5", 2.0]}}, "extract.fit_window.0"),
+        ({"dynamics": {"fit_window": [False, 2.0]}}, "dynamics.fit_window.0"),
+        ({"dynamics": {"fit_window": [0.5, "2"]}}, "dynamics.fit_window.1"),
+        ({"code": {"window_center": True}}, "code.window_center"),
+    ])
+    def test_bool_and_str_numbers_rejected(self, raw, key):
+        # these used to load as floats ([true, "0.5"] as [1.0, 0.5]), while
+        # every scalar float key refuses a bool or a string
+        d = {"model": {"kind": "ising", "n_sites": 4}, **raw}
+        with pytest.raises(el.ValidationError, match=key):
+            RunConfig.from_dict(d)
+
+    def test_number_lists_canonicalized_to_floats(self):
+        cfg = RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
+                                   "thermal": {"betas": [1, 0.5]},
+                                   "dynamics": {"fit_window": [0, 2]},
+                                   "code": {"window_center": 1}})
+        assert cfg.data["thermal"]["betas"] == [1.0, 0.5]
+        assert cfg.data["dynamics"]["fit_window"] == [0.0, 2.0]
+        assert cfg.data["code"]["window_center"] == 1.0
+        assert all(type(x) is float for x in cfg.data["thermal"]["betas"]
+                   + cfg.data["dynamics"]["fit_window"]
+                   + [cfg.data["code"]["window_center"]])
+
     def test_null_allowed_where_default_is_null(self):
         cfg = RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
                                    "dynamics": {"omega_max": None},

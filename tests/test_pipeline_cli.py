@@ -422,6 +422,32 @@ class TestRunner:
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == {"generate": "error: eigensolver failed"}
 
+    def test_otoc_cost_refused_before_any_correlator(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "guard")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out,
+            "model": {"kind": "ising", "n_sites": 8},
+            "dynamics": {"t_max": 2.0, "t_points": 5, "otoc_points": 3,
+                         "sigma_omega": 0.2, "omega_points": 41}})
+        run(cfg, stages=("generate",))
+
+        def two_point_must_not_run(*args):
+            raise AssertionError("two_point ran before the OTOC cost guard")
+
+        # a cap below d = 256 stands in for an operator above the real cap
+        monkeypatch.setattr(el.dynamics, "OTOC_MAX_DIM", 128)
+        monkeypatch.setattr(pipeline, "two_point", two_point_must_not_run)
+        with pytest.raises(el.CostGuardError) as err:
+            run(cfg, stages=("dynamics",))
+        assert err.value.estimated_flops == 4 * 256**3 * 3  # real operator
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["status"]["dynamics"].startswith("error: otoc at dim 256")
+        # without OTOC points the cap does not apply
+        monkeypatch.setattr(pipeline, "two_point", el.two_point)
+        manifest = run(cfg.with_path_value("dynamics.otoc_points", 0),
+                       stages=("dynamics",))
+        assert manifest["status"]["dynamics"] == "ok"
+
     def test_correlator_csv_layout(self, tmp_path):
         out = str(tmp_path / "series")
         manifest = run(small_synth_config(out, dim=200))
