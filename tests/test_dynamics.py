@@ -294,6 +294,37 @@ class TestOtoc:
             el.otoc(a, spec, 1.0, np.array([0.0]))
         assert err.value.estimated_flops > 0
 
+    def test_subnormal_gibbs_factors_flushed(self, ising8):
+        # at beta = 200 the Gibbs factors of the top states reach the
+        # subnormal range; they are zeroed, S holds no subnormal entry, and
+        # both paths equal the unflushed sum
+        a, spec, beta = ising8["a"], ising8["spec"], 200.0
+        tiny = np.finfo(float).tiny
+        st_ = el.thermal_state(spec, beta)
+        raw = st_.fractional_weights(0.125)
+        r = el.dynamics._gibbs_factor(st_, 0.125)
+        q = el.dynamics._gibbs_factor(st_, 0.25)
+        assert np.any((r == 0) & (raw > 0))
+        assert np.array_equal(r == 0, q == 0)
+        times = np.linspace(0, 3, 6)
+        unflushed = []
+        for t in times:
+            phase = np.exp(0.5j * spec.eigenvalues * t)
+            s = r * phase
+            flushed_s = s[:, None] * a.matrix * s.conj()
+            assert not np.any((flushed_s != 0) & (np.abs(flushed_s) < tiny))
+            s = raw * phase
+            c = (s[:, None] * a.matrix * s.conj()) @ \
+                (s.conj()[:, None] * a.matrix * s)
+            unflushed.append(np.einsum("ij,ji->", c, c))
+        unflushed = np.array(unflushed)
+        scale = np.abs(unflushed).max()
+        real = el.otoc(a, spec, beta, times)
+        cplx = el.otoc(el.OperatorEigenbasis(matrix=a.matrix.astype(complex)),
+                       spec, beta, times)
+        assert np.abs(real.values - unflushed).max() <= 1e-13 * scale
+        assert np.abs(cplx.values - unflushed).max() <= 1e-13 * scale
+
 
 class TestSpectralDensities:
     def test_identity_vanishes(self, ising8):
@@ -385,6 +416,78 @@ class TestSpectralDensities:
         # the pairs are the upper triangle, row-major
         m, n = np.triu_indices(d, 1)
         assert np.array_equal(freqs[:-1], spec.eigenvalues[n] - spec.eigenvalues[m])
+
+    def test_dense_window_flat_spectrum_matches_exact_sum(self):
+        # bandwidth 1 and sigma 0.08: the 9-sigma window of every omega holds
+        # most of the pairs; the reference sums every peak exactly
+        d, sigma, beta = 512, 0.08, 1.0
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=d, dos_shape="flat", bandwidth=1.0, seed=5))
+        ent = el.EntropyModel.constant(np.log(d), spec.eigenvalues[0],
+                                       spec.eigenvalues[-1])
+        a = el.synth_eth_operator(
+            spec, ent, el.EnvelopeSpec(form="exp_decay", gamma=0.25, f0=1.0),
+            seed=6)
+        om = np.linspace(-1.2, 1.2, 25)
+        sd = el.spectral_densities(a, spec, beta, sigma, om)
+        e = spec.eigenvalues
+        rho = el.thermal_state(spec, beta).weights
+        abs2 = np.abs(a.matrix) ** 2
+        off = ~np.eye(d, dtype=bool)
+        freqs = (e[None, :] - e[:, None])[off]
+        f_w = (0.5 * (rho[:, None] + rho[None, :]) * abs2)[off]
+        r_w = (0.25 * (rho[:, None] - rho[None, :]) * abs2)[off]
+        diag = np.real(np.diagonal(a.matrix))
+        diag_w = rho @ diag**2 - (rho @ diag) ** 2
+        norm = 1.0 / (math.sqrt(2 * math.pi) * sigma)
+        f_ref, r_ref = [], []
+        for w in om:
+            kern = norm * np.exp(-0.5 * ((w - freqs) / sigma) ** 2)
+            f_ref.append(math.fsum(kern * f_w) +
+                         diag_w * norm * math.exp(-0.5 * (w / sigma) ** 2))
+            r_ref.append(math.fsum(kern * r_w))
+        scale = max(abs(x) for x in f_ref)
+        assert np.abs(sd.f_values - f_ref).max() <= 1e-13 * scale
+        assert np.abs(sd.rho_values - r_ref).max() <= 1e-13 * scale
+
+    def test_unsorted_nonuniform_grid(self, ising8):
+        spec, a = ising8["spec"], ising8["a"]
+        band = spec.bandwidth
+        rng = np.random.default_rng(3)
+        om = np.append(rng.uniform(-1.3 * band, 1.3 * band, 60), 0.0)
+        assert np.any(np.diff(om) < 0)
+        sd = el.spectral_densities(a, spec, 1.0, 0.1, om)
+        f_ref, r_ref = dense_broadened(a, spec, 1.0, 0.1, om)
+        scale = np.abs(f_ref).max()
+        assert np.abs(sd.f_values - f_ref).max() <= 1e-12 * scale
+        assert np.abs(sd.rho_values - r_ref).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("levels", [[0.0, 0.25, 0.3, 1.03],
+                                        [0.0, 0.25, 0.5, 2.0]])
+    def test_pairs_at_the_largest_frequency_and_on_bin_edges(self, levels):
+        # sigma/B = 1/64: w = 0.25 sits on a bin edge, and so does the
+        # largest frequency 2.0 of the second spectrum
+        spec = el.EnergySpectrum(np.array(levels))
+        a = el.OperatorEigenbasis(matrix=np.array(
+            [[0.3, 1.0, 0.5, 0.7], [1.0, -0.2, 0.9, 0.4],
+             [0.5, 0.9, 0.1, 0.8], [0.7, 0.4, 0.8, -0.6]]))
+        sigma = 0.25
+        width = sigma / el.dynamics.BROADENING_BINS
+        assert (0.25 / width).is_integer() and (2.0 / width).is_integer()
+        om = np.linspace(-5.0, 5.0, 81)
+        sd = el.spectral_densities(a, spec, 1.0, sigma, om)
+        f_ref, r_ref = dense_broadened(a, spec, 1.0, sigma, om)
+        scale = np.abs(f_ref).max()
+        assert np.abs(sd.f_values - f_ref).max() <= 1e-13 * scale
+        assert np.abs(sd.rho_values - r_ref).max() <= 1e-13 * scale
+
+    def test_pair_chunks_are_the_half_comb(self, ising8):
+        spec, a = ising8["spec"], ising8["a"]
+        chunks = list(el.dynamics._pair_chunks(a, spec, 1.0))
+        assert len(chunks) > 1
+        peaks = el.spectral_peaks(a, spec, 1.0)
+        for streamed, stored in zip(zip(*chunks), peaks):
+            assert np.array_equal(np.concatenate(streamed), stored[:-1])
 
 
 class TestFdtCheck:
