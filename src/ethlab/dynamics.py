@@ -14,15 +14,16 @@ imaginary.
 
 Foto is one d x d product per time point. By cyclicity of the trace,
 
-    Foto(t) = Tr[(S T)^2],   S = diag(s) A diag(conj(s)),
-                             T = diag(conj(s)) A diag(s),
-    s_m = rho_m^(1/8) exp(i E_m t / 2),
+    Foto(t) = Tr[(G U)^2],   G = A diag(conj(u)) A,   U = diag(u),
+    u_m = rho_m^(1/4) exp(i E_m t),
 
 with no inverse of rho, so weights that underflow to zero are harmless. For
-a real A, S is Hermitian and T = conj(S) = S^T, so S T = S S^T is one
-symmetric product (syrk, 4 d^3 flops per time point) and Foto is the sum of
-its squared entries. A complex A takes one general complex product per time
-point (8 d^3 flops), rho^(1/4) A(t) times rho^(1/4) A.
+a real A, G is A times the complex diag(conj(u)) A: one real product of A
+with that matrix's float view (a real GEMM, 4 d^3 flops per time point).
+Such a G is symmetric, so Foto = u^T (G o G) u with o the entrywise
+product; the real path treats A as exactly symmetric. A complex A takes one
+complex product (8 d^3 flops) and the trace of (G U)^2 as it stands. These
+are the per-point costs :func:`check_otoc_cost` states.
 
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, share one Lehmann
 sum with weights u_m u_n (u = rho^(1/2)) and rho_m respectively:
@@ -208,7 +209,8 @@ def _gibbs_factor(st, power):
     tiny is np.finfo(float).tiny, and the rule reads rho**power below
     tiny**(2 * power) times its maximum, so every power drops the same
     states. Their entries would only feed subnormal numbers, which are slow
-    and far below rounding, into the dense products of :func:`otoc`.
+    and far below rounding, into the dense product of :func:`otoc`: with
+    power 0.25, as there, its right operand diag(conj(u)) A holds none.
     """
     w = st.fractional_weights(power)
     w[w < np.finfo(float).tiny ** (2 * power) * w.max()] = 0.0
@@ -218,46 +220,41 @@ def _gibbs_factor(st, power):
 def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
-    One dense product per time point: for a real A the symmetric S S^T of
-    the module docstring's Tr[(S T)^2] form, with T = S^T (4 d^3 flops);
-    for a complex A the general product rho^(1/4) A(t) rho^(1/4) A
-    (8 d^3 flops), with both d x d buffers reused across time points.
+    One loop serves both dtypes, in the module docstring's Tr[(G U)^2]
+    form: per time point it writes diag(conj(u)) A into one reused d x d
+    buffer and multiplies A by it into a second, with one real GEMM on the
+    buffer's float view for a real A and one complex GEMM for a complex A.
     Dimensions above OTOC_MAX_DIM are refused by :func:`check_otoc_cost`
     instead of silently grinding.
 
-    States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny) are
-    dropped: rho^(1/8) below tiny^(1/4) of its maximum on the real path,
-    rho^(1/4) below tiny^(1/2) of its maximum on the complex path. Foto is
-    linear in each of its four rho^(1/4) factors, and Hoelder's inequality
-    with ||rho^(1/4)||_4 = 1 bounds the dropped contribution by
+    States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
+    are dropped by :func:`_gibbs_factor`. Foto is linear in each of its
+    four rho^(1/4) factors, and Hoelder's inequality with ||rho^(1/4)||_4 = 1
+    bounds the dropped contribution by
     4 b (1 + b)^3 ||A||^4, with ||A|| the spectral norm and
     b = (sum of the dropped rho_k)^(1/4) < d^(1/4) tiny^(1/2) ~ 1.5e-154 d^(1/4).
     """
     _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
-    st = thermal_state(spectrum, beta)
+    real = np.isrealobj(a.matrix)
+    q = _gibbs_factor(thermal_state(spectrum, beta), 0.25)
+    phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
+    m = np.empty(a.matrix.shape, dtype=complex)
+    g = np.empty_like(m)
     vals = np.empty(times.size, dtype=complex)
-    if np.isrealobj(a.matrix):
-        r = _gibbs_factor(st, 0.125)
-        phases = np.exp(0.5j * np.outer(times, spectrum.eigenvalues))
-        for i in range(times.size):
-            s = r * phases[i]
-            m = s[:, None] * a.matrix            # S, one d x d copy
-            m *= s.conj()
-            c = m @ m.T                          # S S^T: numpy calls syrk
-            vals[i] = np.einsum("ij,ij->", c, c)  # Tr[c c], c symmetric
-    else:
-        q = _gibbs_factor(st, 0.25)
-        phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
-        m = np.empty(a.matrix.shape, dtype=complex)
-        c = np.empty_like(m)
-        for i in range(times.size):
-            v = phases[i]
-            np.multiply((q * v)[:, None], a.matrix, out=m)
-            m *= v.conj() * q                    # rho^(1/4) A(t) rho^(1/4)
-            np.matmul(m, a.matrix, out=c)
-            vals[i] = np.einsum("ij,ji->", c, c)  # Tr[c c], c not conjugated
+    for i, v in enumerate(phases):
+        u = q * v
+        np.multiply(u.conj()[:, None], a.matrix, out=m)
+        if real:
+            # G = A m: the real A times the (d, 2d) float view of m
+            np.matmul(a.matrix, m.view(float), out=g.view(float))
+            g *= g
+            vals[i] = u @ (g @ u)             # sum_ij u_i G_ij G_ji u_j
+        else:
+            np.matmul(a.matrix, m, out=g)
+            g *= u
+            vals[i] = np.einsum("ij,ji->", g, g)
     series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
     return replace(series, values=series.real_values())
 

@@ -18,8 +18,10 @@ directory. A stage is a function ``stage_*(cfg, inputs)`` that returns
   upstream stage has no fingerprint, or another config's, is refused with a
   ValidationError that names the stage to re-run.
 
-Payloads are deterministic functions of (config, seed): the file hashes are
-the determinism contract, the wall-clock times are not part of it.
+Payloads are deterministic functions of (config, seed) in one environment:
+the file hashes are the determinism contract, not the wall-clock times.
+Across BLAS thread counts each CSV column agrees within 1e-12 of its
+maximum; binary payloads may differ there in eigenvector signs (no gauge).
 """
 
 import concurrent.futures

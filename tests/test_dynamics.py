@@ -325,6 +325,68 @@ class TestOtoc:
         assert np.abs(real.values - unflushed).max() <= 1e-13 * scale
         assert np.abs(cplx.values - unflushed).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 8.0])
+    @pytest.mark.parametrize("sites,paulis", [((0,), "Z"), ((3,), "X"),
+                                              ((2, 5), "ZZ")])
+    def test_real_path_matches_dense_direct_trace(self, ising8, sites, paulis,
+                                                  beta):
+        spec = ising8["spec"]
+        a = el.to_eigenbasis(el.LocalObservableSpec(sites=sites, paulis=paulis),
+                             spec)
+        assert np.isrealobj(a.matrix)
+        e = spec.eigenvalues
+        logw = -beta * (e - e.min())
+        r4 = np.diag(np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25)
+        times = np.array([0.0, 0.6, 1.7, 3.1])
+        direct = []
+        for t in times:
+            u = np.diag(np.exp(1j * e * t))
+            at = u @ a.matrix @ u.conj().T
+            direct.append(np.trace(r4 @ at @ r4 @ a.matrix @ r4 @ at @ r4
+                                   @ a.matrix))
+        direct = np.array(direct)
+        oto = el.otoc(a, spec, beta, times)
+        assert np.abs(oto.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_fortran_ordered_operator(self, ising8, kind):
+        if kind == "real":
+            a, spec = ising8["a"], ising8["spec"]
+        else:
+            spec, a = synth_complex(128, seed=21)
+        # the same values, laid out column-major as a transposed view
+        f = np.ascontiguousarray(a.matrix.T).T
+        assert f.flags.f_contiguous and not f.flags.c_contiguous
+        times = np.linspace(0, 3, 5)
+        c_order = el.otoc(a, spec, 1.0, times).values
+        f_order = el.otoc(el.OperatorEigenbasis(matrix=f), spec, 1.0,
+                          times).values
+        assert np.abs(f_order - c_order).max() <= 1e-13 * np.abs(c_order).max()
+
+    def test_gemm_operand_holds_no_subnormal(self, ising8, monkeypatch):
+        # at beta = 200 rho^(1/4) of the top states falls below tiny^(1/2)
+        # of its maximum; they are dropped, so the right operand of every
+        # real GEMM, diag(rho^(1/4) e^(-iEt)) A as floats, is subnormal-free
+        a, spec, beta = ising8["a"], ising8["spec"], 200.0
+        st_ = el.thermal_state(spec, beta)
+        q = el.dynamics._gibbs_factor(st_, 0.25)
+        assert np.any((q == 0) & (st_.fractional_weights(0.25) > 0))
+        operands = []
+        matmul = np.matmul
+
+        def spy(x, y, **kwargs):
+            operands.append(np.array(y))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        times = np.linspace(0, 3, 6)
+        el.otoc(a, spec, beta, times)
+        assert len(operands) == times.size
+        tiny = np.finfo(float).tiny
+        for y in operands:
+            assert y.dtype == float
+            assert not np.any((y != 0) & (np.abs(y) < tiny))
+
 
 class TestSpectralDensities:
     def test_identity_vanishes(self, ising8):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -531,3 +533,32 @@ class TestCli:
         m1 = load_json(os.path.join(out1, "manifest.json"))
         m2 = load_json(os.path.join(out2, "manifest.json"))
         assert m1["files"]["operator.ethb"] != m2["files"]["operator.ethb"]
+
+    def test_demo_csv_payloads_agree_across_blas_threads(self, tmp_path):
+        # bytes are promised only within one environment; across BLAS thread
+        # counts each CSV column agrees within 1e-12 of its maximum. The
+        # binary payloads are left out: eigenvector signs may differ. At
+        # L=8 every payload is byte-identical, so the bundled L=10 demo runs
+        src = os.path.dirname(os.path.dirname(el.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from ethlab.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))",
+                 "demo", "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].glob("*.csv"))
+        assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+        assert "correlator_otoc_beta1.csv" in names
+        for name in names:
+            (h1, cols1), (h2, cols2) = (read_csv(str(o / name)) for o in outs)
+            assert h1 == h2, name
+            for col, x, y in zip(h1, cols1, cols2):
+                np.testing.assert_allclose(y, x, rtol=0,
+                                           atol=1e-12 * np.abs(x).max(),
+                                           err_msg=f"{name} {col}")
