@@ -31,8 +31,8 @@ sum with weights u_m u_n (u = rho^(1/2)) and rho_m respectively:
     sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t)
         = (left v)^T |A|^2 (right conj(v)),   v_m(t) = exp(i E_m t),
 
-evaluated as one real matrix product of |A|^2 with the float view of the
-complex d x T block right * conj(v).
+evaluated as one real product of each row block of |A|^2 (``abs2_rows``)
+with the float view of the complex d x T block right * conj(v).
 
 Frequency space: the symmetric and response spectra are delta combs over
 pair frequencies w = E_n - E_m with weights
@@ -44,7 +44,7 @@ normalized so that the fluctuation-dissipation identity
 F(w) = 2*coth(beta*w/2)*rho(w) holds exactly peak by peak at w != 0.
 The pair (n, m) mirrors (m, n) at -w with the same F weight and the opposite
 rho weight, so F is even and rho odd: the comb is a half comb over m < n
-(w >= 0), streamed in row chunks, and the mirror is applied when broadening.
+(w >= 0) gathered from the same row blocks, mirrored when broadening.
 For plotting and sum rules each peak is replaced by a unit-mass Gaussian of
 width sigma_omega, shared by both densities so the identity survives
 broadening away from peak overlap.
@@ -82,7 +82,6 @@ OTOC_MAX_DIM = 1 << 12
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
 BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
-PAIR_CHUNK_ROWS = 64       # rows of the pair table per streamed chunk
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,12 @@ def _check_hermitian_operator(a):
 def _lehmann_sum(a, spectrum, left, right, times):
     """sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t) at each time."""
     v = np.exp(1j * np.outer(spectrum.eigenvalues, times))
-    rv = right[:, None] * v.conj()
-    # |A|^2 is real: one real product with the (d, 2T) float view of rv
-    s = (np.abs(a.matrix) ** 2 @ rv.view(float)).view(complex)
-    return np.einsum("mt,mt->t", left[:, None] * v, s)
+    rv = (right[:, None] * v.conj()).view(float)
+    s = np.empty_like(rv)
+    # |A|^2 is real: one real product per row block with the (d, 2T) float view
+    for rows, a2 in a.abs2_rows():
+        np.matmul(a2, rv, out=s[rows])
+    return np.einsum("mt,mt->t", left[:, None] * v, s.view(complex))
 
 
 def two_point(a, spectrum, beta, times):
@@ -203,17 +204,13 @@ def check_otoc_cost(a, n_times):
         )
 
 
-def _gibbs_factor(st, power):
-    """rho**power with the states below tiny**2 of the largest weight zeroed.
-
-    tiny is np.finfo(float).tiny, and the rule reads rho**power below
-    tiny**(2 * power) times its maximum, so every power drops the same
-    states. Their entries would only feed subnormal numbers, which are slow
-    and far below rounding, into the dense product of :func:`otoc`: with
-    power 0.25, as there, its right operand diag(conj(u)) A holds none.
-    """
-    w = st.fractional_weights(power)
-    w[w < np.finfo(float).tiny ** (2 * power) * w.max()] = 0.0
+def _gibbs_factor(st):
+    """rho^(1/4) with the entries below tiny^(1/2) of its maximum zeroed
+    (tiny = np.finfo(float).tiny): they would only feed subnormal numbers,
+    slow and far below rounding, into the dense product of :func:`otoc`,
+    whose right operand diag(conj(u)) A then holds none."""
+    w = st.fractional_weights(0.25)
+    w[w < np.sqrt(np.finfo(float).tiny) * w.max()] = 0.0
     return w
 
 
@@ -238,7 +235,7 @@ def otoc(a, spectrum, beta, times):
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
     real = np.isrealobj(a.matrix)
-    q = _gibbs_factor(thermal_state(spectrum, beta), 0.25)
+    q = _gibbs_factor(thermal_state(spectrum, beta))
     phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
     m = np.empty(a.matrix.shape, dtype=complex)
     g = np.empty_like(m)
@@ -271,17 +268,13 @@ class SpectralDensity:
 
 
 def _pair_chunks(a, spectrum, beta):
-    """Yield (w, f_weight, rho_weight) of the pairs m < n, row-major, in
-    chunks of PAIR_CHUNK_ROWS rows of the pair table."""
+    """Yield (w, f_weight, rho_weight) of the pairs m < n per upper_pairs block."""
     rho = thermal_state(spectrum, beta).weights
     e = spectrum.eigenvalues
-    d = e.size
-    for start in range(0, d - 1, PAIR_CHUNK_ROWS):
-        m, n = np.triu_indices(min(PAIR_CHUNK_ROWS, d - start), start + 1, d)
-        m += start
-        a2 = np.abs(a.matrix[m, n]) ** 2
-        rm, rn = rho[m], rho[n]
-        yield e[n] - e[m], 0.5 * (rm + rn) * a2, 0.25 * (rm - rn) * a2
+    for rows, upper, a2 in a.upper_pairs():
+        yield ((e - e[rows, None])[upper],
+               0.5 * (rho[rows, None] + rho)[upper] * a2,
+               0.25 * (rho[rows, None] - rho)[upper] * a2)
 
 
 def _diagonal_weight(a, spectrum, beta):
@@ -312,7 +305,7 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
 
     sigma_omega must be at least 1 mean bulk level spacing, otherwise the
     broadened curves are under-resolved combs. The half comb of
-    :func:`spectral_peaks` is streamed once, chunk by chunk, into bins of
+    :func:`spectral_peaks` is streamed once, block by block, into bins of
     width sigma_omega/B holding N Taylor moments each (B = BROADENING_BINS
     = 16, N = BROADENING_MOMENTS = 12). Each omega then sums, at +omega
     (F and rho moments as stored) and at -omega (F moments, minus the rho
@@ -339,20 +332,21 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     # outside the window or outside the table
     f_mom = np.zeros((n_moments, n_bins + 1))
     r_mom = np.zeros((n_moments, n_bins + 1))
-    for w, f_w, r_w in _pair_chunks(a, spectrum, beta):
-        u = w / width
-        k = np.floor(u)
-        t = (u - k - 0.5) / bins_per_sigma
-        idx = k.astype(np.intp) + 1
-        g = np.exp(-0.5 * t * t)
-        f_w = f_w * g
-        r_w = r_w * g
+    for t, f_w, r_w in _pair_chunks(a, spectrum, beta):
+        # t = (w/width - k - 0.5)/B in place; few pair-sized arrays live
+        t /= width
+        idx = np.floor(t)
+        t -= idx + 0.5
+        t /= bins_per_sigma
+        idx = idx.astype(np.intp) + 1
+        factor = np.exp(-0.5 * t * t)
         for n in range(n_moments):
+            f_w *= factor
+            r_w *= factor
             f_mom[n] += np.bincount(idx, f_w, minlength=n_bins + 1)
             r_mom[n] += np.bincount(idx, r_w, minlength=n_bins + 1)
-            step = t / (n + 1)
-            f_w *= step
-            r_w *= step
+            np.divide(t, n + 1, out=factor)
+        del t, f_w, r_w, idx, factor    # before the next block is formed
 
     # every omega at +omega and -omega: one row of window bins each
     reach = round(BROADENING_RADIUS * bins_per_sigma)
@@ -409,18 +403,12 @@ def fdt_check(sd, threshold=0.3):
     peaks, not by the identity itself. beta = 0 makes the response vanish
     identically and is flagged degenerate rather than divided by.
     """
-    if sd.beta == 0:
-        return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=True)
     rho_scale = np.abs(sd.rho_values).max(initial=0.0)
-    if rho_scale == 0:
-        return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=False)
     sel = (np.abs(sd.rho_values) >= threshold * rho_scale) & \
           (np.abs(sd.omegas) >= 4 * sd.sigma_omega)
-    if not np.any(sel):
+    if sd.beta == 0 or rho_scale == 0 or not np.any(sel):
         return FdtDeviation(max_rel_dev=float("nan"), n_admissible=0,
-                            degenerate_beta=False)
+                            degenerate_beta=sd.beta == 0)
     w = sd.omegas[sel]
     predicted = 2.0 / np.tanh(sd.beta * w / 2.0) * sd.rho_values[sel]
     dev = np.abs(sd.f_values[sel] - predicted) / sd.f_values[sel]
@@ -555,16 +543,18 @@ def gaussian_wavepacket(spectrum, center, sigma, seed):
 def dynamical_fluctuation(a, state):
     """Infinite-time-averaged fluctuation sum_{m != n} p_n p_m |A_mn|^2.
 
-    The off-diagonal terms are summed directly, so the result is exactly 0
-    for a diagonal operator and never negative.
+    The off-diagonal terms are summed directly, row block by row block, so
+    the result is exactly 0 for a diagonal operator and never negative.
 
     Assumes nondegenerate energy gaps; rare rational gap coincidences in
     real chains are not corrected for.
     """
     p = state.populations
-    abs2 = np.abs(a.matrix) ** 2
-    np.fill_diagonal(abs2, 0.0)
-    return float(p @ abs2 @ p)
+    total = 0.0
+    for rows, a2 in a.abs2_rows():
+        np.fill_diagonal(a2[:, rows], 0.0)
+        total += p[rows] @ (a2 @ p)
+    return float(total)
 
 
 def static_fluctuation(a, n):

@@ -4,9 +4,10 @@ normalized off-diagonal elements.
 
 The envelope estimator inverts the matrix-element ansatz bin by bin:
 |f|^2 in a (Ebar, w) bin is exp(S(Ebar)) times the mean |A_mn|^2 over the
-bin, using off-diagonal pairs only. The decay rate per Ebar slice comes from
-a count-weighted least-squares fit of log|f|^2 against |w|; since |f|^2
-decays at twice the rate of f, the reported gamma is minus half that slope.
+bin of pairs m != n, each m < n binned once (from row blocks of |A|^2) for
+both orders. The decay rate per Ebar slice comes from a count-weighted
+least-squares fit of log|f|^2 against |w|; since |f|^2 decays at twice the
+rate of f, the reported gamma is minus half that slope.
 """
 
 from dataclasses import dataclass
@@ -112,12 +113,8 @@ class EnvelopeModel:
         j = np.digitize(omega, self.omega_edges) - 1
         ne, nw = self.f2.shape
         ok = (i >= 0) & (i < ne) & (j >= 0) & (j < nw)
-        out = np.full(np.broadcast(i, j).shape, np.nan)
-        ii = np.clip(i, 0, ne - 1)
-        jj = np.clip(j, 0, nw - 1)
-        vals = self.f2[ii, jj]
-        out[ok] = np.asarray(vals)[ok]
-        return out
+        return np.where(ok, self.f2[np.clip(i, 0, ne - 1), np.clip(j, 0, nw - 1)],
+                        np.nan)
 
     def boost_at(self, e_bar):
         i = np.clip(np.digitize(np.asarray(e_bar, dtype=float), self.e_edges) - 1,
@@ -134,28 +131,20 @@ class EnvelopeModel:
         return float(self.gamma[ok[np.argmin(np.abs(self.e_centers[ok] - mid))]])
 
 
-def _pair_bins(e, values_sq, e_edges, omega_edges):
-    """Per-bin counts and |A|^2 sums over off-diagonal pairs, 256 rows at a time."""
+def _pair_bins(a, e, e_edges, omega_edges):
+    """Per-bin counts and |A|^2 sums over the ordered pairs m != n, binning
+    each m < n once for both orders (same Ebar, |w| and, A Hermitian, |A_mn|^2)."""
     ne, nw = len(e_edges) - 1, len(omega_edges) - 1
-    counts = np.zeros((ne, nw), dtype=np.int64)
-    sums = np.zeros((ne, nw), dtype=float)
-    d = e.size
-    for start in range(0, d, 256):
-        stop = min(start + 256, d)
-        eb = 0.5 * (e[start:stop, None] + e[None, :])
-        om = np.abs(e[start:stop, None] - e[None, :])
-        rows = np.arange(start, stop)
-        ii = np.digitize(eb.ravel(), e_edges) - 1
-        jj = np.digitize(om.ravel(), omega_edges) - 1
+    counts = np.zeros(ne * nw, dtype=np.int64)
+    sums = np.zeros(ne * nw)
+    for rows, upper, a2 in a.upper_pairs():
+        ii = np.digitize(0.5 * (e[rows, None] + e)[upper], e_edges) - 1
+        jj = np.digitize((e - e[rows, None])[upper], omega_edges) - 1
         ok = (ii >= 0) & (ii < ne) & (jj >= 0) & (jj < nw)
-        mask = np.ones(eb.shape, dtype=bool)
-        mask[rows - start, rows] = False  # no diagonal in counts or sums
-        ok &= mask.ravel()
         flat = ii[ok] * nw + jj[ok]
-        counts += np.bincount(flat, minlength=ne * nw).reshape(ne, nw)
-        sums += np.bincount(flat, weights=values_sq[start:stop].ravel()[ok],
-                            minlength=ne * nw).reshape(ne, nw)
-    return counts, sums
+        counts += np.bincount(flat, minlength=ne * nw)
+        sums += np.bincount(flat, weights=a2[ok], minlength=ne * nw)
+    return 2 * counts.reshape(ne, nw), 2 * sums.reshape(ne, nw)
 
 
 def envelope_estimate(a, spectrum, entropy, binning=None):
@@ -172,13 +161,12 @@ def envelope_estimate(a, spectrum, entropy, binning=None):
     d = e.size
     if a.matrix.shape != (d, d):
         raise ValidationError("operator and spectrum dimensions differ")
-    values_sq = np.abs(a.matrix) ** 2
     omega_max = binning.omega_max
     if omega_max is None:
         omega_max = float(e[-1] - e[0])
     e_edges = np.linspace(e[0], e[-1], binning.e_bins + 1)
     omega_edges = np.linspace(0.0, omega_max, binning.omega_bins + 1)
-    counts, sums = _pair_bins(e, values_sq, e_edges, omega_edges)
+    counts, sums = _pair_bins(a, e, e_edges, omega_edges)
 
     e_centers = 0.5 * (e_edges[:-1] + e_edges[1:])
     boost = np.exp(np.asarray(entropy.entropy_at(e_centers), dtype=float))
@@ -193,11 +181,8 @@ def envelope_estimate(a, spectrum, entropy, binning=None):
     w_centers = 0.5 * (omega_edges[:-1] + omega_edges[1:])
     in_window = (w_centers >= window[0]) & (w_centers <= window[1])
 
-    ne = binning.e_bins
-    gamma = np.full(ne, np.nan)
-    stderr = np.full(ne, np.nan)
-    residual = np.full(ne, np.nan)
-    for i in range(ne):
+    gamma, stderr, residual = np.full((3, binning.e_bins), np.nan)
+    for i in range(binning.e_bins):
         ok = alive[i] & in_window & (f2[i] > 0)
         if ok.sum() < 4:
             continue
@@ -273,7 +258,13 @@ def gaussianity_stats(a, spectrum, envelope, window):
         raise ValidationError("no pairs with an available envelope estimate")
     amp = np.sqrt(envelope.boost_at(ebar[ok]))
     r_hat = vals[ok] * amp / np.sqrt(f2[ok])
-    if np.abs(a.matrix.imag).max(initial=0.0) <= 1e-12 * np.abs(a.matrix).max(initial=1.0):
+    real = np.isrealobj(a.matrix)
+    if not real:  # max|Im A| <= 1e-12 max(1, max|A|), row block by row block
+        im = a.matrix.imag    # a view
+        peaks = [(np.abs(im[rows]).max(), a2.max()) for rows, a2 in a.abs2_rows()]
+        imag, scale_sq = np.max(peaks, axis=0)
+        real = imag <= 1e-12 * max(1.0, np.sqrt(scale_sq))  # exact: sqrt(fl(x*x)) = x
+    if real:
         sample = np.real(r_hat)
     else:
         sample = np.concatenate([np.real(r_hat), np.imag(r_hat)]) * np.sqrt(2.0)

@@ -6,11 +6,12 @@ eigenvector matrix, and a smooth entropy model S(E) built by Gaussian-kernel
 smoothing of the level density (the level count per unit energy), with
 beta(E) = S'(E) obtained by centered finite differences.
 
-Storage is dense only; dimensions are capped at 2**13 because every formula
-in the package needs the full eigenbasis. A Hamiltonian that commutes with an
-involutive index permutation r (the reflection of a uniform Ising chain) is
-diagonalized in its two r-parity blocks, which are reassembled into the full
-basis, so its columns are exact parity eigenstates.
+Eigenbases are dense; dimensions are capped at 2**13 because every formula
+in the package needs the full eigenbasis, but |A_mn|^2 is only formed
+PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). A Hamiltonian
+that commutes with an involutive index permutation r (the reflection of a
+uniform Ising chain) is diagonalized in its two r-parity blocks, which are
+reassembled into the full basis, so its columns are exact parity eigenstates.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .errors import EmptyWindowError, NumericError, SizeError, ValidationError
 
 MAX_DENSE_DIM = 1 << 13
 HERMITICITY_RTOL = 1e-12
+PAIR_BLOCK_ROWS = 64       # rows of the pair table |A_mn|^2 per block
 
 
 def _hermitian_deviation(m):
@@ -225,6 +227,22 @@ class OperatorEigenbasis:
         if norm == 0:
             return True
         return _hermitian_deviation(self.matrix) <= 1e-10 * norm * 2
+
+    def abs2_rows(self):
+        """Yield (rows, |A[rows]|^2) over slices of PAIR_BLOCK_ROWS rows (the
+        last may be shorter): the one place the pair table is formed."""
+        for start in range(0, self.dim, PAIR_BLOCK_ROWS):
+            rows = slice(start, min(start + PAIR_BLOCK_ROWS, self.dim))
+            yield rows, np.abs(self.matrix[rows]) ** 2
+
+    def upper_pairs(self):
+        """Yield (rows, upper, |A_mn|^2 over m < n) per :meth:`abs2_rows` block;
+        ``x[upper]`` puts any (rows, d) array x, e.g. e - e[rows, None], in that order."""
+        cols = np.arange(self.dim)
+        for rows, a2 in self.abs2_rows():
+            upper = cols > cols[rows, None]
+            a2 = a2[upper]    # drops the block
+            yield rows, upper, a2
 
 
 def mean_level_spacing(eigenvalues):

@@ -1,0 +1,170 @@
+"""Pair-table consumers against dense whole-matrix references.
+
+Every sum over the pair table |A_mn|^2 walks
+:meth:`ethlab.OperatorEigenbasis.abs2_rows` in blocks of PAIR_BLOCK_ROWS
+(64) rows. At d = 65 and 129 the last block is a single row without any
+pair m < n, and at d = 200 it is a partial block of 8 rows.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ethlab as el
+from ethlab.spectral import PAIR_BLOCK_ROWS
+
+RAGGED_DIMS = (65, 129, 200)
+
+
+def synth(dim, real, seed=5):
+    """Synthetic ETH operator over a flat spectrum: complex Hermitian, or
+    its real part, which is real symmetric."""
+    spec = el.synth_spectrum(el.SynthSpectrumParams(
+        dim=dim, dos_shape="flat", bandwidth=4.0, seed=seed))
+    ent = el.EntropyModel.constant(np.log(dim), spec.eigenvalues[0],
+                                   spec.eigenvalues[-1])
+    a = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=0.25),
+                              diagonal=np.tanh, seed=seed + 1)
+    if real:
+        a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))
+    return spec, ent, a
+
+
+@pytest.fixture(params=[(d, real) for d in RAGGED_DIMS for real in (False, True)],
+                ids=lambda p: f"d{p[0]}-{'real' if p[1] else 'complex'}")
+def ragged(request):
+    dim, real = request.param
+    return synth(dim, real)
+
+
+def dense_abs2(a):
+    return np.abs(a.matrix) ** 2
+
+
+def test_blocks_cover_the_table_once(ragged):
+    _, _, a = ragged
+    d = a.dim
+    rows = [r for r, _ in a.abs2_rows()]
+    assert rows[0].start == 0 and rows[-1].stop == d
+    assert all(r.stop - r.start == PAIR_BLOCK_ROWS for r in rows[:-1])
+    assert all(x.stop == y.start for x, y in zip(rows, rows[1:]))
+    assert np.array_equal(np.concatenate([b for _, b in a.abs2_rows()]),
+                          dense_abs2(a))
+
+
+def test_envelope_matches_dense_both_orders(ragged):
+    spec, ent, a = ragged
+    e, d = spec.eigenvalues, spec.dim
+    binning = el.BinningSpec(min_count=1)
+    env = el.envelope_estimate(a, spec, ent, binning)
+    # every ordered pair m != n, binned where it falls
+    off = ~np.eye(d, dtype=bool)
+    ii = np.digitize((0.5 * (e[:, None] + e[None, :]))[off], env.e_edges) - 1
+    jj = np.digitize(np.abs(e[:, None] - e[None, :])[off], env.omega_edges) - 1
+    ne, nw = env.f2.shape
+    ok = (ii >= 0) & (ii < ne) & (jj >= 0) & (jj < nw)
+    flat = ii[ok] * nw + jj[ok]
+    counts = np.bincount(flat, minlength=ne * nw).reshape(ne, nw)
+    sums = np.bincount(flat, weights=dense_abs2(a)[off][ok],
+                       minlength=ne * nw).reshape(ne, nw)
+    assert np.array_equal(env.counts, counts)
+    alive = counts > 0
+    assert np.array_equal(np.isfinite(env.f2), alive)
+    recovered = env.f2[alive] / env.density_boost[np.nonzero(alive)[0]] * counts[alive]
+    assert np.abs(recovered - sums[alive]).max() <= 1e-13 * sums.max()
+
+
+def test_lehmann_sum_matches_dense(ragged):
+    spec, _, a = ragged
+    rng = np.random.default_rng(3)
+    left, right = rng.random(spec.dim), rng.random(spec.dim)
+    times = np.linspace(0.0, 5.0, 7)
+    v = np.exp(1j * np.outer(spec.eigenvalues, times))
+    dense = np.einsum("mt,mn,nt->t", left[:, None] * v, dense_abs2(a),
+                      right[:, None] * v.conj())
+    blocked = el.dynamics._lehmann_sum(a, spec, left, right, times)
+    assert np.abs(blocked - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_dynamical_fluctuation_matches_dense(ragged):
+    spec, _, a = ragged
+    state = el.gaussian_wavepacket(spec, 2.0, 0.5, seed=2)
+    p = state.populations
+    abs2 = dense_abs2(a)
+    np.fill_diagonal(abs2, 0.0)
+    dense = p @ abs2 @ p
+    assert abs(el.dynamical_fluctuation(a, state) - dense) <= 1e-13 * dense
+    # a diagonal operator of the same size has no off-diagonal weight at all
+    diag = el.OperatorEigenbasis(matrix=np.diag(np.diagonal(a.matrix)))
+    assert el.dynamical_fluctuation(diag, state) == 0.0
+
+
+def test_spectral_peaks_equal_dense_triu_gather(ragged):
+    spec, _, a = ragged
+    d, e = spec.dim, spec.eigenvalues
+    rho = el.thermal_state(spec, 1.0).weights
+    m, n = np.triu_indices(d, 1)
+    a2 = dense_abs2(a)[m, n]
+    freqs, f_w, r_w = el.spectral_peaks(a, spec, 1.0)
+    assert freqs.size == f_w.size == r_w.size == d * (d - 1) // 2 + 1
+    assert np.array_equal(freqs[:-1], e[n] - e[m])
+    assert np.array_equal(f_w[:-1], 0.5 * (rho[m] + rho[n]) * a2)
+    assert np.array_equal(r_w[:-1], 0.25 * (rho[m] - rho[n]) * a2)
+    assert freqs[-1] == 0.0 and r_w[-1] == 0.0
+
+
+def test_gaussianity_treats_complex_dtype_of_real_values_as_real():
+    # the sample is real when max|Im A| <= 1e-12 max(1, max|A|), whatever
+    # the dtype; above that it holds both components, scaled by sqrt(2)
+    spec, ent, a = synth(400, real=True)
+    env = el.envelope_estimate(a, spec, ent)
+    window = el.microcanonical_window(spec, 2.0, 0.4)
+    real = el.gaussianity_stats(a, spec, env, window)
+    as_complex = el.OperatorEigenbasis(matrix=a.matrix.astype(complex))
+    cast = el.gaussianity_stats(as_complex, spec, env, window)
+    assert cast.sample_size == real.sample_size
+    for name in ("mean", "variance", "skewness", "excess_kurtosis"):
+        assert getattr(cast, name) == pytest.approx(getattr(real, name),
+                                                    rel=1e-12, abs=1e-15)
+    scale = max(1.0, np.abs(a.matrix).max())
+    below, above = (el.OperatorEigenbasis(matrix=a.matrix + 1j * x * scale)
+                    for x in (1e-12, 1e-11))
+    assert el.gaussianity_stats(below, spec, env, window).sample_size == \
+        real.sample_size
+    assert el.gaussianity_stats(above, spec, env, window).sample_size == \
+        2 * real.sample_size
+
+
+def test_pair_consumers_stay_below_half_a_dense_array():
+    # d = 1024: half of one d x d float array is 4 MiB, while the operator
+    # itself is 8 MiB and a whole |A|^2 another 8 MiB
+    d = 1024
+    spec, ent, a = synth(d, real=True)
+    times = np.linspace(0.0, 4.0, 9)
+    env = el.envelope_estimate(a, spec, ent)
+    window = el.microcanonical_window(spec, 2.0, 0.2)
+    state = el.gaussian_wavepacket(spec, 2.0, 0.3, seed=1)
+    omegas = np.linspace(-2.0, 2.0, 101)
+    calls = {
+        "envelope_estimate": lambda: el.envelope_estimate(a, spec, ent),
+        "two_point": lambda: el.two_point(a, spec, 1.0, times),
+        "symmetric_and_response":
+            lambda: el.symmetric_and_response(a, spec, 1.0, times),
+        "dynamical_fluctuation": lambda: el.dynamical_fluctuation(a, state),
+        "spectral_densities":
+            lambda: el.spectral_densities(a, spec, 1.0, 0.05, omegas),
+        "gaussianity_stats": lambda: el.gaussianity_stats(a, spec, env, window),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    limit = d * d * 8 // 2
+    assert all(peak < limit for peak in peaks.values()), peaks
