@@ -15,8 +15,8 @@ from .dynamics import (CorrelatorSeries, FdtDeviation, FluctuationReport,
                        fdt_check, fit_lyapunov, fluctuation_bounds,
                        gaussian_wavepacket, otoc, spectral_densities,
                        spectral_peaks, static_fluct_integral,
-                       static_fluctuation, symmetric_and_response,
-                       thermal_state, two_point)
+                       static_fluctuation, thermal_correlators,
+                       thermal_state)
 from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
                      EthLabError, FitRejectedError, NumericError, SizeError,
                      ValidationError)

@@ -4,9 +4,9 @@ Configs are JSON objects checked against ``SCHEMA``, where each key maps to
 one of:
 
 - ``(default, type)`` or ``(default, type, rule)``: a value. ``REQUIRED``
-  as the default makes the key mandatory. A float key also takes an int;
-  no number key takes a bool. A rule is a tuple of allowed values or the
-  least allowed integer.
+  as the default makes the key mandatory. A float key also takes an int
+  and must be finite (no NaN or Infinity); no number key takes a bool. A
+  rule is a tuple of allowed values or the least allowed integer.
 - a nested dict: a block. A missing block takes all of its defaults. A
   block whose ``kind`` maps to sub-schemas (``model``) takes the remaining
   keys of the sub-schema its kind names.
@@ -26,6 +26,7 @@ config.
 import copy
 import hashlib
 import json
+import math
 
 from .aqec import DEFAULT_SLACK
 from .errors import ValidationError
@@ -109,17 +110,17 @@ def _value(path, val, default, kind, rule=None):
         raise ValidationError(f"config key {path!r} must be {kind.__name__}, "
                               f"got {type(val).__name__}")
     if kind is float:
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:    # an int beyond the float range
+            val = math.inf
+        if not math.isfinite(val):
+            raise ValidationError(f"config key {path!r} must be finite, got {val!r}")
     if isinstance(rule, tuple) and val not in rule:
         raise ValidationError(f"config key {path!r} must be one of {rule}, got {val!r}")
     if isinstance(rule, int) and val < rule:
         raise ValidationError(f"config key {path!r} must be >= {rule}, got {val}")
     return copy.deepcopy(val) if isinstance(val, (list, dict)) else val
-
-
-def _floats(path, values):
-    """The list at ``path`` as floats, each element checked as a float key."""
-    return [_value(f"{path}.{i}", x, 0.0, float) for i, x in enumerate(values)]
 
 
 class RunConfig:
@@ -137,16 +138,21 @@ class RunConfig:
         if center != "dos_peak":
             if isinstance(center, bool) or not isinstance(center, (int, float)):
                 raise ValidationError("code.window_center must be 'dos_peak' or a number")
-            d["code"]["window_center"] = float(center)
-        d["thermal"]["betas"] = _floats("thermal.betas", d["thermal"]["betas"])
-        if not d["thermal"]["betas"]:
+            d["code"]["window_center"] = _value("code.window_center", center, 0.0, float)
+        betas = d["thermal"]["betas"] = [_value(f"thermal.betas.{i}", x, 0.0, float, 0)
+                                         for i, x in enumerate(d["thermal"]["betas"])]
+        if not betas:
             raise ValidationError("thermal.betas must be nonempty")
+        for i, beta in enumerate(betas):
+            if beta in betas[:i]:
+                raise ValidationError(f"config key 'thermal.betas.{i}' repeats {beta!r}")
         for block in ("extract", "dynamics"):
             window = d[block]["fit_window"]
             if window is not None:
                 if len(window) != 2:
                     raise ValidationError(f"{block}.fit_window must be [lo, hi]")
-                d[block]["fit_window"] = _floats(f"{block}.fit_window", window)
+                d[block]["fit_window"] = [_value(f"{block}.fit_window.{i}", x, 0.0, float)
+                                          for i, x in enumerate(window)]
         if d["sweep"] is not None:
             if not d["sweep"]["grid"]:
                 raise ValidationError("sweep.grid must be a nonempty mapping")

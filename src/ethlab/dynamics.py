@@ -25,14 +25,16 @@ product; the real path treats A as exactly symmetric. A complex A takes one
 complex product (8 d^3 flops) and the trace of (G U)^2 as it stands. These
 are the per-point costs :func:`check_otoc_cost` states.
 
-F2 and <A(t) A>_beta, from which Fsym and Resp are built, share one Lehmann
-sum with weights u_m u_n (u = rho^(1/2)) and rho_m respectively:
+F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
+sum with weights (left, right) = (u, u), u = rho^(1/2), and (rho, 1):
 
     sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t)
-        = (left v)^T |A|^2 (right conj(v)),   v_m(t) = exp(i E_m t),
+        = (left v)^T |A|^2 (right conj(v)),   v_m(t) = exp(i E_m t).
 
-evaluated as one real product of each row block of |A|^2 (``abs2_rows``)
-with the float view of the complex d x T block right * conj(v).
+:func:`thermal_correlators` walks |A|^2 once for both: u conj(v) and conj(v)
+share one complex d x 2T buffer, written in place, and each row block of
+|A|^2 (``abs2_rows``) takes one real product with its d x 4T float view,
+contracted at once against the block's left weights u v and rho v.
 
 Frequency space: the symmetric and response spectra are delta combs over
 pair frequencies w = E_n - E_m with weights
@@ -152,39 +154,32 @@ def _check_hermitian_operator(a):
         raise ValidationError("correlators require a Hermitian observable")
 
 
-def _lehmann_sum(a, spectrum, left, right, times):
-    """sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t) at each time."""
-    v = np.exp(1j * np.outer(spectrum.eigenvalues, times))
-    rv = (right[:, None] * v.conj()).view(float)
-    s = np.empty_like(rv)
-    # |A|^2 is real: one real product per row block with the (d, 2T) float view
+def thermal_correlators(a, spectrum, beta, times):
+    """(F2, Fsym, Resp) at each time from one walk over the pair table: F2
+    with symmetric rho^(1/2) regulators, and the connected symmetric
+    correlator and commutator response, both built from <A(t) A>_beta."""
+    _check_hermitian_operator(a)
+    times = np.asarray(times, dtype=float)
+    st = thermal_state(spectrum, beta)
+    rho = st.weights
+    n = times.size
+    # right weights side by side: [u conj(v) | conj(v)], v_m(t) = exp(i E_m t)
+    right = np.empty((spectrum.dim, 2 * n), dtype=complex)
+    np.multiply.outer(spectrum.eigenvalues, -1j * times, out=right[:, n:])
+    np.exp(right[:, n:], out=right[:, n:])
+    np.multiply(st.fractional_weights(0.5)[:, None], right[:, n:], out=right[:, :n])
+    f2_sum, c = np.zeros((2, n), dtype=complex)    # c = <A(t) A>
     for rows, a2 in a.abs2_rows():
-        np.matmul(a2, rv, out=s[rows])
-    return np.einsum("mt,mt->t", left[:, None] * v, s.view(complex))
-
-
-def two_point(a, spectrum, beta, times):
-    """F2(t) as a double eigenstate sum with symmetric sqrt(rho) regulators."""
-    _check_hermitian_operator(a)
-    times = np.asarray(times, dtype=float)
-    u = thermal_state(spectrum, beta).fractional_weights(0.5)
-    series = CorrelatorSeries(kind="F2", times=times,
-                              values=_lehmann_sum(a, spectrum, u, u, times))
-    return replace(series, values=series.real_values())
-
-
-def symmetric_and_response(a, spectrum, beta, times):
-    """Connected symmetric correlator and the commutator response function."""
-    _check_hermitian_operator(a)
-    times = np.asarray(times, dtype=float)
-    rho = thermal_state(spectrum, beta).weights
-    diag = np.real(np.diagonal(a.matrix))
-    mean = float(np.dot(rho, diag))
-    c = _lehmann_sum(a, spectrum, rho, np.ones_like(rho), times)  # <A(t) A>
-    fsym = CorrelatorSeries(kind="Fsym", times=times,
-                            values=(c.real - mean**2).astype(complex))
+        # |A|^2 is real: one real product with the (d, 4T) float view, then
+        # the left weights u v = conj(left half) and rho v = rho conj(right half)
+        s = (a2 @ right.view(float)).view(complex)
+        f2_sum += np.einsum("mt,mt->t", right[rows, :n].conj(), s[:, :n])
+        c += np.einsum("mt,mt->t", rho[rows, None] * right[rows, n:].conj(), s[:, n:])
+    mean = float(np.dot(rho, np.real(np.diagonal(a.matrix))))
+    f2 = CorrelatorSeries(kind="F2", times=times, values=f2_sum)
+    fsym = CorrelatorSeries(kind="Fsym", times=times, values=c.real - mean**2)
     resp = CorrelatorSeries(kind="Resp", times=times, values=2j * c.imag)
-    return fsym, resp
+    return replace(f2, values=f2.real_values()), fsym, resp
 
 
 def check_otoc_cost(a, n_times):
@@ -267,9 +262,8 @@ class SpectralDensity:
     beta: float
 
 
-def _pair_chunks(a, spectrum, beta):
+def _pair_chunks(a, spectrum, rho):
     """Yield (w, f_weight, rho_weight) of the pairs m < n per upper_pairs block."""
-    rho = thermal_state(spectrum, beta).weights
     e = spectrum.eigenvalues
     for rows, upper, a2 in a.upper_pairs():
         yield ((e - e[rows, None])[upper],
@@ -277,9 +271,8 @@ def _pair_chunks(a, spectrum, beta):
                0.25 * (rho[rows, None] - rho)[upper] * a2)
 
 
-def _diagonal_weight(a, spectrum, beta):
+def _diagonal_weight(a, rho):
     """Connected symmetric weight of the diagonal, the w = 0 peak of F."""
-    rho = thermal_state(spectrum, beta).weights
     diag = np.real(np.diagonal(a.matrix))
     return float(np.dot(rho, diag**2) - np.dot(rho, diag) ** 2)
 
@@ -295,9 +288,10 @@ def spectral_peaks(a, spectrum, beta):
     f_w = 2*coth(beta*w/2)*rho_w exactly for w != 0.
     """
     _check_hermitian_operator(a)
-    diagonal = ([0.0], [_diagonal_weight(a, spectrum, beta)], [0.0])
+    rho = thermal_state(spectrum, beta).weights
+    diagonal = ([0.0], [_diagonal_weight(a, rho)], [0.0])
     return tuple(np.concatenate(parts) for parts in
-                 zip(*_pair_chunks(a, spectrum, beta), diagonal))
+                 zip(*_pair_chunks(a, spectrum, rho), diagonal))
 
 
 def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
@@ -324,6 +318,7 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
             f"bulk level spacing ({spacing:g})"
         )
     _check_hermitian_operator(a)
+    rho = thermal_state(spectrum, beta).weights
     bins_per_sigma, n_moments = BROADENING_BINS, BROADENING_MOMENTS
     width = sigma_omega / bins_per_sigma
     e = spectrum.eigenvalues
@@ -332,7 +327,7 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     # outside the window or outside the table
     f_mom = np.zeros((n_moments, n_bins + 1))
     r_mom = np.zeros((n_moments, n_bins + 1))
-    for t, f_w, r_w in _pair_chunks(a, spectrum, beta):
+    for t, f_w, r_w in _pair_chunks(a, spectrum, rho):
         # t = (w/width - k - 0.5)/B in place; few pair-sized arrays live
         t /= width
         idx = np.floor(t)
@@ -368,7 +363,7 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     p = omegas.size
     norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_omega)
     z = omegas / sigma_omega
-    diag_vals = _diagonal_weight(a, spectrum, beta) * np.where(
+    diag_vals = _diagonal_weight(a, rho) * np.where(
         np.abs(z) <= BROADENING_RADIUS, np.exp(-0.5 * z * z), 0.0)
     return SpectralDensity(
         omegas=omegas,

@@ -42,8 +42,8 @@ from .config import RunConfig
 from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
                        fdt_check, fit_lyapunov, fluctuation_bounds,
                        gaussian_wavepacket, otoc, spectral_densities,
-                       static_fluctuation, symmetric_and_response,
-                       thermal_state, two_point)
+                       static_fluctuation, thermal_correlators,
+                       thermal_state)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -256,8 +256,7 @@ def stage_dynamics(cfg, inputs):
     per_beta = []
     for beta in cfg.data["thermal"]["betas"]:
         tag = format_number(beta)
-        f2 = two_point(a, spectrum, beta, times)
-        fsym, resp = symmetric_and_response(a, spectrum, beta, times)
+        f2, fsym, resp = thermal_correlators(a, spectrum, beta, times)
         series = {"f2": f2, "fsym": fsym, "resp": resp}
         oto = None
         if dyn["otoc_points"] > 0:

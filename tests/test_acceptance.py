@@ -205,8 +205,7 @@ def test_criterion_07_two_path_equivalence(ising8):
         direct["Fsym"].append(0.5 * (c + np.conj(c)) - mean**2)
         direct["Resp"].append(c - np.conj(c))
         direct["OTOC"].append(np.trace(r4 @ at @ r4 @ z0 @ r4 @ at @ r4 @ z0))
-    f2 = el.two_point(a, spec, beta, times)
-    fsym, resp = el.symmetric_and_response(a, spec, beta, times)
+    f2, fsym, resp = el.thermal_correlators(a, spec, beta, times)
     oto = el.otoc(a, spec, beta, times)
     devs = {}
     for name, series in (("F2", f2), ("Fsym", fsym), ("Resp", resp),

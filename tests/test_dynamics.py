@@ -109,17 +109,18 @@ class TestThermalState:
 class TestTwoPoint:
     def test_identity_constant_one(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
-        f2 = el.two_point(a, ising8["spec"], 1.0, np.linspace(0, 2, 9))
+        f2 = el.thermal_correlators(a, ising8["spec"], 1.0, np.linspace(0, 2, 9))[0]
         assert np.allclose(f2.real_values(), 1.0, atol=1e-12)
 
     def test_t0_nonnegative(self, ising8):
-        f2 = el.two_point(ising8["a"], ising8["spec"], 1.0, np.array([0.0]))
+        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
+                                    np.array([0.0]))[0]
         assert f2.real_values()[0] >= 0
 
     def test_matches_heisenberg_evolution(self, ising8):
         times = np.linspace(0, 3, 7)
         oracle = heisenberg_oracle(ising8["h"], ising8["z0"], 1.0, times)
-        f2 = el.two_point(ising8["a"], ising8["spec"], 1.0, times)
+        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
         assert rel_dev(f2.values, oracle["F2"]) <= 1e-9
 
     def test_infinite_temperature_reduces_to_unregulated(self, ising8):
@@ -127,7 +128,7 @@ class TestTwoPoint:
         spec, a, h, z0 = (ising8["spec"], ising8["a"], ising8["h"],
                           ising8["z0"])
         times = np.linspace(0, 2, 5)
-        f2 = el.two_point(a, spec, 0.0, times)
+        f2 = el.thermal_correlators(a, spec, 0.0, times)[0]
         direct = []
         for t in times:
             u = scipy.linalg.expm(1j * h * t)
@@ -137,26 +138,26 @@ class TestTwoPoint:
     def test_requires_hermitian(self, ising8):
         bad = el.OperatorEigenbasis(matrix=np.triu(np.ones((256, 256))))
         with pytest.raises(el.ValidationError):
-            el.two_point(bad, ising8["spec"], 1.0, np.array([0.0]))
+            el.thermal_correlators(bad, ising8["spec"], 1.0, np.array([0.0]))
 
 
 class TestSymmetricAndResponse:
     def test_response_vanishes_at_t0(self, ising8):
-        _, resp = el.symmetric_and_response(ising8["a"], ising8["spec"], 1.0,
+        _, _, resp = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
                                             np.array([0.0, 1.0]))
         assert abs(resp.values[0]) <= 1e-12
 
     def test_identity_has_zero_connected_part(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
-        fsym, _ = el.symmetric_and_response(a, ising8["spec"], 1.0,
+        _, fsym, _ = el.thermal_correlators(a, ising8["spec"], 1.0,
                                             np.linspace(0, 2, 5))
         assert np.allclose(fsym.values, 0.0, atol=1e-12)
 
     def test_time_parity(self, ising8):
         times = np.linspace(0.25, 2.0, 8)
-        fwd_s, fwd_r = el.symmetric_and_response(ising8["a"], ising8["spec"],
+        _, fwd_s, fwd_r = el.thermal_correlators(ising8["a"], ising8["spec"],
                                                  1.0, times)
-        bwd_s, bwd_r = el.symmetric_and_response(ising8["a"], ising8["spec"],
+        _, bwd_s, bwd_r = el.thermal_correlators(ising8["a"], ising8["spec"],
                                                  1.0, -times)
         assert np.abs(fwd_s.values - bwd_s.values).max() <= 1e-10
         assert np.abs(fwd_r.values + bwd_r.values).max() <= 1e-10
@@ -164,13 +165,13 @@ class TestSymmetricAndResponse:
     def test_matches_heisenberg_evolution(self, ising8):
         times = np.linspace(0, 3, 7)
         oracle = heisenberg_oracle(ising8["h"], ising8["z0"], 1.0, times)
-        fsym, resp = el.symmetric_and_response(ising8["a"], ising8["spec"],
+        _, fsym, resp = el.thermal_correlators(ising8["a"], ising8["spec"],
                                                1.0, times)
         assert rel_dev(fsym.values, oracle["Fsym"]) <= 1e-9
         assert rel_dev(resp.values, oracle["Resp"]) <= 1e-9
 
     def test_response_purely_imaginary(self, ising8):
-        _, resp = el.symmetric_and_response(ising8["a"], ising8["spec"], 1.0,
+        _, _, resp = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
                                             np.linspace(0, 2, 5))
         assert np.abs(resp.values.real).max() <= 1e-12
 
@@ -194,15 +195,14 @@ class TestLehmannSum:
             direct_f2.append(np.trace(r2 @ at @ r2 @ a.matrix))
             direct_c.append(np.trace(rho @ at @ a.matrix))
         direct_c = np.array(direct_c)
-        f2 = el.two_point(a, spec, beta, times)
-        fsym, resp = el.symmetric_and_response(a, spec, beta, times)
+        f2, fsym, resp = el.thermal_correlators(a, spec, beta, times)
         assert rel_dev(f2.values, np.array(direct_f2)) <= 1e-10
         assert rel_dev(fsym.values, direct_c.real - mean**2) <= 1e-10
         assert rel_dev(resp.values, direct_c - direct_c.conj()) <= 1e-10
 
     def test_f2_and_otoc_keep_only_real_part(self, ising8):
         times = np.linspace(0, 3, 7)
-        f2 = el.two_point(ising8["a"], ising8["spec"], 1.0, times)
+        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
         oto = el.otoc(ising8["a"], ising8["spec"], 1.0, times)
         assert np.all(f2.values.imag == 0.0)
         assert np.all(oto.values.imag == 0.0)
@@ -408,7 +408,7 @@ class TestSpectralDensities:
         om = np.linspace(-1.2 * band, 1.2 * band, 4001)
         sd = el.spectral_densities(a, spec, 1.0, 0.1, om)
         total = np.trapezoid(sd.f_values, om)
-        fsym, _ = el.symmetric_and_response(a, spec, 1.0, np.array([0.0]))
+        _, fsym, _ = el.thermal_correlators(a, spec, 1.0, np.array([0.0]))
         target = fsym.values[0].real
         assert abs(total - target) <= 0.01 * abs(target)
 
@@ -542,7 +542,8 @@ class TestSpectralDensities:
 
     def test_pair_chunks_are_the_half_comb(self, ising8):
         spec, a = ising8["spec"], ising8["a"]
-        chunks = list(el.dynamics._pair_chunks(a, spec, 1.0))
+        rho = el.thermal_state(spec, 1.0).weights
+        chunks = list(el.dynamics._pair_chunks(a, spec, rho))
         assert len(chunks) > 1
         peaks = el.spectral_peaks(a, spec, 1.0)
         for streamed, stored in zip(zip(*chunks), peaks):
@@ -629,7 +630,7 @@ class TestFitLyapunov:
         # a synthetic scrambling time past the window keeps the hierarchy
         lam, t_s = 1.5, 12.0
         t = np.linspace(0, 8, 81)
-        f2 = el.two_point(ising8["a"], ising8["spec"], 1.0, t)
+        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, t)[0]
         fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
                               1.0, 0.0, (4, 8), f2=f2)
         assert fit.t_d is not None

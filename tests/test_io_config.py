@@ -215,6 +215,16 @@ class TestRunConfig:
         ({"extract": {"fit_window": ["a", "b"]}}, "extract.fit_window"),
         ({"dynamics": {"fit_window": ["a", "b"]}}, "dynamics.fit_window"),
         ({"seed": 2**64}, "seed"),
+        ({"slack": float("nan")}, "slack"),
+        ({"slack": float("inf")}, "slack"),
+        ({"dynamics": {"sigma_omega": float("nan")}}, "dynamics.sigma_omega"),
+        ({"dynamics": {"t_max": float("nan")}}, "dynamics.t_max"),
+        ({"dynamics": {"t_max": float("-inf")}}, "dynamics.t_max"),
+        ({"code": {"window_center": float("nan")}}, "code.window_center"),
+        ({"code": {"window_center": 10**400}}, "code.window_center"),
+        ({"thermal": {"betas": [0.5, float("inf")]}}, "thermal.betas.1"),
+        ({"thermal": {"betas": [-1.0]}}, "thermal.betas.0"),
+        ({"thermal": {"betas": [1.0, 0.5, 1]}}, "thermal.betas.2"),
     ])
     def test_values_that_would_crash_a_stage_rejected(self, raw, key):
         # each of these used to load and then fail inside a stage (or at

@@ -76,15 +76,22 @@ def test_envelope_matches_dense_both_orders(ragged):
 
 
 def test_lehmann_sum_matches_dense(ragged):
+    # F2 has weights (u, u), u = rho^(1/2), and <A(t) A> has (rho, 1)
     spec, _, a = ragged
-    rng = np.random.default_rng(3)
-    left, right = rng.random(spec.dim), rng.random(spec.dim)
+    rho = el.thermal_state(spec, 1.0).weights
     times = np.linspace(0.0, 5.0, 7)
     v = np.exp(1j * np.outer(spec.eigenvalues, times))
-    dense = np.einsum("mt,mn,nt->t", left[:, None] * v, dense_abs2(a),
-                      right[:, None] * v.conj())
-    blocked = el.dynamics._lehmann_sum(a, spec, left, right, times)
-    assert np.abs(blocked - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def dense(left, right):
+        return np.einsum("mt,mn,nt->t", left[:, None] * v, dense_abs2(a),
+                         right[:, None] * v.conj())
+
+    f2, fsym, resp = el.thermal_correlators(a, spec, 1.0, times)
+    mean = rho @ np.diagonal(a.matrix).real
+    c = fsym.values.real + mean**2 + 0.5 * resp.values
+    for blocked, ref in ((f2.values, dense(np.sqrt(rho), np.sqrt(rho))),
+                         (c, dense(rho, np.ones_like(rho)))):
+        assert np.abs(blocked - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_dynamical_fluctuation_matches_dense(ragged):
@@ -148,9 +155,8 @@ def test_pair_consumers_stay_below_half_a_dense_array():
     omegas = np.linspace(-2.0, 2.0, 101)
     calls = {
         "envelope_estimate": lambda: el.envelope_estimate(a, spec, ent),
-        "two_point": lambda: el.two_point(a, spec, 1.0, times),
-        "symmetric_and_response":
-            lambda: el.symmetric_and_response(a, spec, 1.0, times),
+        "thermal_correlators":
+            lambda: el.thermal_correlators(a, spec, 1.0, times),
         "dynamical_fluctuation": lambda: el.dynamical_fluctuation(a, state),
         "spectral_densities":
             lambda: el.spectral_densities(a, spec, 1.0, 0.05, omegas),

@@ -433,19 +433,19 @@ class TestRunner:
                          "sigma_omega": 0.2, "omega_points": 41}})
         run(cfg, stages=("generate",))
 
-        def two_point_must_not_run(*args):
-            raise AssertionError("two_point ran before the OTOC cost guard")
+        def correlators_must_not_run(*args):
+            raise AssertionError("thermal_correlators ran before the OTOC cost guard")
 
         # a cap below d = 256 stands in for an operator above the real cap
         monkeypatch.setattr(el.dynamics, "OTOC_MAX_DIM", 128)
-        monkeypatch.setattr(pipeline, "two_point", two_point_must_not_run)
+        monkeypatch.setattr(pipeline, "thermal_correlators", correlators_must_not_run)
         with pytest.raises(el.CostGuardError) as err:
             run(cfg, stages=("dynamics",))
         assert err.value.estimated_flops == 4 * 256**3 * 3  # real operator
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"]["dynamics"].startswith("error: otoc at dim 256")
         # without OTOC points the cap does not apply
-        monkeypatch.setattr(pipeline, "two_point", el.two_point)
+        monkeypatch.setattr(pipeline, "thermal_correlators", el.thermal_correlators)
         manifest = run(cfg.with_path_value("dynamics.otoc_points", 0),
                        stages=("dynamics",))
         assert manifest["status"]["dynamics"] == "ok"
@@ -462,6 +462,49 @@ class TestRunner:
             "correlator_f2_beta1.csv", "correlator_fsym_beta1.csv",
             "correlator_resp_beta1.csv", "correlator_otoc_beta1.csv",
             "spectral_density_beta1.csv", "dynamics.json"]
+
+    def test_two_betas_write_both_sets_in_config_order(self, tmp_path):
+        out = str(tmp_path / "betas")
+        cfg = small_synth_config(out, dim=200).with_path_value(
+            "thermal.betas", [1.0, 0.5])
+        written = run(cfg)["stages"]["dynamics"]
+        dyn = load_json(os.path.join(out, "dynamics.json"))["per_beta"]
+        bounds = load_json(os.path.join(out, "bounds.json"))["per_beta"]
+        assert [e["beta"] for e in dyn] == [e["beta"] for e in bounds] == [1.0, 0.5]
+        for entry, tag in zip(dyn, ("1", "0.5")):
+            for stem in ("spectral_density", "correlator_f2", "correlator_fsym",
+                         "correlator_resp", "correlator_otoc"):
+                assert f"{stem}_beta{tag}.csv" in written
+            _, cols = read_csv(os.path.join(out, f"correlator_f2_beta{tag}.csv"))
+            assert cols[1][0] == pytest.approx(entry["f2_zero"], rel=1e-15)
+        assert dyn[0]["f2_zero"] != dyn[1]["f2_zero"]
+
+    def test_dynamics_stage_walks_the_pair_table_twice_per_beta(self, tmp_path,
+                                                               monkeypatch):
+        # per beta one walk serves F2, Fsym and Resp and one the spectral
+        # densities; the dynamical fluctuation walks once for all betas
+        out = str(tmp_path / "spy")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out,
+            "model": {"kind": "ising", "n_sites": 8},
+            "thermal": {"betas": [0.5, 1.0]},
+            "dynamics": {"t_max": 2.0, "t_points": 5, "otoc_points": 0,
+                         "sigma_omega": 0.2, "omega_points": 41}})
+        run(cfg, stages=("generate",))
+        counts = dict.fromkeys(("abs2_rows", "is_hermitian"), 0)
+        for name in counts:
+            method = getattr(el.OperatorEigenbasis, name)
+
+            def counted(self, name=name, method=method):
+                counts[name] += 1
+                return method(self)
+
+            monkeypatch.setattr(el.OperatorEigenbasis, name, counted)
+        run(cfg, stages=("dynamics",))
+        assert counts == {"abs2_rows": 5, "is_hermitian": 4}
+        counts.update(abs2_rows=0, is_hermitian=0)
+        run(cfg.with_path_value("dynamics.otoc_points", 3), stages=("dynamics",))
+        assert counts == {"abs2_rows": 5, "is_hermitian": 6}
 
 
 def read_csv_text(path):
