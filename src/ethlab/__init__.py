@@ -24,9 +24,8 @@ from .extract import (BinningSpec, DiagonalProfile, EnvelopeModel,
                       GaussianityStats, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
 from .models import (LocalObservableSpec, SpinChainParams,
-                     build_local_observable, build_mixed_field_ising,
-                     reflection_permutation, restrict_to_reflection_sector,
-                     to_eigenbasis)
+                     build_mixed_field_ising, reflection_permutation,
+                     restrict_to_reflection_sector, to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, MicrocanonicalWindow,
                        OperatorEigenbasis, eigendecompose, entropy_model,
                        mean_level_spacing, microcanonical_window,

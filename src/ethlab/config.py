@@ -5,8 +5,9 @@ one of:
 
 - ``(default, type)`` or ``(default, type, rule)``: a value. ``REQUIRED``
   as the default makes the key mandatory. A float key also takes an int
-  and must be finite (no NaN or Infinity); no number key takes a bool. A
-  rule is a tuple of allowed values or the least allowed integer.
+  and must be finite (no NaN or Infinity), and it loads -0.0 as 0.0; no
+  number key takes a bool. A rule is a tuple of allowed values or the
+  least allowed integer.
 - a nested dict: a block. A missing block takes all of its defaults. A
   block whose ``kind`` maps to sub-schemas (``model``) takes the remaining
   keys of the sub-schema its kind names.
@@ -114,6 +115,7 @@ def _value(path, val, default, kind, rule=None):
             val = float(val)
         except OverflowError:    # an int beyond the float range
             val = math.inf
+        val += 0.0    # -0.0 becomes 0.0, so equal values write equal text
         if not math.isfinite(val):
             raise ValidationError(f"config key {path!r} must be finite, got {val!r}")
     if isinstance(rule, tuple) and val not in rule:

@@ -12,13 +12,17 @@ A uniform chain, open or periodic, commutes with the spatial reflection
 (site i -> N-1-i), so its spectrum is a superposition of two independent
 sectors. The pipeline passes :func:`reflection_permutation` to
 :func:`ethlab.spectral.eigendecompose`, which diagonalizes the two
-reflection blocks and reassembles the full basis, so every eigenstate is an
-exact parity eigenstate, and records each eigenstate's parity in
-``EnergySpectrum.parity``. Level statistics and matrix-element statistics
-should be computed per sector; see :func:`restrict_to_reflection_sector`.
+reflection blocks and keeps their eigenvectors per block, so every
+eigenstate is an exact parity eigenstate, and records each eigenstate's
+parity in ``EnergySpectrum.parity``. Level statistics and matrix-element
+statistics should be computed per sector; see
+:func:`restrict_to_reflection_sector`.
 
 A Pauli word is applied as a signed permutation of the basis states (a bit
-flip mask and a per-state phase), which costs O(d) per vector.
+flip mask and a per-state phase). :func:`to_eigenbasis` applies it to the
+block eigenvectors directly, in at most 3 d^3 / 4 flops (about 3 d^3 / 8
+for Z_0) instead of the 2 d^3 of V^T (P V), and without the d x d basis V
+or its gather P V.
 """
 
 from dataclasses import dataclass
@@ -118,46 +122,34 @@ def _pauli_word_action(spec, n_sites):
     return source, sign, 1j if n_y % 2 else 1
 
 
-def build_local_observable(spec, n_sites):
-    """Dense Pauli word on ``n_sites`` qubits (real when the word is real).
-
-    The matrix is filled from the word's signed-permutation form, one
-    nonzero per row.
-    """
-    source, sign, factor = _pauli_word_action(spec, n_sites)
-    op = np.zeros((source.size, source.size), dtype=float if factor == 1 else complex)
-    op[np.arange(source.size), source] = factor * sign
-    return op
-
-
 def to_eigenbasis(op, spectrum):
     """Transform a site-basis operator to A_mn = V^dag op V.
 
     ``op`` is a dense matrix or a :class:`LocalObservableSpec` on
-    log2(dim) qubits. A Pauli word P acts on V as a row gather times signs,
-    so V^dag (P V) is one matrix product and no d x d operator is built.
+    log2(dim) qubits. A Pauli word is a signed permutation, applied block by
+    block to the spectrum's eigenvectors (:meth:`ethlab.spectral.
+    BlockEigenvectors.signed_permutation_elements`), so neither a d x d
+    operator nor a d x d eigenvector matrix is built; it needs a spectrum
+    with eigenvectors. A dense ``op`` reads the d x d ``spectrum.basis``.
     """
     if isinstance(op, LocalObservableSpec):
         n_sites = spectrum.dim.bit_length() - 1
         if spectrum.dim != 1 << n_sites:
             raise ValidationError(
                 f"a Pauli word needs a power-of-two dimension, got {spectrum.dim}")
-        if spectrum.basis is None:
-            return OperatorEigenbasis(matrix=build_local_observable(op, n_sites))
+        if spectrum.eigenvectors is None:
+            raise ValidationError("a Pauli word needs a spectrum with eigenvectors")
         source, sign, factor = _pauli_word_action(op, n_sites)
-        v = spectrum.basis
-        pv = v[source]
-        pv *= sign[:, None]
-        a = v.conj().T @ pv
-        return OperatorEigenbasis(matrix=a if factor == 1 else factor * a)
+        a = spectrum.eigenvectors.signed_permutation_elements(source, sign, factor)
+        return OperatorEigenbasis(matrix=a)
     op = np.asarray(op)
     if op.shape != (spectrum.dim, spectrum.dim):
         raise ValidationError(
             f"operator shape {op.shape} does not match spectrum dim {spectrum.dim}"
         )
-    if spectrum.basis is None:
-        return OperatorEigenbasis(matrix=op.copy())
     v = spectrum.basis
+    if v is None:
+        return OperatorEigenbasis(matrix=op.copy())
     return OperatorEigenbasis(matrix=v.conj().T @ op @ v)
 
 
@@ -189,6 +181,6 @@ def restrict_to_reflection_sector(spectrum, a, parity=1):
     sel = np.flatnonzero(spectrum.parity == parity)
     if sel.size == 0:
         raise ValidationError("no eigenstates with the requested parity")
-    sub_spec = EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel], basis=None)
+    sub_spec = EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel])
     sub_op = OperatorEigenbasis(matrix=a.matrix[np.ix_(sel, sel)].copy())
     return sub_spec, sub_op

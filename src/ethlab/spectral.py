@@ -6,12 +6,14 @@ eigenvector matrix, and a smooth entropy model S(E) built by Gaussian-kernel
 smoothing of the level density (the level count per unit energy), with
 beta(E) = S'(E) obtained by centered finite differences.
 
-Eigenbases are dense; dimensions are capped at 2**13 because every formula
-in the package needs the full eigenbasis, but |A_mn|^2 is only formed
+Eigendecompositions are dense; dimensions are capped at 2**13 because every
+formula in the package needs the full spectrum, but |A_mn|^2 is only formed
 PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). A Hamiltonian
 that commutes with an involutive index permutation r (the reflection of a
-uniform Ising chain) is diagonalized in its two r-parity blocks, which are
-reassembled into the full basis, so its columns are exact parity eigenstates.
+uniform Ising chain) is diagonalized in its two r-parity blocks, whose
+eigenvectors are kept as the two block matrices (BlockEigenvectors, about
+d^2/2 numbers), so every eigenvector is an exact parity eigenstate and no
+d x d basis exists unless EnergySpectrum.basis is read.
 """
 
 from dataclasses import dataclass
@@ -41,6 +43,18 @@ def _hermitian_deviation(m):
     return np.sqrt(total)
 
 
+def _hermitize(m):
+    """Replace the square m by (m + m^H) / 2 in place, over 64 x 64 tiles,
+    so that the result is exactly Hermitian."""
+    d, tile = m.shape[0], 64
+    for i in range(0, d, tile):
+        for j in range(i, d, tile):
+            x = m[i:i + tile, j:j + tile] + m[j:j + tile, i:i + tile].conj().T
+            x *= 0.5
+            m[i:i + tile, j:j + tile] = x
+            m[j:j + tile, i:i + tile] = x.conj().T
+
+
 def require_hermitian(h, name="matrix"):
     """Validate that ``h`` is square and Hermitian within ``HERMITICITY_RTOL``."""
     h = np.asarray(h)
@@ -56,18 +70,117 @@ def require_hermitian(h, name="matrix"):
 
 
 @dataclass(frozen=True)
-class EnergySpectrum:
-    """Sorted eigenvalues and eigenbasis of a Hermitian matrix.
+class BlockEigenvectors:
+    """Eigenvectors of a Hamiltonian h, kept as the blocks that ``eigh`` returns.
 
-    ``basis`` holds column eigenvectors; ``None`` means the identity basis,
-    used by synthetic spectra that are generated directly in their own
-    eigenbasis (this avoids materializing large identity matrices).
-    ``parity`` holds +-1 per eigenvalue, the symmetry block each eigenvector
-    came from in :func:`eigendecompose`, or ``None`` when it is unknown.
+    ``symmetry`` is an involutive index permutation r that commutes with h.
+    Block 0 (even) is the eigenvector matrix over the representatives
+    s <= r(s), block 1 (odd, absent for the identity r) the one over s < r(s),
+    and ``columns[k]`` are the sorted positions of block k's eigenvalues.
+    Column j of block k is the basis vector with V[s] = c_s u_k[i, j] and
+    V[r(s)] = +-c_s u_k[i, j] (+ even, - odd) for the i-th representative s,
+    where c = 1 on a fixed point s = r(s) and 1/sqrt(2) on a pair. The
+    identity r with one block is the plain ``eigh`` basis.
+    """
+
+    symmetry: np.ndarray
+    vectors: tuple
+    columns: tuple
+
+    @property
+    def dim(self):
+        return self.symmetry.size
+
+    def _layout(self, k):
+        """Block k's representatives, and per basis state x the row of u_k
+        that carries it (-1 for none) and its coefficient:
+        V[x, columns[k]] = coef[x] * u_k[row[x]]."""
+        r = self.symmetry
+        states = np.arange(r.size)
+        reps = states[states <= r] if k == 0 else states[states < r]
+        row = np.full(r.size, -1)
+        row[reps] = np.arange(reps.size)
+        row = row[np.minimum(states, r)]
+        amp = np.where(r == states, 1.0, np.sqrt(0.5))
+        coef = np.where(row < 0, 0.0, np.where(states <= r, amp, -amp if k else amp))
+        return reps, row, coef
+
+    def dense(self):
+        """The d x d eigenvector matrix V, scattered from the blocks on each call."""
+        v = np.zeros((self.dim, self.dim), dtype=np.result_type(*self.vectors))
+        for k, (u, cols) in enumerate(zip(self.vectors, self.columns)):
+            _, row, coef = self._layout(k)
+            on = np.flatnonzero(row >= 0)
+            v[np.ix_(on, cols)] = coef[on, None] * u[row[on]]
+        return v
+
+    def signed_permutation_elements(self, source, sign, factor):
+        """V^H S V for the Hermitian signed permutation S with
+        (S v)[x] = factor * sign[x] * v[source[x]].
+
+        Row i of u_k carries the states s and r(s) of its representative, so
+        the rows of V^H S V in block k are u_k^H Z with Z[i] = b_i (W[s] +-
+        W[r(s)]), W = S V and b = 1/sqrt(2) on a pair (1/2 on a fixed point,
+        whose two terms coincide). Within the columns of block k', each row of
+        W is sign[x] coef[source[x]] times one row of u_k', so Z[i] is a
+        signed gather of at most two rows of u_k', folded into one when both
+        are the same row. Rows whose weights vanish drop out of the product,
+        and a pair of blocks with none left stays exactly 0. S is Hermitian,
+        as every Pauli word is, so only the blocks k <= k' are multiplied: the
+        others are their conjugate transposes, and a diagonal block is
+        averaged with its own, which makes the result exactly Hermitian. That
+        costs at most 3 d^3 / 4 flops (2 d^3 for one block), and about 3 d^3 / 8
+        for a word that maps each pair {s, r(s)} to itself with half its
+        weights cancelling, such as Z_0. No d x d V is formed.
+        """
+        r = self.symmetry
+        layouts = [self._layout(k) for k in range(len(self.vectors))]
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(factor, *self.vectors))
+        for k, (u, cols) in enumerate(zip(self.vectors, self.columns)):
+            reps = layouts[k][0]
+            b = np.where(r[reps] == reps, 0.5, np.sqrt(0.5))
+            s0, s1 = source[reps], source[r[reps]]
+            for k2 in range(k, len(self.vectors)):
+                u2, cols2 = self.vectors[k2], self.columns[k2]
+                _, row2, coef2 = layouts[k2]
+                j0, j1 = row2[s0], row2[s1]
+                w0 = b * sign[reps] * coef2[s0]
+                w1 = (-b if k else b) * sign[r[reps]] * coef2[s1]
+                fold = j0 == j1
+                w0[fold] += w1[fold]
+                w1[fold] = 0.0
+                keep = np.flatnonzero((w0 != 0) | (w1 != 0))
+                if keep.size == 0:
+                    continue
+                j0, j1, w0, w1 = j0[keep], j1[keep], w0[keep], w1[keep]
+                z = u2[j0]
+                z *= w0[:, None]
+                if w1.any():
+                    z += w1[:, None] * u2[j1]
+                block = u[keep].conj().T @ z
+                if factor != 1:
+                    block = factor * block
+                if k == k2:
+                    _hermitize(block)
+                else:
+                    out[np.ix_(cols2, cols)] = block.T.conj().copy()
+                out[np.ix_(cols, cols2)] = block
+        return out
+
+
+@dataclass(frozen=True)
+class EnergySpectrum:
+    """Sorted eigenvalues and eigenvectors of a Hermitian matrix.
+
+    ``eigenvectors`` holds them per symmetry block (:class:`BlockEigenvectors`);
+    ``None`` means the identity basis, used by synthetic spectra that are
+    generated directly in their own eigenbasis. ``parity`` holds +-1 per
+    eigenvalue, the symmetry block each eigenvector came from in
+    :func:`eigendecompose`, or ``None`` when it is unknown.
     """
 
     eigenvalues: np.ndarray
-    basis: np.ndarray | None = None
+    eigenvectors: BlockEigenvectors | None = None
     parity: np.ndarray | None = None
 
     def __post_init__(self):
@@ -77,11 +190,8 @@ class EnergySpectrum:
         if np.any(np.diff(e) < 0):
             raise ValidationError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", e)
-        if self.basis is not None:
-            b = np.asarray(self.basis)
-            if b.shape != (e.size, e.size):
-                raise ValidationError("basis shape does not match eigenvalue count")
-            object.__setattr__(self, "basis", b)
+        if self.eigenvectors is not None and self.eigenvectors.dim != e.size:
+            raise ValidationError("eigenvector count does not match eigenvalue count")
         if self.parity is not None:
             p = np.asarray(self.parity)
             if p.shape != e.shape or not np.all((p == 1) | (p == -1)):
@@ -95,6 +205,12 @@ class EnergySpectrum:
     @property
     def bandwidth(self):
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
+
+    @property
+    def basis(self):
+        """The d x d column eigenvector matrix, formed on each read (``None``
+        for the identity basis)."""
+        return None if self.eigenvectors is None else self.eigenvectors.dense()
 
 
 def _eigh(h):
@@ -128,52 +244,46 @@ def _require_commuting_involution(h, r):
 
 
 def _eigh_parity_blocks(h, r):
-    """Eigenpairs and +-1 parities of ``h`` from its even and odd blocks under r.
+    """Eigenvalues, :class:`BlockEigenvectors` and +-1 parities of ``h`` from
+    its even and odd blocks under r.
 
     The parity-adapted basis is |s> for the fixed points s = r(s) (even only)
     and (|s> +- |r(s)>)/sqrt(2) for the pairs s < r(s). With A = h[s, s'] and
     B = h[s, r(s')] over the representatives s <= r(s), the even block is
     c_s c_s' (A + B), where c = 1 on pairs and 1/sqrt(2) on fixed points, and
-    the odd block is A - B over the pairs. Both are index gathers and the
-    block eigenvectors are scattered back the same way, so no transform
-    matrix and no d^3 product is formed.
+    the odd block is A - B over the pairs. Both are index gathers, so no
+    transform matrix and no d^3 product is formed, and the block eigenvectors
+    are kept as they are.
     """
     d = h.shape[0]
     states = np.arange(d)
     reps = states[states <= r]
     pair = r[reps] != reps
-    a = h[np.ix_(reps, reps)]
-    b = h[np.ix_(reps, r[reps])]
     c = np.where(pair, 1.0, np.sqrt(0.5))
-    even = a + b
+    even = h[np.ix_(reps, reps)]
+    even += h[np.ix_(reps, r[reps])]
     even *= c
     even *= c[:, None]
-    a -= b
-    del b
     e_even, u_even = _eigh(even)
     del even
-    e_odd, u_odd = _eigh(a[np.ix_(pair, pair)])
-    del a
+    # the odd block is gathered only now, so one block is alive at a time
+    odd = h[np.ix_(reps[pair], reps[pair])]
+    odd -= h[np.ix_(reps[pair], r[reps[pair]])]
+    e_odd, u_odd = _eigh(odd)
+    del odd
     eigenvalues = np.concatenate([e_even, e_odd])
     order = np.argsort(eigenvalues, kind="stable")
     column = np.empty(d, dtype=np.intp)
     column[order] = states
-    even_cols, odd_cols = column[:e_even.size], column[e_even.size:]
-    basis = np.zeros((d, d), dtype=np.result_type(u_even, u_odd))
-    # a fixed point carries the even amplitude itself, a pair member 1/sqrt(2) of it
-    u_even *= np.where(pair, np.sqrt(0.5), 1.0)[:, None]
-    basis[np.ix_(reps, even_cols)] = u_even
-    basis[np.ix_(r[reps], even_cols)] = u_even
-    u_odd *= np.sqrt(0.5)
-    basis[np.ix_(reps[pair], odd_cols)] = u_odd
-    basis[np.ix_(r[reps[pair]], odd_cols)] = -u_odd
-    return eigenvalues[order], basis, np.where(order < e_even.size, 1, -1)
+    vectors = BlockEigenvectors(symmetry=r, vectors=(u_even, u_odd),
+                                columns=(column[:e_even.size], column[e_even.size:]))
+    return eigenvalues[order], vectors, np.where(order < e_even.size, 1, -1)
 
 
 def eigendecompose(h, symmetry=None):
     """Diagonalize a Hermitian matrix into an :class:`EnergySpectrum`.
 
-    Real-symmetric input takes the real LAPACK path, so the returned basis is
+    Real-symmetric input takes the real LAPACK path, so the eigenvectors are
     real in that case. Eigenvalues come back sorted ascending; within
     degenerate subspaces the basis is an arbitrary orthonormal choice.
 
@@ -182,12 +292,14 @@ def eigendecompose(h, symmetry=None):
     a uniform Ising chain. The even and odd blocks of the parity-adapted
     basis (|s> +- |r(s)>)/sqrt(2) are then diagonalized separately, at about
     a quarter of the cost of one full ``eigh``, and their eigenvectors are
-    scattered back into the full d x d basis, so every column is an exact
+    kept per block (:class:`BlockEigenvectors`), so no d x d basis is formed
+    unless ``EnergySpectrum.basis`` is read. Every basis vector is an exact
     parity eigenstate, and ``parity`` records which block (+1 even, -1 odd)
-    each column came from. The eigenvalues of the two blocks are merged by a
+    each came from. The eigenvalues of the two blocks are merged by a
     stable sort (even before odd on ties). A permutation that is not an
     involution, or that does not commute with ``h`` to relative Frobenius
-    tolerance ``HERMITICITY_RTOL``, raises :class:`ValidationError`.
+    tolerance ``HERMITICITY_RTOL``, raises :class:`ValidationError`. Without
+    ``symmetry`` the eigenvectors are the one block of the identity r.
     """
     h = require_hermitian(h, name="hamiltonian")
     if h.shape[0] > MAX_DENSE_DIM:
@@ -197,12 +309,14 @@ def eigendecompose(h, symmetry=None):
     if np.iscomplexobj(h) and np.abs(h.imag).max(initial=0.0) == 0.0:
         h = h.real
     if symmetry is None:
-        eigenvalues, basis = _eigh(h)
+        eigenvalues, u = _eigh(h)
+        states = np.arange(h.shape[0])
+        vectors = BlockEigenvectors(symmetry=states, vectors=(u,), columns=(states,))
         parity = None
     else:
-        eigenvalues, basis, parity = _eigh_parity_blocks(
+        eigenvalues, vectors, parity = _eigh_parity_blocks(
             h, _require_commuting_involution(h, symmetry))
-    return EnergySpectrum(eigenvalues=eigenvalues, basis=basis, parity=parity)
+    return EnergySpectrum(eigenvalues=eigenvalues, eigenvectors=vectors, parity=parity)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def synth_spectrum(params):
     else:
         e = (rng.beta(1.5, 1.5, size=d) - 0.5) * w
     e.sort()
-    return EnergySpectrum(eigenvalues=e, basis=None)
+    return EnergySpectrum(eigenvalues=e)
 
 
 @dataclass(frozen=True)

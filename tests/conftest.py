@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ethlab as el
+from pauli_reference import build_local_observable
 
 
 def _ising_chain(n_sites):
@@ -10,7 +11,7 @@ def _ising_chain(n_sites):
     spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
     z0 = el.LocalObservableSpec(sites=(0,), paulis="Z")
     a = el.to_eigenbasis(z0, spec)
-    return {"h": h, "spec": spec, "z0": el.build_local_observable(z0, n_sites),
+    return {"h": h, "spec": spec, "z0": build_local_observable(z0, n_sites),
             "a": a}
 
 

@@ -16,6 +16,7 @@ import ethlab as el
 from ethlab.cli import main as cli_main
 from ethlab.config import demo_config
 from ethlab.io import load_json
+from pauli_reference import build_local_observable
 
 
 def verdict(num, ok, detail):
@@ -112,7 +113,7 @@ def test_criterion_03_kl_oracle_equivalence():
     code = el.CodeSpec(members=(250, 251), k=1, d=1)
     ident = el.kl_residuals(el.OperatorEigenbasis(matrix=np.eye(512)),
                             spec, code)
-    word = el.build_local_observable(
+    word = build_local_observable(
         el.LocalObservableSpec(sites=(3, 4), paulis="XY"), 9)
     pauli = el.kl_residuals(el.OperatorEigenbasis(matrix=word), spec, code)
     exact = ident.eps_max == 0.0 and pauli.eps_max == 0.0
@@ -216,7 +217,7 @@ def test_criterion_07_two_path_equivalence(ising8):
     # exact unit OTOC for a Pauli word at infinite temperature, t = 0
     spec_id = el.synth_spectrum(el.SynthSpectrumParams(
         dim=256, dos_shape="flat", bandwidth=4.0, seed=1))
-    word = el.build_local_observable(
+    word = build_local_observable(
         el.LocalObservableSpec(sites=(0,), paulis="Z"), 8)
     v0 = el.otoc(el.OperatorEigenbasis(matrix=word), spec_id, 0.0,
                  np.array([0.0])).values[0]

@@ -7,6 +7,7 @@ from scipy.stats import spearmanr
 
 import ethlab as el
 from ethlab.io import dump_json, load_json
+from pauli_reference import build_local_observable
 
 
 def brute_force_residuals(a_matrix, members, c_a):
@@ -72,7 +73,7 @@ class TestKlResiduals:
     def test_pauli_word_exact_zero(self, synth512):
         # identity-basis spectrum, so the word is its own eigenbasis matrix
         spec, _, _ = synth512
-        word = el.build_local_observable(
+        word = build_local_observable(
             el.LocalObservableSpec(sites=(2, 3), paulis="XZ"), 9)
         code = el.CodeSpec(members=(100, 200), k=1, d=2)
         rep = el.kl_residuals(el.OperatorEigenbasis(matrix=word), spec, code)

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ethlab as el
+from pauli_reference import build_local_observable
 
 
 def static_fluctuation_variance_form(a, n):
@@ -217,7 +218,7 @@ class TestOtoc:
     def test_pauli_word_infinite_temperature_t0_exact(self):
         spec = el.synth_spectrum(el.SynthSpectrumParams(
             dim=256, dos_shape="flat", bandwidth=4.0, seed=1))
-        word = el.build_local_observable(
+        word = build_local_observable(
             el.LocalObservableSpec(sites=(0,), paulis="Z"), 8)
         oto = el.otoc(el.OperatorEigenbasis(matrix=word), spec, 0.0,
                       np.array([0.0]))

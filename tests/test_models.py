@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ethlab as el
+from pauli_reference import build_local_observable
 
 PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
          "Y": np.array([[0, -1j], [1j, 0]]),
@@ -59,26 +60,26 @@ class TestBuildIsing:
 
 class TestLocalObservable:
     def test_z_site0(self):
-        op = el.build_local_observable(
+        op = build_local_observable(
             el.LocalObservableSpec(sites=(0,), paulis="Z"), 2)
         assert np.allclose(op, np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_x_site1_swaps_low_bit(self):
-        op = el.build_local_observable(
+        op = build_local_observable(
             el.LocalObservableSpec(sites=(1,), paulis="X"), 2)
         perm = np.zeros((4, 4))
         perm[[1, 0, 3, 2], [0, 1, 2, 3]] = 1.0
         assert np.allclose(op, perm)
 
     def test_zz_word_norm_and_trace(self):
-        op = el.build_local_observable(
+        op = build_local_observable(
             el.LocalObservableSpec(sites=(0, 1), paulis="ZZ"), 10)
         assert np.trace(op) == 0.0
         assert np.linalg.norm(op, 2) == pytest.approx(1.0)
 
     def test_out_of_range_site(self):
         with pytest.raises(el.ValidationError):
-            el.build_local_observable(
+            build_local_observable(
                 el.LocalObservableSpec(sites=(5,), paulis="X"), 4)
 
     @settings(max_examples=25, deadline=None)
@@ -87,7 +88,7 @@ class TestLocalObservable:
     def test_pauli_words_square_to_identity(self, letters, start):
         n = 6
         sites = tuple(range(start, start + len(letters)))
-        op = el.build_local_observable(
+        op = build_local_observable(
             el.LocalObservableSpec(sites=sites, paulis="".join(letters)), n)
         assert np.allclose(op @ op, np.eye(2**n))
         assert abs(np.trace(op)) < 1e-12
@@ -98,7 +99,7 @@ class TestLocalObservable:
     def test_matches_kron_product(self, letters, order):
         spec = el.LocalObservableSpec(sites=tuple(order[:len(letters)]),
                                       paulis="".join(letters))
-        op = el.build_local_observable(spec, 5)
+        op = build_local_observable(spec, 5)
         want = kron_word(spec, 5)
         assert np.array_equal(op, want)
         assert np.iscomplexobj(op) == (spec.paulis.count("Y") % 2 == 1)
@@ -135,18 +136,52 @@ class TestToEigenbasis:
     def test_pauli_word_matches_dense(self, ising8, sites, paulis):
         spec = ising8["spec"]
         word = el.LocalObservableSpec(sites=sites, paulis=paulis)
-        dense = el.build_local_observable(word, 8)
+        dense = build_local_observable(word, 8)
         v = spec.basis
         want = v.T @ dense @ v
         got = el.to_eigenbasis(word, spec).matrix
         assert got.dtype == want.dtype
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_pauli_word_identity_basis(self):
+    def test_pauli_word_needs_eigenvectors(self):
         spec = el.EnergySpectrum(np.arange(16.0))
-        word = el.LocalObservableSpec(sites=(1, 3), paulis="YX")
-        a = el.to_eigenbasis(word, spec)
-        assert np.array_equal(a.matrix, el.build_local_observable(word, 4))
+        with pytest.raises(el.ValidationError):
+            el.to_eigenbasis(el.LocalObservableSpec(sites=(1, 3), paulis="YX"), spec)
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n_sites", [6, 7, 8, 9])
+    def test_blocked_transform_matches_dense(self, n_sites, boundary, blocked):
+        # the dense reference is V^H P V with P from Kronecker products;
+        # XYZ and YYY carry an odd number of Ys, so their A is imaginary;
+        # every word is Hermitian, and so is its A, exactly
+        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites,
+                                                          boundary=boundary))
+        spec = el.eigendecompose(
+            h, symmetry=el.reflection_permutation(n_sites) if blocked else None)
+        v = spec.basis
+        last = n_sites - 1
+        for sites, paulis in [((0,), "X"), ((1,), "Y"), ((0,), "Z"),
+                              ((0, 2, last), "XYZ"), ((1, last - 1), "YY"),
+                              ((0, 1, last), "YYY")]:
+            word = el.LocalObservableSpec(sites=sites, paulis=paulis)
+            want = v.conj().T @ kron_word(word, n_sites) @ v
+            got = el.to_eigenbasis(word, spec).matrix
+            assert np.iscomplexobj(got) == (paulis.count("Y") % 2 == 1)
+            assert np.abs(got - want).max() <= 1e-12, (sites, paulis)
+            assert np.array_equal(got, got.conj().T), (sites, paulis)
+
+    @pytest.mark.parametrize("n_sites", [8, 9])
+    def test_reflection_even_word_has_exactly_zero_cross_blocks(self, n_sites):
+        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites))
+        spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+        word = el.LocalObservableSpec(sites=(0, n_sites - 1), paulis="ZZ")
+        a = el.to_eigenbasis(word, spec).matrix
+        even, odd = spec.parity == 1, spec.parity == -1
+        assert np.all(a[np.ix_(even, odd)] == 0.0)
+        assert np.all(a[np.ix_(odd, even)] == 0.0)
+        assert np.abs(a[np.ix_(even, even)]).max() > 0.1
+        assert np.abs(a[np.ix_(odd, odd)]).max() > 0.1
 
     def test_pauli_word_needs_qubit_dimension(self):
         spec = el.EnergySpectrum(np.arange(12.0))

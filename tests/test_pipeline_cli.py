@@ -479,6 +479,35 @@ class TestRunner:
             assert cols[1][0] == pytest.approx(entry["f2_zero"], rel=1e-15)
         assert dyn[0]["f2_zero"] != dyn[1]["f2_zero"]
 
+    def test_negative_zero_beta_is_zero(self, tmp_path):
+        # -0.0 once wrote *_beta-0.csv and hashed apart from 0.0
+        raw = {"seed": 1, "model": {"kind": "synthetic", "dim": 64},
+               "dynamics": {"t_max": 2.0, "t_points": 5, "otoc_points": 2,
+                            "sigma_omega": 0.2, "omega_points": 41}}
+        neg, pos = (RunConfig.from_dict(dict(raw, thermal={"betas": [beta]}))
+                    for beta in (-0.0, 0.0))
+        assert neg.canonical_json() == pos.canonical_json()
+        assert neg.config_hash() == pos.config_hash()
+        stages = ("generate", "dynamics")
+        m_neg = run(neg, str(tmp_path / "neg"), stages=stages)
+        m_pos = run(pos, str(tmp_path / "pos"), stages=stages)
+        assert m_neg["fingerprints"] == m_pos["fingerprints"]
+        assert m_neg["files"] == m_pos["files"]
+        assert "correlator_f2_beta0.csv" in m_neg["files"]
+
+    def test_generate_never_forms_the_eigenvector_matrix(self, tmp_path, monkeypatch):
+        def must_not_run(self):
+            raise AssertionError("the d x d eigenvector matrix was formed")
+
+        monkeypatch.setattr(el.spectral.BlockEigenvectors, "dense", must_not_run)
+        out = str(tmp_path / "blocks")
+        cfg = RunConfig.from_dict({"seed": 1, "out_dir": out,
+                                   "model": {"kind": "ising", "n_sites": 8}})
+        manifest = run(cfg, stages=("generate",))
+        assert manifest["status"] == {"generate": "ok"}
+        with pytest.raises(AssertionError):
+            el.eigendecompose(np.eye(4)).basis
+
     def test_dynamics_stage_walks_the_pair_table_twice_per_beta(self, tmp_path,
                                                                monkeypatch):
         # per beta one walk serves F2, Fsym and Resp and one the spectral

@@ -90,6 +90,37 @@ class TestParityBlocks:
         d = 1 << n_sites
         assert (spec.parity == 1).sum() == (d + (1 << ((n_sites + 1) // 2))) // 2
 
+    @pytest.mark.parametrize("n_sites,boundary",
+                             [(7, "open"), (8, "open"), (9, "periodic")])
+    def test_basis_equals_the_scattered_blocks(self, n_sites, boundary):
+        # reference: the block eigenvectors scattered into the d x d basis,
+        # each pair member carrying 1/sqrt(2) of its amplitude
+        h = el.build_mixed_field_ising(
+            el.SpinChainParams(n_sites=n_sites, boundary=boundary))
+        r = el.reflection_permutation(n_sites)
+        spec = el.eigendecompose(h, symmetry=r)
+        states = np.arange(h.shape[0])
+        reps = states[states <= r]
+        pair = r[reps] != reps
+        c = np.where(pair, 1.0, np.sqrt(0.5))
+        even = (h[np.ix_(reps, reps)] + h[np.ix_(reps, r[reps])]) * c * c[:, None]
+        odd = (h[np.ix_(reps, reps)] - h[np.ix_(reps, r[reps])])[np.ix_(pair, pair)]
+        e_even, u_even = np.linalg.eigh(even)
+        e_odd, u_odd = np.linalg.eigh(odd)
+        order = np.argsort(np.concatenate([e_even, e_odd]), kind="stable")
+        column = np.empty_like(order)
+        column[order] = states
+        even_cols, odd_cols = column[:e_even.size], column[e_even.size:]
+        want = np.zeros_like(h)
+        u_even *= np.where(pair, np.sqrt(0.5), 1.0)[:, None]
+        want[np.ix_(reps, even_cols)] = u_even
+        want[np.ix_(r[reps], even_cols)] = u_even
+        u_odd *= np.sqrt(0.5)
+        want[np.ix_(reps[pair], odd_cols)] = u_odd
+        want[np.ix_(r[reps[pair]], odd_cols)] = -u_odd
+        assert spec.basis.tobytes() == want.tobytes()
+        assert el.eigendecompose(h).basis.tobytes() == np.linalg.eigh(h)[1].tobytes()
+
     @pytest.mark.parametrize("parity", [[1, 0, -1], [1, -1], [0.5, 1, 1]])
     def test_rejects_bad_parity(self, parity):
         with pytest.raises(el.ValidationError):
@@ -109,7 +140,7 @@ class TestParityBlocks:
 class TestEntropyModel:
     def test_flat_spectrum_level_count(self):
         e = np.linspace(0.0, 1.0, 1000)
-        spec = el.EnergySpectrum(eigenvalues=e, basis=None)
+        spec = el.EnergySpectrum(eigenvalues=e)
         ent = el.entropy_model(spec, sigma_s=0.05)
         assert abs(ent.entropy_at(0.5) - np.log(1000)) <= 0.1
 
