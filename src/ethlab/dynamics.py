@@ -18,12 +18,20 @@ Foto is one d x d product per time point. By cyclicity of the trace,
     u_m = rho_m^(1/4) exp(i E_m t),
 
 with no inverse of rho, so weights that underflow to zero are harmless. For
-a real A, G is A times the complex diag(conj(u)) A: one real product of A
-with that matrix's float view (a real GEMM, 4 d^3 flops per time point).
-Such a G is symmetric, so Foto = u^T (G o G) u with o the entrywise
-product; the real path treats A as exactly symmetric. A complex A takes one
-complex product (8 d^3 flops) and the trace of (G U)^2 as it stands. These
-are the per-point costs :func:`check_otoc_cost` states.
+a real A, G is A times the complex diag(conj(u)) A, and it is symmetric, so
+
+    Foto = u^T (G o G) u
+         = sum_I u_I^T (G_II o G_II) u_I + 2 sum_{I<J} u_I^T (G_IJ o G_IJ) u_J
+
+over row blocks I of OTOC_BLOCK_ROWS = b rows (o is the entrywise product;
+the real path treats A as exactly symmetric). Only the upper block triangle
+of G is formed: block I starting at row s is A[s:s+b] times the float view
+of the columns s: of diag(conj(u)) A, one real GEMM of 4 b d (d - s) flops.
+Summed over the blocks that is 2 d^3 (1 + b/d) flops per time point when b
+divides d, against 4 d^3 for the whole of G, in one d x d and one b x d
+complex buffer. A complex A takes one complex product (8 d^3 flops) into a
+second d x d buffer and the trace of (G U)^2 as it stands. These are the
+per-point costs :func:`check_otoc_cost` states.
 
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
 sum with weights (left, right) = (u, u), u = rho^(1/2), and (rho, 1):
@@ -81,6 +89,7 @@ from .errors import (CostGuardError, DivergentIntegralError, FitRejectedError,
 from .spectral import mean_level_spacing
 
 OTOC_MAX_DIM = 1 << 12
+OTOC_BLOCK_ROWS = 256      # b: rows of G per real GEMM in the real-operator OTOC
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
 BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
@@ -182,19 +191,35 @@ def thermal_correlators(a, spectrum, beta, times):
     return replace(f2, values=f2.real_values()), fsym, resp
 
 
+def _otoc_block_rows(d, real):
+    """Rows of G per GEMM in :func:`otoc`: b = OTOC_BLOCK_ROWS over the upper
+    block triangle of a real operator's symmetric G, all d of a complex one's."""
+    return min(OTOC_BLOCK_ROWS, d) if real else d
+
+
 def check_otoc_cost(a, n_times):
     """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_MAX_DIM.
 
     The CostGuardError carries the flops of the path :func:`otoc` would
-    take: 4 d^3 per time point for a real operator, 8 d^3 for a complex one.
+    take (module docstring): per time point the exact upper-block-triangle
+    sum, about 2 d^3 (1 + b/d), for a real operator and 8 d^3 for a complex
+    one. Its message also states the buffer memory of the path.
     """
     d = a.dim
     if d > OTOC_MAX_DIM:
-        kind, per_point = ("real", 4) if np.isrealobj(a.matrix) else ("complex", 8)
-        flops = float(per_point * d**3 * n_times)
+        real = np.isrealobj(a.matrix)
+        rows = _otoc_block_rows(d, real)
+        # 4 flops per multiply-add of a real GEMM on float views, 8 of a
+        # complex one; the block at row s multiplies with the columns s: only
+        terms = sum(min(rows, d - s) * d * (d - s) for s in range(0, d, rows))
+        flops = float((4 if real else 8) * terms * n_times)
+        path = (f"real operator: about 2 d^3 (1 + b/d) each over the upper "
+                f"block triangle of G, b = {rows}" if real
+                else "complex operator: 8 d^3 each")
         raise CostGuardError(
             f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; estimated {flops:.2e} "
-            f"flops for {n_times} time points ({per_point} d^3 each, {kind} operator)",
+            f"flops for {n_times} time points ({path}; buffers "
+            f"{(d + rows) * d * 16 / 2**30:.2f} GiB)",
             estimated_flops=flops,
         )
 
@@ -214,35 +239,45 @@ def otoc(a, spectrum, beta, times):
 
     One loop serves both dtypes, in the module docstring's Tr[(G U)^2]
     form: per time point it writes diag(conj(u)) A into one reused d x d
-    buffer and multiplies A by it into a second, with one real GEMM on the
-    buffer's float view for a real A and one complex GEMM for a complex A.
-    Dimensions above OTOC_MAX_DIM are refused by :func:`check_otoc_cost`
-    instead of silently grinding.
+    buffer. A real A then forms only the upper block triangle of the
+    symmetric G, one row block of b = OTOC_BLOCK_ROWS rows at a time, each a
+    real GEMM on the buffer's float view into one reused b x d buffer: the
+    diagonal block counts once and the blocks right of it twice. A complex
+    A takes one complex GEMM into a second d x d buffer. Dimensions above
+    OTOC_MAX_DIM are refused by :func:`check_otoc_cost` instead of silently
+    grinding.
 
     States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
     are dropped by :func:`_gibbs_factor`. Foto is linear in each of its
     four rho^(1/4) factors, and Hoelder's inequality with ||rho^(1/4)||_4 = 1
     bounds the dropped contribution by
-    4 b (1 + b)^3 ||A||^4, with ||A|| the spectral norm and
-    b = (sum of the dropped rho_k)^(1/4) < d^(1/4) tiny^(1/2) ~ 1.5e-154 d^(1/4).
+    4 r (1 + r)^3 ||A||^4, with ||A|| the spectral norm and
+    r = (sum of the dropped rho_k)^(1/4) < d^(1/4) tiny^(1/2) ~ 1.5e-154 d^(1/4).
     """
     _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
     real = np.isrealobj(a.matrix)
+    d = a.dim
+    rows = _otoc_block_rows(d, real)
     q = _gibbs_factor(thermal_state(spectrum, beta))
     phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
     m = np.empty(a.matrix.shape, dtype=complex)
-    g = np.empty_like(m)
-    vals = np.empty(times.size, dtype=complex)
+    g = np.empty((rows, d), dtype=complex)
+    vals = np.zeros(times.size, dtype=complex)
     for i, v in enumerate(phases):
         u = q * v
         np.multiply(u.conj()[:, None], a.matrix, out=m)
         if real:
-            # G = A m: the real A times the (d, 2d) float view of m
-            np.matmul(a.matrix, m.view(float), out=g.view(float))
-            g *= g
-            vals[i] = u @ (g @ u)             # sum_ij u_i G_ij G_ji u_j
+            for s in range(0, d, rows):
+                # G[s:s+h, s:] = A[s:s+h] m[:, s:], a real GEMM on float views
+                h = min(rows, d - s)
+                blk = g[:h, :d - s]
+                np.matmul(a.matrix[s:s + h], m[:, s:].view(float),
+                          out=blk.view(float))
+                blk *= blk
+                us = u[s:]
+                vals[i] += us[:h] @ (blk[:, :h] @ us[:h] + 2 * (blk[:, h:] @ us[h:]))
         else:
             np.matmul(a.matrix, m, out=g)
             g *= u

@@ -122,13 +122,26 @@ class EnvelopeModel:
         return self.density_boost[i]
 
     @property
-    def central_gamma(self):
-        """gamma of the available slice nearest the center of the binned range."""
+    def _central_slice(self):
+        """Index of the available slice nearest the center of the binned
+        range, or None when no slice kept a gamma."""
         ok = np.where(np.isfinite(self.gamma))[0]
         if ok.size == 0:
-            return float("nan")
+            return None
         mid = 0.5 * (self.e_edges[0] + self.e_edges[-1])
-        return float(self.gamma[ok[np.argmin(np.abs(self.e_centers[ok] - mid))]])
+        return ok[np.argmin(np.abs(self.e_centers[ok] - mid))]
+
+    @property
+    def central_gamma(self):
+        """gamma of the available slice nearest the center of the binned range."""
+        i = self._central_slice
+        return float("nan") if i is None else float(self.gamma[i])
+
+    @property
+    def central_gamma_energy(self):
+        """Center energy of the slice :attr:`central_gamma` comes from."""
+        i = self._central_slice
+        return float("nan") if i is None else float(self.e_centers[i])
 
 
 def _pair_bins(a, e, e_edges, omega_edges):

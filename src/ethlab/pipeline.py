@@ -205,7 +205,8 @@ def stage_extract(cfg, inputs):
         gauss = {"error": str(exc)}
     report = {name: getattr(env, name) for name in (
         "e_edges", "omega_edges", "gamma", "gamma_stderr", "fit_residual",
-        "fit_window", "central_gamma", "min_count", "density_boost")}
+        "fit_window", "central_gamma", "central_gamma_energy", "min_count",
+        "density_boost")}
     report.update(gaussianity=gauss, window=window)
     alive = np.isfinite(env.f2)  # bins that kept an estimate, row-major
     rows, cols = np.nonzero(alive)
@@ -218,7 +219,8 @@ def stage_extract(cfg, inputs):
 
 
 def stage_code_error(cfg, inputs):
-    """Knill-Laflamme residual report for the configured code."""
+    """Knill-Laflamme residual report for the configured code, with the
+    energy E_c at the center of the code window and S(E_c), beta(E_c) there."""
     code_cfg = cfg.data["code"]
     members = select_code_states(inputs.window, code_cfg["k"],
                                  method=code_cfg["selection"],
@@ -228,7 +230,10 @@ def stage_code_error(cfg, inputs):
                     n_qubits=n_qubits)
     report = kl_residuals(inputs.operator, inputs.spectrum, code,
                           metadata={"betas": cfg.data["thermal"]["betas"]})
-    return {"code_error.json": report.to_dict()}
+    ent, e_c = inputs.entropy, inputs.window.center
+    return {"code_error.json": dict(report.to_dict(), window_energy=e_c,
+                                    window_entropy=float(ent.entropy_at(e_c)),
+                                    window_beta=float(ent.beta_at(e_c)))}
 
 
 def stage_dynamics(cfg, inputs):

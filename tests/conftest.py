@@ -22,6 +22,12 @@ def ising8():
 
 
 @pytest.fixture(scope="session")
+def ising9():
+    """L=9 chain (d=512): its real-operator OTOC spans two row blocks."""
+    return _ising_chain(9)
+
+
+@pytest.fixture(scope="session")
 def ising10():
     return _ising_chain(10)
 

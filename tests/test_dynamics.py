@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,19 +274,29 @@ class TestOtoc:
         assert np.all(np.isfinite(real.values))
         assert rel_dev(real.values, cplx.values) <= 1e-13
 
-    @pytest.mark.parametrize("dtype,per_point", [(float, 4), (complex, 8)])
-    def test_cost_guard_states_flops_of_the_path(self, dtype, per_point):
+    @pytest.mark.parametrize("dtype,per_term", [(float, 4), (complex, 8)])
+    def test_cost_guard_states_flops_of_the_path(self, dtype, per_term):
         # the guard reads only the shape and dtype: a broadcast zero stands
-        # in for the matrix without allocating it
+        # in for the matrix without allocating it; per_term counts flops per
+        # multiply-add of the path's GEMMs, and the real path's block at row
+        # s multiplies its rows with the columns s: only
         d = el.dynamics.OTOC_MAX_DIM
         at_cap = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
         el.dynamics.check_otoc_cost(at_cap, 5)
         above = el.OperatorEigenbasis(
             matrix=np.broadcast_to(dtype(0), (d + 1, d + 1)))
-        with pytest.raises(el.CostGuardError,
-                           match=f"{per_point} d\\^3 each") as err:
+        n, b = d + 1, el.dynamics.OTOC_BLOCK_ROWS
+        if dtype is float:
+            terms = sum(min(b, n - s) * n * (n - s) for s in range(0, n, b))
+            stated = "2 d\\^3 \\(1 \\+ b/d\\) each"
+            # about 2 n^3 (1 + b/n) per point: the last block is one row
+            assert per_term * terms == pytest.approx(2 * n**3 * (1 + b / n),
+                                                     rel=1e-3)
+        else:
+            terms, stated = n**3, "8 d\\^3 each"
+        with pytest.raises(el.CostGuardError, match=stated) as err:
             el.dynamics.check_otoc_cost(above, 5)
-        assert err.value.estimated_flops == per_point * (d + 1) ** 3 * 5
+        assert err.value.estimated_flops == per_term * terms * 5
 
     def test_cost_guard(self):
         e = np.linspace(0, 1, 1 << 13)
@@ -379,11 +390,57 @@ class TestOtoc:
         monkeypatch.setattr(np, "matmul", spy)
         times = np.linspace(0, 3, 6)
         el.otoc(a, spec, beta, times)
-        assert len(operands) == times.size
+        blocks = -(-spec.dim // el.dynamics.OTOC_BLOCK_ROWS)
+        assert len(operands) == times.size * blocks
         tiny = np.finfo(float).tiny
         for y in operands:
             assert y.dtype == float
             assert not np.any((y != 0) & (np.abs(y) < tiny))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 200.0, 400.0])
+    @pytest.mark.parametrize("kind", ["synthetic", "ising9"])
+    def test_real_path_spans_row_blocks(self, ising9, kind, beta):
+        # d = 2b + 65 (two full row blocks and a ragged one) and the L=9
+        # chain (d = 512, two blocks): every off-diagonal block of G is
+        # formed and counted twice; at beta = 200 and 400 states are flushed
+        b = el.dynamics.OTOC_BLOCK_ROWS
+        if kind == "ising9":
+            a, spec = ising9["a"], ising9["spec"]
+        else:
+            spec = el.synth_spectrum(el.SynthSpectrumParams(
+                dim=2 * b + 65, dos_shape="flat", bandwidth=8.0, seed=3))
+            x = np.random.default_rng(4).standard_normal((spec.dim, spec.dim))
+            a = el.OperatorEigenbasis(matrix=(x + x.T) / 2)
+        assert np.isrealobj(a.matrix) and spec.dim > b
+        e = spec.eigenvalues
+        logw = -beta * (e - e.min())
+        r4 = np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25
+        times = np.array([0.0, 0.9, 2.3])
+        direct = []
+        for t in times:
+            v = r4 * np.exp(1j * e * t)
+            # rho^(1/4) A(t) rho^(1/4) A, the diagonal factors as scalings
+            x = (v[:, None] * a.matrix * v.conj()) @ a.matrix
+            direct.append(np.einsum("ij,ji->", x, x))
+        direct = np.array(direct)
+        real = el.otoc(a, spec, beta, times)
+        cplx = el.otoc(el.OperatorEigenbasis(matrix=a.matrix.astype(complex)),
+                       spec, beta, times)
+        assert np.abs(real.values - direct).max() <= 1e-12 * np.abs(direct).max()
+        assert rel_dev(real.values, cplx.values) <= 1e-13
+
+    def test_real_path_holds_one_square_buffer(self, ising9):
+        # at d = 512 the real path keeps diag(conj(u)) A as its one d x d
+        # complex buffer and forms G in a b x d block, never as a whole
+        a, spec = ising9["a"], ising9["spec"]
+        square = spec.dim**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            el.otoc(a, spec, 1.0, np.linspace(0, 3, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert square <= peak < 2 * square
 
 
 class TestSpectralDensities:

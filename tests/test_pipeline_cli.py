@@ -106,6 +106,28 @@ class TestRun:
         m_again = run(cfg, stages=("code-error",))
         assert m_again["files"]["code_error.json"] == h1
 
+    def test_reports_record_code_and_envelope_energies(self, tmp_path):
+        # code_error.json: the code window's center E_c with S and beta read
+        # from entropy.csv there; extract.json: the center energy of the
+        # slice that central_gamma comes from
+        out = str(tmp_path / "energies")
+        cfg = RunConfig.from_dict({"seed": 1, "out_dir": out,
+                                   "model": {"kind": "ising", "n_sites": 8}})
+        run(cfg, stages=("generate", "extract", "code-error"))
+        code = load_json(os.path.join(out, "code_error.json"))
+        ext = load_json(os.path.join(out, "extract.json"))
+        _, (e, s, beta) = read_csv(os.path.join(out, "entropy.csv"))
+        e_c = code["window_energy"]
+        assert e_c == ext["window"]["center"]
+        assert code["window_entropy"] == np.interp(e_c, e, s)
+        assert code["window_beta"] == np.interp(e_c, e, beta)
+        assert code["window_beta"] != 0.0
+        edges, gamma = np.array(ext["e_edges"]), np.array(ext["gamma"], dtype=float)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        slice_ = int(np.argmin(np.abs(centers - ext["central_gamma_energy"])))
+        assert centers[slice_] == ext["central_gamma_energy"]
+        assert gamma[slice_] == ext["central_gamma"]
+
 
 class TestConfigBranches:
     def test_ising_traceless_shift_and_numeric_window(self, tmp_path):
