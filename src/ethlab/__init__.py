@@ -23,12 +23,12 @@ from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
 from .extract import (BinningSpec, DiagonalProfile, EnvelopeModel,
                       GaussianityStats, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
-from .models import (LocalObservableSpec, SpinChainParams,
-                     build_mixed_field_ising, reflection_permutation,
-                     restrict_to_reflection_sector, to_eigenbasis)
+from .models import (LocalObservableSpec, SpinChainParams, reflection_blocks,
+                     reflection_permutation, restrict_to_reflection_sector,
+                     to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, MicrocanonicalWindow,
-                       OperatorEigenbasis, eigendecompose, entropy_model,
-                       mean_level_spacing, microcanonical_window,
+                       OperatorEigenbasis, eigendecompose, eigendecompose_blocks,
+                       entropy_model, mean_level_spacing, microcanonical_window,
                        spacing_ratio_mean)
 from .synth import (EnvelopeSpec, SynthSpectrumParams, synth_eth_operator,
                     synth_spectrum)

@@ -10,12 +10,14 @@ files are stable.
 
 A uniform chain, open or periodic, commutes with the spatial reflection
 (site i -> N-1-i), so its spectrum is a superposition of two independent
-sectors. The pipeline passes :func:`reflection_permutation` to
-:func:`ethlab.spectral.eigendecompose`, which diagonalizes the two
-reflection blocks and keeps their eigenvectors per block, so every
-eigenstate is an exact parity eigenstate, and records each eigenstate's
-parity in ``EnergySpectrum.parity``. Level statistics and matrix-element
-statistics should be computed per sector; see
+sectors. :func:`reflection_blocks` writes H straight into its even and odd
+reflection blocks from the chain's bit structure, in O(d L) besides the
+blocks themselves, so no d x d Hamiltonian is ever formed. The pipeline
+hands them to :func:`ethlab.spectral.eigendecompose_blocks`, which
+diagonalizes them one after the other and keeps their eigenvectors per
+block, so every eigenstate is an exact parity eigenstate, and records each
+eigenstate's parity in ``EnergySpectrum.parity``. Level statistics and
+matrix-element statistics should be computed per sector; see
 :func:`restrict_to_reflection_sector`.
 
 A Pauli word is applied as a signed permutation of the basis states (a bit
@@ -66,36 +68,78 @@ class LocalObservableSpec:
             raise ValidationError("Pauli letters must be X, Y or Z")
 
 
-def _site_z(n_sites):
-    """z_i(s) = +-1 per basis state, shape (dim, n_sites)."""
-    dim = 1 << n_sites
-    states = np.arange(dim)
+def _site_z(states, n_sites):
+    """z_i(s) = +-1 per basis state s in ``states``, shape (states.size, n_sites)."""
     shifts = n_sites - 1 - np.arange(n_sites)
     bits = (states[:, None] >> shifts[None, :]) & 1
     return 1.0 - 2.0 * bits
 
 
-def build_mixed_field_ising(params):
-    """Dense real-symmetric H = sum J Z_i Z_{i+1} + sum (hx X_i + hz Z_i)."""
+def _diagonal_energies(params, states):
+    """<s|H|s> = sum J z_i z_k + hz sum z_i for each basis state s in ``states``."""
     n = params.n_sites
-    dim = 1 << n
-    if dim > MAX_DENSE_DIM:
-        raise SizeError(
-            f"{n} sites: dimension {dim} exceeds dense cap {MAX_DENSE_DIM}")
-    z = _site_z(n)
+    z = _site_z(states, n)
     bonds = [(i, i + 1) for i in range(n - 1)]
     if params.boundary == "periodic":
         bonds.append((n - 1, 0))
     diag = params.hz * z.sum(axis=1)
     for i, k in bonds:
         diag = diag + params.j * z[:, i] * z[:, k]
-    h = np.zeros((dim, dim))
-    np.fill_diagonal(h, diag)
-    states = np.arange(dim)
-    for i in range(n):
-        flipped = states ^ (1 << (n - 1 - i))
-        h[states, flipped] += params.hx
-    return h
+    return diag
+
+
+def reflection_blocks(params):
+    """The chain's reflection r and its two parity blocks of H, built from the chain.
+
+    Returns ``(r, blocks)``, the arguments of
+    :func:`ethlab.spectral.eigendecompose_blocks`. ``blocks`` yields the even
+    block and then the odd one, each built only when it is asked for, so one
+    block is alive at a time and no d x d H is ever formed. With c = 1 on a
+    pair s < r(s) and 1/sqrt(2) on a fixed point s = r(s), the even block
+    over the representatives s <= r(s) is c_s c_s' (H[s, s'] + H[s, r(s')]),
+    and the odd block over the pairs is H[s, s'] - H[s, r(s')]. The diagonal
+    holds the ZZ and Z energies, doubled on a fixed point (no X term joins s
+    to r(s), which differ in an even number of bits). Each X_i takes s to
+    t = s ^ bit_i with weight hx, landing in the column of t's
+    representative: twice on a fixed point, where both terms are t, and in
+    the odd block signed by t's parity (+ for the representative, - for its
+    mirror). Every entry is bit-identical to the same sums over the dense H.
+    Chains above the dense cap raise :class:`SizeError` before anything of
+    size 2^n_sites is allocated.
+    """
+    n = params.n_sites
+    if n > MAX_DENSE_DIM.bit_length() - 1:
+        raise SizeError(
+            f"{n} sites: dimension 2^{n} exceeds dense cap {MAX_DENSE_DIM}")
+    r = reflection_permutation(n)
+    return r, (_reflection_block(params, r, k) for k in (0, 1))
+
+
+def _reflection_block(params, r, k):
+    """Block k (0 even, 1 odd) of H under the reflection r; see :func:`reflection_blocks`."""
+    states = np.arange(r.size)
+    reps = states[states <= r] if k == 0 else states[states < r]
+    fixed = r[reps] == reps
+    # per basis state: the column of its representative (-1 outside the
+    # block) and the weight of an X flip onto it
+    column = np.full(r.size, -1)
+    column[reps] = np.arange(reps.size)
+    column = column[np.minimum(states, r)]
+    weight = np.where(states <= r, params.hx, -params.hx if k else params.hx)
+    weight[r == states] *= 2.0
+    block = np.zeros((reps.size, reps.size))
+    rows = np.arange(reps.size)
+    # H[s, s] +- H[s, r(s)], whose second term is 0.0 on a pair, as in the dense sum
+    diag = _diagonal_energies(params, reps)
+    block[rows, rows] = diag + (-1.0 if k else 1.0) * np.where(fixed, diag, 0.0)
+    for i in range(params.n_sites):
+        t = reps ^ (1 << (params.n_sites - 1 - i))
+        on = column[t] >= 0
+        block[rows[on], column[t[on]]] += weight[t[on]]
+    # times c_s', then c_s; c = 1 on a pair leaves its entries as they are
+    block[:, fixed] *= np.sqrt(0.5)
+    block[fixed] *= np.sqrt(0.5)
+    return block
 
 
 def _pauli_word_action(spec, n_sites):
@@ -168,8 +212,8 @@ def restrict_to_reflection_sector(spectrum, a, parity=1):
     """Restrict a spectrum and operator to one reflection-parity sector.
 
     The sector is read from ``spectrum.parity``, which
-    :func:`ethlab.spectral.eigendecompose` records when it is given the
-    reflection as its symmetry; a spectrum without parities is refused.
+    :func:`ethlab.spectral.eigendecompose_blocks` records from the blocks of
+    :func:`reflection_blocks`; a spectrum without parities is refused.
     Returns a new (EnergySpectrum, OperatorEigenbasis) pair living in the
     sector eigenbasis (identity basis, sector eigenvalues ascending).
     The restricted operator is the sector block, i.e. the reflection-even

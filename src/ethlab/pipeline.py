@@ -49,11 +49,10 @@ from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
 from .io import (dump_json, file_sha256, format_number, load_json, read_array,
                  read_csv, write_array, write_csv)
-from .models import (LocalObservableSpec, SpinChainParams,
-                     build_mixed_field_ising, reflection_permutation,
+from .models import (LocalObservableSpec, SpinChainParams, reflection_blocks,
                      to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, OperatorEigenbasis,
-                       eigendecompose, entropy_model, microcanonical_window)
+                       eigendecompose_blocks, entropy_model, microcanonical_window)
 from .synth import EnvelopeSpec, SynthSpectrumParams, synth_eth_operator, synth_spectrum
 
 STAGES = ("generate", "extract", "code-error", "dynamics", "bounds")
@@ -154,8 +153,7 @@ def stage_generate(cfg, inputs):
     seed = cfg.data["seed"]
     if model["kind"] == "ising":
         params = SpinChainParams(**{k: v for k, v in model.items() if k != "kind"})
-        spectrum = eigendecompose(build_mixed_field_ising(params),
-                                  symmetry=reflection_permutation(params.n_sites))
+        spectrum = eigendecompose_blocks(*reflection_blocks(params))
         obs = cfg.data["observable"]
         a = to_eigenbasis(LocalObservableSpec(sites=tuple(obs["sites"]),
                                               paulis=obs["paulis"]), spectrum)

@@ -8,12 +8,15 @@ beta(E) = S'(E) obtained by centered finite differences.
 
 Eigendecompositions are dense; dimensions are capped at 2**13 because every
 formula in the package needs the full spectrum, but |A_mn|^2 is only formed
-PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). A Hamiltonian
-that commutes with an involutive index permutation r (the reflection of a
-uniform Ising chain) is diagonalized in its two r-parity blocks, whose
-eigenvectors are kept as the two block matrices (BlockEigenvectors, about
-d^2/2 numbers), so every eigenvector is an exact parity eigenstate and no
-d x d basis exists unless EnergySpectrum.basis is read.
+PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). Every ``eigh``
+runs through one block path: a Hamiltonian that commutes with an involutive
+index permutation r (the reflection of a uniform Ising chain) is given as
+its two r-parity blocks (eigendecompose_blocks), which are diagonalized one
+at a time, and a dense matrix (eigendecompose) is the one block of the
+identity r. The eigenvectors are kept as the block matrices
+(BlockEigenvectors, about d^2/2 numbers for two blocks), so every
+eigenvector is an exact parity eigenstate and no d x d basis exists unless
+EnergySpectrum.basis is read.
 """
 
 from dataclasses import dataclass
@@ -163,8 +166,14 @@ class BlockEigenvectors:
                 if k == k2:
                     _hermitize(block)
                 else:
-                    out[np.ix_(cols2, cols)] = block.T.conj().copy()
+                    # 256 rows at a time, each panel copied to C order: the
+                    # scatter reads a transposed view at a cache-hostile
+                    # stride, and a copy of the whole block costs one block
+                    # of memory
+                    for i in range(0, block.shape[1], 256):
+                        out[np.ix_(cols2[i:i + 256], cols)] = block[:, i:i + 256].T.conj().copy()
                 out[np.ix_(cols, cols2)] = block
+                del z, block    # before the next pair's product is formed
         return out
 
 
@@ -176,7 +185,7 @@ class EnergySpectrum:
     ``None`` means the identity basis, used by synthetic spectra that are
     generated directly in their own eigenbasis. ``parity`` holds +-1 per
     eigenvalue, the symmetry block each eigenvector came from in
-    :func:`eigendecompose`, or ``None`` when it is unknown.
+    :func:`eigendecompose_blocks`, or ``None`` when it is unknown.
     """
 
     eigenvalues: np.ndarray
@@ -220,103 +229,98 @@ def _eigh(h):
         raise NumericError(f"eigensolver failed: {exc}") from exc
 
 
-def _require_commuting_involution(h, r):
-    """Validate that ``r`` is an involutive index permutation with h[r][:, r] = h."""
+def _require_involution(r):
+    """Validate that ``r`` is an involutive permutation of its own indices."""
     r = np.asarray(r)
-    d = h.shape[0]
-    if (r.shape != (d,) or not np.issubdtype(r.dtype, np.integer)
-            or r.min() < 0 or r.max() >= d
+    d = r.size
+    if (r.ndim != 1 or not np.issubdtype(r.dtype, np.integer)
+            or np.any((r < 0) | (r >= d))
             or not np.array_equal(r[r], np.arange(d))):
         raise ValidationError(
             f"symmetry must be an involutive permutation of the {d} basis indices")
-    # row chunks keep the check at O(d) extra memory; np.take gathers the
-    # columns several times faster than fancy indexing
-    step = max(1, (1 << 20) // d)
-    dev = np.sqrt(sum(
-        np.linalg.norm(np.take(h[r[i:i + step]], r, axis=1) - h[i:i + step]) ** 2
-        for i in range(0, d, step)))
-    norm = np.linalg.norm(h)
-    if dev > HERMITICITY_RTOL * norm:
-        raise ValidationError(
-            f"symmetry does not commute with the hamiltonian: relative deviation "
-            f"{dev / norm:.3e}")
     return r
 
 
-def _eigh_parity_blocks(h, r):
-    """Eigenvalues, :class:`BlockEigenvectors` and +-1 parities of ``h`` from
-    its even and odd blocks under r.
+def _eigh_blocks(r, blocks):
+    """Eigenvalues, :class:`BlockEigenvectors` and +-1 parities (``None`` for
+    one block) from the r-parity blocks of a Hamiltonian.
 
-    The parity-adapted basis is |s> for the fixed points s = r(s) (even only)
-    and (|s> +- |r(s)>)/sqrt(2) for the pairs s < r(s). With A = h[s, s'] and
-    B = h[s, r(s')] over the representatives s <= r(s), the even block is
-    c_s c_s' (A + B), where c = 1 on pairs and 1/sqrt(2) on fixed points, and
-    the odd block is A - B over the pairs. Both are index gathers, so no
-    transform matrix and no d^3 product is formed, and the block eigenvectors
-    are kept as they are.
+    Block 0 lives on the representatives s <= r(s) and block 1 on the pairs
+    s < r(s); the identity r has one block, the matrix itself. Each block is
+    checked for Hermiticity and diagonalized before the next is taken from
+    ``blocks``, so a lazy iterable keeps one block alive at a time. The
+    eigenvalues are merged by a stable sort (block 0 before block 1 on ties).
     """
-    d = h.shape[0]
+    d = r.size
+    if d > MAX_DENSE_DIM:
+        raise SizeError(f"dimension {d} exceeds dense cap {MAX_DENSE_DIM}")
     states = np.arange(d)
-    reps = states[states <= r]
-    pair = r[reps] != reps
-    c = np.where(pair, 1.0, np.sqrt(0.5))
-    even = h[np.ix_(reps, reps)]
-    even += h[np.ix_(reps, r[reps])]
-    even *= c
-    even *= c[:, None]
-    e_even, u_even = _eigh(even)
-    del even
-    # the odd block is gathered only now, so one block is alive at a time
-    odd = h[np.ix_(reps[pair], reps[pair])]
-    odd -= h[np.ix_(reps[pair], r[reps[pair]])]
-    e_odd, u_odd = _eigh(odd)
-    del odd
-    eigenvalues = np.concatenate([e_even, e_odd])
+    sizes = [np.count_nonzero(states <= r), np.count_nonzero(states < r)]
+    sizes = sizes[:1 if sizes[1] == 0 else 2]
+    values, vectors = [], []
+    for block in blocks:    # not enumerate, whose cached tuple holds on to the block
+        k = len(values)
+        block = require_hermitian(
+            block, name="hamiltonian" if len(sizes) == 1 else f"hamiltonian block {k}")
+        if k >= len(sizes) or block.shape[0] != sizes[k]:
+            raise ValidationError(
+                f"symmetry of dimension {d} has blocks of sizes {sizes}, "
+                f"got block {k} of size {block.shape[0]}")
+        if np.iscomplexobj(block) and np.abs(block.imag).max(initial=0.0) == 0.0:
+            block = block.real
+        e, u = _eigh(block)
+        del block
+        values.append(e)
+        vectors.append(u)
+    if len(values) != len(sizes):
+        raise ValidationError(f"symmetry has {len(sizes)} blocks, got {len(values)}")
+    eigenvalues = np.concatenate(values)
     order = np.argsort(eigenvalues, kind="stable")
     column = np.empty(d, dtype=np.intp)
     column[order] = states
-    vectors = BlockEigenvectors(symmetry=r, vectors=(u_even, u_odd),
-                                columns=(column[:e_even.size], column[e_even.size:]))
-    return eigenvalues[order], vectors, np.where(order < e_even.size, 1, -1)
+    columns = tuple(np.split(column, [values[0].size])) if len(values) == 2 else (column,)
+    parity = np.where(order < values[0].size, 1, -1) if len(values) == 2 else None
+    return EnergySpectrum(eigenvalues=eigenvalues[order],
+                          eigenvectors=BlockEigenvectors(symmetry=r, vectors=tuple(vectors),
+                                                         columns=columns),
+                          parity=parity)
 
 
-def eigendecompose(h, symmetry=None):
-    """Diagonalize a Hermitian matrix into an :class:`EnergySpectrum`.
+def eigendecompose(h):
+    """Diagonalize a dense Hermitian matrix into an :class:`EnergySpectrum`.
 
     Real-symmetric input takes the real LAPACK path, so the eigenvectors are
     real in that case. Eigenvalues come back sorted ascending; within
-    degenerate subspaces the basis is an arbitrary orthonormal choice.
-
-    ``symmetry`` is an optional involutive index permutation r with
-    h[r][:, r] = h, such as :func:`ethlab.models.reflection_permutation` for
-    a uniform Ising chain. The even and odd blocks of the parity-adapted
-    basis (|s> +- |r(s)>)/sqrt(2) are then diagonalized separately, at about
-    a quarter of the cost of one full ``eigh``, and their eigenvectors are
-    kept per block (:class:`BlockEigenvectors`), so no d x d basis is formed
-    unless ``EnergySpectrum.basis`` is read. Every basis vector is an exact
-    parity eigenstate, and ``parity`` records which block (+1 even, -1 odd)
-    each came from. The eigenvalues of the two blocks are merged by a
-    stable sort (even before odd on ties). A permutation that is not an
-    involution, or that does not commute with ``h`` to relative Frobenius
-    tolerance ``HERMITICITY_RTOL``, raises :class:`ValidationError`. Without
-    ``symmetry`` the eigenvectors are the one block of the identity r.
+    degenerate subspaces the basis is an arbitrary orthonormal choice. This
+    is the one-block case of :func:`eigendecompose_blocks`: its eigenvectors
+    are the one block of the identity symmetry, and ``parity`` is ``None``.
     """
-    h = require_hermitian(h, name="hamiltonian")
-    if h.shape[0] > MAX_DENSE_DIM:
-        raise SizeError(
-            f"dimension {h.shape[0]} exceeds dense cap {MAX_DENSE_DIM}"
-        )
-    if np.iscomplexobj(h) and np.abs(h.imag).max(initial=0.0) == 0.0:
-        h = h.real
-    if symmetry is None:
-        eigenvalues, u = _eigh(h)
-        states = np.arange(h.shape[0])
-        vectors = BlockEigenvectors(symmetry=states, vectors=(u,), columns=(states,))
-        parity = None
-    else:
-        eigenvalues, vectors, parity = _eigh_parity_blocks(
-            h, _require_commuting_involution(h, symmetry))
-    return EnergySpectrum(eigenvalues=eigenvalues, eigenvectors=vectors, parity=parity)
+    h = np.asarray(h)
+    return _eigh_blocks(np.arange(h.shape[0] if h.ndim == 2 else 0), (h,))
+
+
+def eigendecompose_blocks(symmetry, blocks):
+    """Diagonalize a Hamiltonian given as its two parity blocks under a symmetry.
+
+    ``symmetry`` is an involutive index permutation r that commutes with the
+    Hamiltonian H, such as the reflection of a uniform Ising chain, and
+    ``blocks`` yields H in the parity-adapted basis: first the even block,
+    over the representatives s <= r(s) with basis vectors |s> on a fixed
+    point s = r(s) and (|s> + |r(s)>)/sqrt(2) on a pair, then the odd block,
+    over the pairs s < r(s) with (|s> - |r(s)>)/sqrt(2); the identity has
+    only the even block. :func:`ethlab.models.reflection_blocks` builds both
+    for the Ising chain, so no d x d H exists. The blocks are diagonalized
+    one after the other, at about a quarter of the cost of one full
+    ``eigh``, and their eigenvectors are kept per block (:class:`BlockEigenvectors`), so no
+    d x d basis is formed unless ``EnergySpectrum.basis`` is read. Every
+    basis vector is an exact parity eigenstate, and ``parity`` records which
+    block (+1 even, -1 odd) each came from; the eigenvalues of the two
+    blocks are merged by a stable sort (even before odd on ties). A
+    permutation that is not an involution, a block of the wrong size and a
+    block that is not Hermitian to ``HERMITICITY_RTOL`` raise
+    :class:`ValidationError`.
+    """
+    return _eigh_blocks(_require_involution(symmetry), blocks)
 
 
 @dataclass(frozen=True)
@@ -450,9 +454,15 @@ def entropy_model(spectrum, sigma_s=None):
     density = np.zeros_like(grid)
     chunk = 2**22 // grid.size
     for start in range(0, e.size, chunk):
-        block = e[start:start + chunk]
-        z = (grid[:, None] - block[None, :]) / sigma_s
-        density += norm * np.exp(-0.5 * z * z).sum(axis=1)
+        # in place and freed before the next chunk, so one chunk-sized
+        # buffer is alive; z z (-1/2) equals (-z/2) z exactly, since
+        # halving is exact
+        z = grid[:, None] - e[None, start:start + chunk]
+        z /= sigma_s
+        z *= z
+        z *= -0.5
+        density += norm * np.exp(z, out=z).sum(axis=1)
+        del z
     density = np.maximum(density, 1e-300)
     s = np.log(density)
     beta = np.gradient(s, grid)

@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 import ethlab as el
+from ising_reference import build_mixed_field_ising
 from pauli_reference import build_local_observable
 
 
 def _ising_chain(n_sites):
-    """The pipeline's path: reflection-blocked eigh, Z_0 applied as a Pauli word."""
-    h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites))
-    spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+    """The pipeline's path: the reflection blocks built from the chain and
+    diagonalized one by one, Z_0 applied as a Pauli word."""
+    spec = el.eigendecompose_blocks(*el.reflection_blocks(el.SpinChainParams(n_sites=n_sites)))
     z0 = el.LocalObservableSpec(sites=(0,), paulis="Z")
     a = el.to_eigenbasis(z0, spec)
-    return {"h": h, "spec": spec, "z0": build_local_observable(z0, n_sites),
-            "a": a}
+    return {"spec": spec, "z0": build_local_observable(z0, n_sites), "a": a}
 
 
 @pytest.fixture(scope="session")
 def ising8():
-    """L=8 chain at the chaotic defaults with the site-0 Z observable."""
-    return _ising_chain(8)
+    """L=8 chain at the chaotic defaults with the site-0 Z observable, and
+    its dense H from the tests' reference builder."""
+    return dict(_ising_chain(8), h=build_mixed_field_ising(el.SpinChainParams(n_sites=8)))
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,45 @@
+"""Dense mixed-field Ising Hamiltonian and its reflection-block gathers: the
+reference the directly built blocks of :func:`ethlab.reflection_blocks` are
+compared against."""
+
+import numpy as np
+
+
+def build_mixed_field_ising(params):
+    """Dense real-symmetric H = sum J Z_i Z_{i+1} + sum (hx X_i + hz Z_i)."""
+    n = params.n_sites
+    dim = 1 << n
+    states = np.arange(dim)
+    shifts = n - 1 - np.arange(n)
+    z = 1.0 - 2.0 * ((states[:, None] >> shifts[None, :]) & 1)
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if params.boundary == "periodic":
+        bonds.append((n - 1, 0))
+    diag = params.hz * z.sum(axis=1)
+    for i, k in bonds:
+        diag = diag + params.j * z[:, i] * z[:, k]
+    h = np.zeros((dim, dim))
+    np.fill_diagonal(h, diag)
+    for i in range(n):
+        flipped = states ^ (1 << (n - 1 - i))
+        h[states, flipped] += params.hx
+    return h
+
+
+def reflection_block_gathers(h, r):
+    """The even and odd blocks of ``h`` under the involution r, gathered from
+    the dense matrix: with A = h[s, s'] and B = h[s, r(s')] over the
+    representatives s <= r(s), the even block is c_s c_s' (A + B), c = 1 on
+    pairs and 1/sqrt(2) on fixed points, and the odd block is A - B over the
+    pairs."""
+    states = np.arange(h.shape[0])
+    reps = states[states <= r]
+    pair = r[reps] != reps
+    c = np.where(pair, 1.0, np.sqrt(0.5))
+    even = h[np.ix_(reps, reps)]
+    even += h[np.ix_(reps, r[reps])]
+    even *= c
+    even *= c[:, None]
+    odd = h[np.ix_(reps[pair], reps[pair])]
+    odd -= h[np.ix_(reps[pair], r[reps[pair]])]
+    return even, odd

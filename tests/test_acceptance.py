@@ -27,9 +27,7 @@ def verdict(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def ising12_sector():
-    h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=12))
-    spec = el.eigendecompose(h, symmetry=el.reflection_permutation(12))
-    del h
+    spec = el.eigendecompose_blocks(*el.reflection_blocks(el.SpinChainParams(n_sites=12)))
     a = el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
     sub_spec, sub_a = el.restrict_to_reflection_sector(spec, a, parity=1)
     return sub_spec, sub_a

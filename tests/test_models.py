@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ethlab as el
+from ising_reference import build_mixed_field_ising, reflection_block_gathers
 from pauli_reference import build_local_observable
 
 PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -20,34 +21,58 @@ def kron_word(spec, n_sites):
     return op
 
 
+def ising_spectrum(**params):
+    return el.eigendecompose_blocks(*el.reflection_blocks(el.SpinChainParams(**params)))
+
+
 class TestBuildIsing:
     def test_zz_only_two_sites(self):
-        h = el.build_mixed_field_ising(
-            el.SpinChainParams(n_sites=2, j=1.0, hx=0.0, hz=0.0))
-        e = np.linalg.eigvalsh(h)
-        assert np.allclose(e, [-1.0, -1.0, 1.0, 1.0])
+        spec = ising_spectrum(n_sites=2, j=1.0, hx=0.0, hz=0.0)
+        assert np.allclose(spec.eigenvalues, [-1.0, -1.0, 1.0, 1.0])
 
     def test_two_free_spins(self):
-        h = el.build_mixed_field_ising(
-            el.SpinChainParams(n_sites=2, j=0.0, hx=1.0, hz=0.0))
-        e = np.linalg.eigvalsh(h)
-        assert np.allclose(e, [-2.0, 0.0, 0.0, 2.0])
+        spec = ising_spectrum(n_sites=2, j=0.0, hx=1.0, hz=0.0)
+        assert np.allclose(spec.eigenvalues, [-2.0, 0.0, 0.0, 2.0])
 
-    def test_real_symmetric(self, ising8):
-        h = ising8["h"]
-        assert not np.iscomplexobj(h)
-        assert np.array_equal(h, h.T)
+    def test_real_symmetric(self):
+        _, blocks = el.reflection_blocks(el.SpinChainParams(n_sites=8))
+        for block in blocks:
+            assert not np.iscomplexobj(block)
+            assert np.array_equal(block, block.T)
 
     def test_periodic_adds_bond(self):
-        po = el.build_mixed_field_ising(
+        _, blocks = el.reflection_blocks(
             el.SpinChainParams(n_sites=4, j=1.0, hx=0.0, hz=0.0,
                                boundary="periodic"))
-        # all-up state energy: 4 bonds of ZZ = +4 (open has 3)
-        assert po[0, 0] == pytest.approx(4.0)
+        # all-up state energy: 4 bonds of ZZ = +4 (open has 3); the all-up
+        # state is a fixed point of the reflection, so its entry is 2 c^2 H[0, 0]
+        assert next(blocks)[0, 0] == pytest.approx(4.0)
 
-    def test_site_count_guard(self):
-        with pytest.raises(el.SizeError):
-            el.build_mixed_field_ising(el.SpinChainParams(n_sites=14))
+    def test_site_count_guard(self, monkeypatch):
+        # refused before anything of size 2^n_sites is allocated
+        def must_not_run(*args):
+            raise AssertionError("a 2^n_sites array was built before the size guard")
+
+        monkeypatch.setattr(el.models, "reflection_permutation", must_not_run)
+        monkeypatch.setattr(el.models, "_site_z", must_not_run)
+        with pytest.raises(el.SizeError, match="dense cap 8192"):
+            el.reflection_blocks(el.SpinChainParams(n_sites=14))
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n_sites", range(2, 13))
+    def test_blocks_equal_the_dense_gathers(self, n_sites, boundary):
+        # corner couplings switch off one term each, and a negative hx flips
+        # the sign of every off-diagonal entry
+        for couplings in [{}, {"hx": 0.0}, {"j": 0.0}, {"hz": 0.0}, {"hx": -0.7}]:
+            params = el.SpinChainParams(n_sites=n_sites, boundary=boundary, **couplings)
+            r, blocks = el.reflection_blocks(params)
+            assert np.array_equal(r, el.reflection_permutation(n_sites))
+            want = reflection_block_gathers(build_mixed_field_ising(params), r)
+            got = list(blocks)
+            assert len(got) == 2
+            for block, ref in zip(got, want):
+                assert block.shape == ref.shape
+                assert block.tobytes() == ref.tobytes(), couplings
 
     def test_chaotic_defaults_level_statistics(self, ising10):
         # uniform open chains keep spatial reflection symmetry; the r
@@ -120,7 +145,7 @@ class TestToEigenbasis:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
         x = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         op = x + x.conj().T
-        spec = el.eigendecompose(el.build_mixed_field_ising(
+        spec = el.eigendecompose(build_mixed_field_ising(
             el.SpinChainParams(n_sites=7)))
         a = el.to_eigenbasis(op, spec)
         t_site = np.sum(np.abs(op) ** 2)
@@ -155,10 +180,9 @@ class TestToEigenbasis:
         # the dense reference is V^H P V with P from Kronecker products;
         # XYZ and YYY carry an odd number of Ys, so their A is imaginary;
         # every word is Hermitian, and so is its A, exactly
-        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites,
-                                                          boundary=boundary))
-        spec = el.eigendecompose(
-            h, symmetry=el.reflection_permutation(n_sites) if blocked else None)
+        params = el.SpinChainParams(n_sites=n_sites, boundary=boundary)
+        spec = (el.eigendecompose_blocks(*el.reflection_blocks(params)) if blocked
+                else el.eigendecompose(build_mixed_field_ising(params)))
         v = spec.basis
         last = n_sites - 1
         for sites, paulis in [((0,), "X"), ((1,), "Y"), ((0,), "Z"),
@@ -173,8 +197,7 @@ class TestToEigenbasis:
 
     @pytest.mark.parametrize("n_sites", [8, 9])
     def test_reflection_even_word_has_exactly_zero_cross_blocks(self, n_sites):
-        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=n_sites))
-        spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+        spec = ising_spectrum(n_sites=n_sites)
         word = el.LocalObservableSpec(sites=(0, n_sites - 1), paulis="ZZ")
         a = el.to_eigenbasis(word, spec).matrix
         even, odd = spec.parity == 1, spec.parity == -1

@@ -594,6 +594,17 @@ class TestCli:
         bad.write_text("{\"model\": {\"kind\": \"unknown\"}}")
         assert cli_main(["generate", "--config", str(bad)]) == 1
 
+    def test_chain_above_the_dense_cap_refused(self, tmp_path, capsys):
+        # L=14 only: a guard that let a larger chain through could allocate
+        # arrays of size 2^L before anything failed
+        out = tmp_path / "l14"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "out_dir": str(out),
+                                        "model": {"kind": "ising", "n_sites": 14}}))
+        assert cli_main(["generate", "--config", str(cfg_path)]) == 1
+        assert "dense cap 8192" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["config.json", "manifest.json"]
+
     @pytest.mark.parametrize("key", ["slack", "observable"])
     def test_null_value_refused_before_any_stage(self, tmp_path, capsys, key):
         out = tmp_path / "null"

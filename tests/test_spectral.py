@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import ethlab as el
+from ising_reference import build_mixed_field_ising
 
 
 def gue_matrix(dim, seed):
@@ -74,10 +77,10 @@ class TestParityBlocks:
                              [(7, "open"), (8, "open"), (8, "periodic")])
     def test_blocked_matches_full(self, n_sites, boundary):
         # odd L has 2^((L+1)/2) palindromic states, even L 2^(L/2)
-        h = el.build_mixed_field_ising(
-            el.SpinChainParams(n_sites=n_sites, boundary=boundary))
+        params = el.SpinChainParams(n_sites=n_sites, boundary=boundary)
+        h = build_mixed_field_ising(params)
         full = el.eigendecompose(h)
-        spec = el.eigendecompose(h, symmetry=el.reflection_permutation(n_sites))
+        spec = el.eigendecompose_blocks(*el.reflection_blocks(params))
         scale = np.abs(full.eigenvalues).max()
         assert np.abs(spec.eigenvalues - full.eigenvalues).max() <= 1e-12 * scale
         v = spec.basis
@@ -95,10 +98,10 @@ class TestParityBlocks:
     def test_basis_equals_the_scattered_blocks(self, n_sites, boundary):
         # reference: the block eigenvectors scattered into the d x d basis,
         # each pair member carrying 1/sqrt(2) of its amplitude
-        h = el.build_mixed_field_ising(
-            el.SpinChainParams(n_sites=n_sites, boundary=boundary))
+        params = el.SpinChainParams(n_sites=n_sites, boundary=boundary)
+        h = build_mixed_field_ising(params)
         r = el.reflection_permutation(n_sites)
-        spec = el.eigendecompose(h, symmetry=r)
+        spec = el.eigendecompose_blocks(*el.reflection_blocks(params))
         states = np.arange(h.shape[0])
         reps = states[states <= r]
         pair = r[reps] != reps
@@ -129,12 +132,52 @@ class TestParityBlocks:
     @pytest.mark.parametrize("symmetry", [
         np.roll(np.arange(128), 1),         # a permutation, not an involution
         np.arange(64),                      # wrong length
-        np.arange(128) ^ 1,                 # involution that does not commute
+        np.arange(128) ^ 1,                 # involution with other sector sizes
     ])
     def test_rejects_bad_symmetry(self, symmetry):
-        h = el.build_mixed_field_ising(el.SpinChainParams(n_sites=7))
+        # the L=7 reflection blocks are 72 x 72 and 56 x 56
+        _, blocks = el.reflection_blocks(el.SpinChainParams(n_sites=7))
         with pytest.raises(el.ValidationError):
-            el.eigendecompose(h, symmetry=symmetry)
+            el.eigendecompose_blocks(symmetry, blocks)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_rejects_a_wrong_block_count(self, blocks):
+        r, (even, odd) = el.reflection_blocks(el.SpinChainParams(n_sites=5))
+        with pytest.raises(el.ValidationError, match="blocks"):
+            el.eigendecompose_blocks(r, [even, odd, odd][:blocks])
+
+    def test_rejects_a_non_hermitian_block(self):
+        r, (even, odd) = el.reflection_blocks(el.SpinChainParams(n_sites=5))
+        odd[0, 1] += 1.0
+        with pytest.raises(el.ValidationError, match="block 1 is not Hermitian"):
+            el.eigendecompose_blocks(r, [even, odd])
+
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        # the odd block is built only after the even eigh has returned and
+        # the even block is gone, so the memory peak holds one block
+        events, refs = [], []
+        eigh = el.spectral._eigh
+
+        def logged_eigh(h):
+            events.append(("eigh", h.shape[0]))
+            return eigh(h)
+
+        r, blocks = el.reflection_blocks(el.SpinChainParams(n_sites=7))
+
+        def logged_blocks():
+            for _ in range(2):
+                block = next(blocks)
+                # the third entry: is the block built before still alive
+                events.append(("block", block.shape[0],
+                               bool(refs) and refs[-1]() is not None))
+                refs.append(weakref.ref(block))
+                yield block
+                del block
+
+        monkeypatch.setattr(el.spectral, "_eigh", logged_eigh)
+        el.eigendecompose_blocks(r, logged_blocks())
+        assert events == [("block", 72, False), ("eigh", 72),
+                          ("block", 56, False), ("eigh", 56)]
 
 
 class TestEntropyModel:
