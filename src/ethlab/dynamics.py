@@ -12,25 +12,46 @@ F2 and Foto are real for Hermitian A thanks to the symmetric regulator
 splitting, and only their validated real part is kept; Resp is purely
 imaginary.
 
-Foto is one d x d product per time point. By cyclicity of the trace,
+By cyclicity of the trace,
 
     Foto(t) = Tr[(G U)^2],   G = A diag(conj(u)) A,   U = diag(u),
     u_m = rho_m^(1/4) exp(i E_m t),
 
-with no inverse of rho, so weights that underflow to zero are harmless. For
-a real A, G is A times the complex diag(conj(u)) A, and it is symmetric, so
+with no inverse of rho, so weights that underflow to zero are harmless.
+Neither dtype forms G as a whole. Both write Foto as u^T W u with a
+symmetric W and form only its upper block triangle, over row blocks I
+(o is the entrywise product):
 
-    Foto = u^T (G o G) u
-         = sum_I u_I^T (G_II o G_II) u_I + 2 sum_{I<J} u_I^T (G_IJ o G_IJ) u_J
+    Foto = u^T W u
+         = sum_I u_I^T W_II u_I + 2 sum_{I<J} u_I^T W_IJ u_J.
 
-over row blocks I of OTOC_BLOCK_ROWS = b rows (o is the entrywise product;
-the real path treats A as exactly symmetric). Only the upper block triangle
-of G is formed: block I starting at row s is A[s:s+b] times the float view
-of the columns s: of diag(conj(u)) A, one real GEMM of 4 b d (d - s) flops.
-Summed over the blocks that is 2 d^3 (1 + b/d) flops per time point when b
-divides d, against 4 d^3 for the whole of G, in one d x d and one b x d
-complex buffer. A complex A takes one complex product (8 d^3 flops) into a
-second d x d buffer and the trace of (G U)^2 as it stands. These are the
+A real A has a symmetric G and W = G o G (the real path treats A as
+exactly symmetric). Block I of b = OTOC_BLOCK_ROWS rows starting at row s
+is A[s:s+b] times the float view of the columns s: of diag(conj(u)) A, one
+real GEMM of 4 b d (d - s) flops. Summed over the blocks that is
+2 d^3 (1 + b/d) flops per time point when b divides d, in one d x d and one
+b x d complex buffer.
+
+A complex A also needs H = A diag(u) A. Because A = A^H, H = G^H, so
+G_ji = conj(H_ij) and W = G o conj(H). With u = c + i s, G = P - i Q and
+H = P + i Q, where P = A diag(c) A and Q = A diag(s) A, so
+
+    W = |P|^2 - |Q|^2 - 2 i Re(P o conj(Q)),
+
+symmetric since P and Q are Hermitian. Block I of h = OTOC_COMPLEX_ROWS
+rows starting at row s is the rows I of G and H right of column s,
+[A_I diag(conj(u)); A_I diag(u)] A[:, s:], which give W_I = G_I o conj(H_I)
+in two passes (strips A_I diag(c) and A_I diag(s) would give P and Q, and
+more passes to combine them). The strips of up to max(1, d/(8 h)) time
+points are stacked into one operand and take one complex GEMM against the
+fixed A[:, s:]: 16 h d (d - s) flops per time point, 8 d^3 (1 + h/d)
+summed over the blocks when h divides d. No d x d buffer is made: the
+strip and its product are the only buffers of more than a few d entries,
+at most max(2 h, d/4) rows of d complex entries each whatever the number
+of time points, so together at most half a d x d complex array once
+d >= 8 h (32 MiB at d = 2048). The identity assumes A = A^H exactly; where
+A is Hermitian only up to E = A - A^H, the value differs from Tr[(G U)^2]
+by at most 4 ||A||^3 ||E|| (spectral norms) beyond rounding. These are the
 per-point costs :func:`check_otoc_cost` states.
 
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
@@ -90,6 +111,7 @@ from .spectral import mean_level_spacing
 
 OTOC_MAX_DIM = 1 << 12
 OTOC_BLOCK_ROWS = 256      # b: rows of G per real GEMM in the real-operator OTOC
+OTOC_COMPLEX_ROWS = 32     # h: rows of G and H per block in the complex-operator OTOC
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
 BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
@@ -192,34 +214,49 @@ def thermal_correlators(a, spectrum, beta, times):
 
 
 def _otoc_block_rows(d, real):
-    """Rows of G per GEMM in :func:`otoc`: b = OTOC_BLOCK_ROWS over the upper
-    block triangle of a real operator's symmetric G, all d of a complex one's."""
-    return min(OTOC_BLOCK_ROWS, d) if real else d
+    """Rows per block in :func:`otoc`: b = OTOC_BLOCK_ROWS of a real
+    operator's G, h = OTOC_COMPLEX_ROWS of a complex one's G and H."""
+    return min(OTOC_BLOCK_ROWS if real else OTOC_COMPLEX_ROWS, d)
+
+
+def _otoc_strip_points(d, h, n_times):
+    """Time points per stacked strip of the complex OTOC, 2 h rows each:
+    at most max(2 h, d/4) rows, whatever ``n_times``."""
+    return max(1, min(n_times, d // (8 * h)))
 
 
 def check_otoc_cost(a, n_times):
     """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_MAX_DIM.
 
     The CostGuardError carries the flops of the path :func:`otoc` would
-    take (module docstring): per time point the exact upper-block-triangle
-    sum, about 2 d^3 (1 + b/d), for a real operator and 8 d^3 for a complex
-    one. Its message also states the buffer memory of the path.
+    take (module docstring), per time point the exact sum over the upper
+    block triangle: about 2 d^3 (1 + b/d) for a real operator and
+    8 d^3 (1 + h/d) for a complex one. Its message also states the buffer
+    memory of the path: d x d plus b x d complex entries for a real
+    operator, the strip and its product of at most max(2 h, d/4) rows of d
+    each for a complex one.
     """
     d = a.dim
     if d > OTOC_MAX_DIM:
         real = np.isrealobj(a.matrix)
         rows = _otoc_block_rows(d, real)
         # 4 flops per multiply-add of a real GEMM on float views, 8 of a
-        # complex one; the block at row s multiplies with the columns s: only
+        # complex one, which forms 2 rows (of G and of H) per block row; the
+        # block at row s multiplies with the columns s: only
         terms = sum(min(rows, d - s) * d * (d - s) for s in range(0, d, rows))
-        flops = float((4 if real else 8) * terms * n_times)
-        path = (f"real operator: about 2 d^3 (1 + b/d) each over the upper "
-                f"block triangle of G, b = {rows}" if real
-                else "complex operator: 8 d^3 each")
+        flops = float((4 if real else 16) * terms * n_times)
+        if real:
+            path = (f"real operator: about 2 d^3 (1 + b/d) each over the upper "
+                    f"block triangle of G, b = {rows}")
+            entries = (d + rows) * d
+        else:
+            path = (f"complex operator: about 8 d^3 (1 + h/d) each over the upper "
+                    f"block triangles of G and H, h = {rows}")
+            entries = 2 * _otoc_strip_points(d, rows, n_times) * 2 * rows * d
         raise CostGuardError(
             f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; estimated {flops:.2e} "
             f"flops for {n_times} time points ({path}; buffers "
-            f"{(d + rows) * d * 16 / 2**30:.2f} GiB)",
+            f"{entries * 16 / 2**30:.2f} GiB)",
             estimated_flops=flops,
         )
 
@@ -227,8 +264,8 @@ def check_otoc_cost(a, n_times):
 def _gibbs_factor(st):
     """rho^(1/4) with the entries below tiny^(1/2) of its maximum zeroed
     (tiny = np.finfo(float).tiny): they would only feed subnormal numbers,
-    slow and far below rounding, into the dense product of :func:`otoc`,
-    whose right operand diag(conj(u)) A then holds none."""
+    slow and far below rounding, into the GEMMs of :func:`otoc`, whose
+    operands scaled by u or conj(u) then hold none."""
     w = st.fractional_weights(0.25)
     w[w < np.sqrt(np.finfo(float).tiny) * w.max()] = 0.0
     return w
@@ -237,15 +274,19 @@ def _gibbs_factor(st):
 def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
-    One loop serves both dtypes, in the module docstring's Tr[(G U)^2]
-    form: per time point it writes diag(conj(u)) A into one reused d x d
-    buffer. A real A then forms only the upper block triangle of the
-    symmetric G, one row block of b = OTOC_BLOCK_ROWS rows at a time, each a
-    real GEMM on the buffer's float view into one reused b x d buffer: the
-    diagonal block counts once and the blocks right of it twice. A complex
-    A takes one complex GEMM into a second d x d buffer. Dimensions above
-    OTOC_MAX_DIM are refused by :func:`check_otoc_cost` instead of silently
-    grinding.
+    Both dtypes sum u^T W u over the upper block triangle of the symmetric
+    W of the module docstring and never form G as a whole. A real A writes
+    diag(conj(u)) A into one reused d x d buffer per time point, and each
+    row block of b = OTOC_BLOCK_ROWS rows of G is a real GEMM on its float
+    view into one reused b x d buffer, W = G o G. A complex A forms the
+    row blocks of h = OTOC_COMPLEX_ROWS rows of G and of H = G^H together,
+    W = G o conj(H), up to max(1, d/(8 h)) time points per complex GEMM:
+    8 d^3 (1 + h/d) flops per time point, in two reused buffers of at most
+    max(2 h, d/4) rows of d complex entries each, whatever the number of
+    time points, and no d x d one. That identity holds for an exactly
+    Hermitian A; one Hermitian only up to E = A - A^H is off by at most
+    4 ||A||^3 ||E|| (spectral norms). Dimensions above OTOC_MAX_DIM are
+    refused by :func:`check_otoc_cost` instead of silently grinding.
 
     States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
     are dropped by :func:`_gibbs_factor`. Foto is linear in each of its
@@ -257,33 +298,63 @@ def otoc(a, spectrum, beta, times):
     _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
-    real = np.isrealobj(a.matrix)
-    d = a.dim
-    rows = _otoc_block_rows(d, real)
     q = _gibbs_factor(thermal_state(spectrum, beta))
-    phases = np.exp(1j * np.outer(times, spectrum.eigenvalues))
-    m = np.empty(a.matrix.shape, dtype=complex)
+    kernel = _otoc_real if np.isrealobj(a.matrix) else _otoc_complex
+    vals = kernel(a.matrix, q, spectrum.eigenvalues, times)
+    series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
+    return replace(series, values=series.real_values())
+
+
+def _otoc_real(a, q, e, times):
+    """u^T (G o G) u per time point over b-row blocks of the symmetric G."""
+    d = a.shape[0]
+    rows = _otoc_block_rows(d, real=True)
+    phases = np.exp(1j * np.outer(times, e))
+    m = np.empty(a.shape, dtype=complex)
     g = np.empty((rows, d), dtype=complex)
     vals = np.zeros(times.size, dtype=complex)
     for i, v in enumerate(phases):
         u = q * v
-        np.multiply(u.conj()[:, None], a.matrix, out=m)
-        if real:
-            for s in range(0, d, rows):
-                # G[s:s+h, s:] = A[s:s+h] m[:, s:], a real GEMM on float views
-                h = min(rows, d - s)
-                blk = g[:h, :d - s]
-                np.matmul(a.matrix[s:s + h], m[:, s:].view(float),
-                          out=blk.view(float))
-                blk *= blk
-                us = u[s:]
-                vals[i] += us[:h] @ (blk[:, :h] @ us[:h] + 2 * (blk[:, h:] @ us[h:]))
-        else:
-            np.matmul(a.matrix, m, out=g)
-            g *= u
-            vals[i] = np.einsum("ij,ji->", g, g)
-    series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
-    return replace(series, values=series.real_values())
+        np.multiply(u.conj()[:, None], a, out=m)
+        for s in range(0, d, rows):
+            # G[s:s+h, s:] = A[s:s+h] m[:, s:], a real GEMM on float views
+            h = min(rows, d - s)
+            blk = g[:h, :d - s]
+            np.matmul(a[s:s + h], m[:, s:].view(float), out=blk.view(float))
+            blk *= blk
+            us = u[s:]
+            vals[i] += us[:h] @ (blk[:, :h] @ us[:h] + 2 * (blk[:, h:] @ us[h:]))
+    return vals
+
+
+def _otoc_complex(a, q, e, times):
+    """u^T (G o conj(H)) u over h-row blocks of G and H, time points stacked."""
+    d = a.shape[0]
+    rows = _otoc_block_rows(d, real=False)
+    chunk = _otoc_strip_points(d, rows, times.size)
+    strip = np.empty(2 * chunk * rows * d, dtype=complex)
+    prod = np.empty_like(strip)
+    vals = np.zeros(times.size, dtype=complex)
+    for t0 in range(0, times.size, chunk):
+        u = q * np.exp(1j * np.multiply.outer(times[t0:t0 + chunk], e))
+        k = u.shape[0]
+        # per point the scalings conj(u) (rows of G) and u (rows of H), and
+        # the weights u and 2u of the diagonal block and the blocks right of it
+        scale = np.stack((u.conj(), u), axis=1)[:, :, None]
+        u2 = 2 * u
+        for s in range(0, d, rows):
+            h, n = min(rows, d - s), d - s
+            left = strip[:2 * k * h * d].reshape(k, 2, h, d)
+            np.multiply(a[s:s + h], scale, out=left)
+            out = prod[:2 * k * h * n].reshape(k, 2, h, n)
+            np.matmul(left.reshape(-1, d), a[:, s:], out=out.reshape(-1, n))
+            g, hc = out[:, 0], out[:, 1]
+            np.conjugate(hc, out=hc)
+            hc[..., :h] *= u[:, None, s:s + h]
+            hc[..., h:] *= u2[:, None, s + h:]
+            vals[t0:t0 + k] += np.einsum("ki,ki->k", u[:, s:s + h],
+                                         np.einsum("kij,kij->ki", g, hc))
+    return vals
 
 
 @dataclass(frozen=True)

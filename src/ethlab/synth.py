@@ -15,6 +15,10 @@ order, one standard normal for the diagonal, then interleaved (re, im) pairs
 for columns n > m. The spectrum uses the stream keyed (seed, 2**63). Results
 are therefore identical across platforms and independent of evaluation
 schedule, and the scheme is part of the fixture file-format contract.
+
+The lower triangle is the conjugate mirror of the upper one, written in
+place, column m as row m is drawn: the same bytes as mirroring the whole
+upper triangle at the end, without a second operator-sized array.
 """
 
 from dataclasses import dataclass, field
@@ -120,7 +124,9 @@ def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0):
 
     ``diagonal`` is a callable O(Ebar) for the smooth diagonal profile
     (None means zero). Hermiticity is exact by construction: only the upper
-    triangle is drawn and the lower triangle is its conjugate mirror.
+    triangle is drawn, and each row's conjugate is written in place into
+    the column below its diagonal as the row is drawn, so no second
+    operator-sized array exists.
     """
     if not isinstance(envelope, EnvelopeSpec):
         raise ValidationError("envelope must be an EnvelopeSpec")
@@ -147,6 +153,5 @@ def synth_eth_operator(spectrum, entropy, envelope, diagonal=None, seed=0):
         omega = np.abs(e[m] - e[m + 1:])
         amp = np.exp(-np.asarray(entropy.entropy_at(ebar), dtype=float) / 2.0)
         a[m, m + 1:] = amp * envelope.evaluate(omega) * r
-    lower = np.tril_indices(d, -1)
-    a[lower] = a.conj().T[lower]
+        a[m + 1:, m] = a[m, m + 1:].conj()
     return OperatorEigenbasis(matrix=a)

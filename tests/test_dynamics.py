@@ -278,8 +278,9 @@ class TestOtoc:
     def test_cost_guard_states_flops_of_the_path(self, dtype, per_term):
         # the guard reads only the shape and dtype: a broadcast zero stands
         # in for the matrix without allocating it; per_term counts flops per
-        # multiply-add of the path's GEMMs, and the real path's block at row
-        # s multiplies its rows with the columns s: only
+        # multiply-add of the path's GEMMs, and each path's block at row s
+        # multiplies its rows (of G, and for a complex operator also of H)
+        # with the columns s: only
         d = el.dynamics.OTOC_MAX_DIM
         at_cap = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
         el.dynamics.check_otoc_cost(at_cap, 5)
@@ -293,7 +294,14 @@ class TestOtoc:
             assert per_term * terms == pytest.approx(2 * n**3 * (1 + b / n),
                                                      rel=1e-3)
         else:
-            terms, stated = n**3, "8 d\\^3 each"
+            h = el.dynamics.OTOC_COMPLEX_ROWS
+            terms = sum(2 * min(h, n - s) * n * (n - s) for s in range(0, n, h))
+            # 5 points stacked in one strip of 5 x 2h rows, and its product
+            stated = ("about 8 d\\^3 \\(1 \\+ h/d\\) each over the upper block "
+                      "triangles of G and H, h = 32; buffers 0.04 GiB")
+            # about 8 n^3 (1 + h/n) per point: the last block is one row
+            assert per_term * terms == pytest.approx(8 * n**3 * (1 + h / n),
+                                                     rel=1e-3)
         with pytest.raises(el.CostGuardError, match=stated) as err:
             el.dynamics.check_otoc_cost(above, 5)
         assert err.value.estimated_flops == per_term * terms * 5
@@ -441,6 +449,92 @@ class TestOtoc:
         finally:
             tracemalloc.stop()
         assert square <= peak < 2 * square
+
+    @pytest.mark.parametrize("n_times", [1, 7, 31])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 200.0, 400.0])
+    @pytest.mark.parametrize("layout", ["ragged", "below_one_block", "stacked"])
+    def test_complex_path_matches_dense_direct_trace(self, layout, beta,
+                                                     n_times):
+        # d = 2h + 13 (two full row blocks of G and H and a ragged one), d < h
+        # (one block), and d = 16h + 13, where a strip stacks two time points
+        # and 7 and 31 points leave a part-filled last strip; at beta = 200
+        # and 400 states are flushed
+        h = el.dynamics.OTOC_COMPLEX_ROWS
+        dim = {"ragged": 2 * h + 13, "below_one_block": 20,
+               "stacked": 16 * h + 13}[layout]
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=dim, dos_shape="flat", bandwidth=8.0, seed=dim))
+        rng = np.random.default_rng(dim + 1)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = el.OperatorEigenbasis(matrix=(x + x.conj().T) / 2)
+        assert (spec.dim < h) == (layout == "below_one_block")
+        points = el.dynamics._otoc_strip_points(dim, min(h, dim), n_times)
+        assert (points > 1) == (layout == "stacked" and n_times > 1)
+        e = spec.eigenvalues
+        logw = -beta * (e - e.min())
+        r4 = np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25
+        # weights below 1e-290 change nothing at 1e-12 of scale and would
+        # only feed subnormal numbers, slowly, into the dense products
+        r4[r4 < 1e-290] = 0.0
+        times = np.linspace(0.0, 3.0, n_times)
+        direct = []
+        for t in times:
+            u = r4 * np.exp(1j * e * t)
+            gu = ((a.matrix * u.conj()) @ a.matrix) * u     # G U
+            direct.append(np.einsum("ij,ji->", gu, gu))
+        direct = np.array(direct)
+        oto = el.otoc(a, spec, beta, times)
+        assert np.abs(oto.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-10])
+    def test_imaginary_word_matches_dense_direct_trace(self, skew):
+        # the XY word at L=7 has one Y, so its A is imaginary, and the
+        # reflection blocks make it exactly Hermitian; skew adds an
+        # anti-Hermitian part with ||A - A^H||_F = skew ||A||_F, inside the
+        # Hermiticity check, where G_ji = conj(H_ij) holds only to
+        # ||A - A^H|| and the value may move by at most 4 ||A||^3 ||A - A^H||
+        spec = el.eigendecompose_blocks(
+            *el.reflection_blocks(el.SpinChainParams(n_sites=7)))
+        word = el.to_eigenbasis(el.LocalObservableSpec(sites=(1, 4),
+                                                       paulis="XY"), spec)
+        m = word.matrix
+        assert np.iscomplexobj(m) and not np.any(m.real)
+        x = np.random.default_rng(5).standard_normal(m.shape)
+        k = (x - x.T) / 2
+        m = m + skew * np.linalg.norm(m) / np.linalg.norm(2 * k) * k
+        skewed = m - m.conj().T
+        assert np.linalg.norm(skewed) == pytest.approx(skew * np.linalg.norm(m))
+        a = el.OperatorEigenbasis(matrix=m)
+        assert a.is_hermitian()
+        e = spec.eigenvalues
+        beta = 1.0
+        logw = -beta * (e - e.min())
+        r4 = np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25
+        times = np.linspace(0.0, 3.0, 7)
+        direct = []
+        for t in times:
+            u = r4 * np.exp(1j * e * t)
+            gu = ((m * u.conj()) @ m) * u
+            direct.append(np.einsum("ij,ji->", gu, gu).real)
+        direct = np.array(direct)
+        oto = el.otoc(a, spec, beta, times)
+        bound = 4 * np.linalg.norm(m, 2) ** 3 * np.linalg.norm(skewed, 2)
+        assert (bound == 0) == (skew == 0)
+        assert np.abs(oto.values - direct).max() <= \
+            bound + 1e-12 * np.abs(direct).max()
+
+    def test_complex_path_holds_no_square_buffer(self):
+        # at d = 512 the complex path forms G and H in strips of at most
+        # d/4 rows, so its traced peak stays below one d x d complex array
+        spec, a = synth_complex(512, seed=8)
+        square = spec.dim**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            el.otoc(a, spec, 1.0, np.linspace(0, 3, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square
 
 
 class TestSpectralDensities:

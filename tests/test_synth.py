@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ethlab as el
+from synth_reference import synth_eth_operator_mirrored_at_end
 
 
 class TestSynthSpectrum:
@@ -124,3 +127,36 @@ class TestSynthOperator:
         with pytest.raises(el.ValidationError):
             el.synth_eth_operator(synth2000["spec"], synth2000["entropy"],
                                   envelope="exp", seed=1)
+
+    @pytest.mark.parametrize("dim", [16, 17, 300])
+    def test_in_place_mirror_equals_mirror_at_end(self, dim):
+        # the fixture format contract: the same bytes as the reference that
+        # mirrors the whole upper triangle after drawing it
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=dim, dos_shape="gaussian", bandwidth=3.0, seed=dim))
+        ent = el.EntropyModel.constant(np.log(dim), spec.eigenvalues[0],
+                                       spec.eigenvalues[-1])
+        env = el.EnvelopeSpec(form="exp_decay", gamma=0.5, f0=1.3)
+        args = (spec, ent, env)
+        kwargs = {"diagonal": np.tanh, "seed": 7}
+        got = el.synth_eth_operator(*args, **kwargs).matrix
+        ref = synth_eth_operator_mirrored_at_end(*args, **kwargs).matrix
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_no_second_operator_sized_array(self):
+        # the lower triangle is written in place, row by row
+        dim = 512
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=dim, dos_shape="flat", bandwidth=4.0, seed=5))
+        ent = el.EntropyModel.constant(np.log(dim), spec.eigenvalues[0],
+                                       spec.eigenvalues[-1])
+        env = el.EnvelopeSpec(form="exp_decay", gamma=0.25, f0=1.0)
+        operator = dim**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            el.synth_eth_operator(spec, ent, env, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert operator <= peak < 1.25 * operator
