@@ -18,41 +18,40 @@ By cyclicity of the trace,
     u_m = rho_m^(1/4) exp(i E_m t),
 
 with no inverse of rho, so weights that underflow to zero are harmless.
-Neither dtype forms G as a whole. Both write Foto as u^T W u with a
-symmetric W and form only its upper block triangle, over row blocks I
-(o is the entrywise product):
+G is never formed as a whole. Foto = u^T W u with a symmetric W, and only
+the upper block triangle of W is formed, over row blocks I of
+h = OTOC_BLOCK_ROWS rows (o is the entrywise product):
 
     Foto = u^T W u
          = sum_I u_I^T W_II u_I + 2 sum_{I<J} u_I^T W_IJ u_J.
 
-A real A has a symmetric G and W = G o G (the real path treats A as
-exactly symmetric). Block I of b = OTOC_BLOCK_ROWS rows starting at row s
-is A[s:s+b] times the float view of the columns s: of diag(conj(u)) A, one
-real GEMM of 4 b d (d - s) flops. Summed over the blocks that is
-2 d^3 (1 + b/d) flops per time point when b divides d, in one d x d and one
-b x d complex buffer.
-
-A complex A also needs H = A diag(u) A. Because A = A^H, H = G^H, so
-G_ji = conj(H_ij) and W = G o conj(H). With u = c + i s, G = P - i Q and
-H = P + i Q, where P = A diag(c) A and Q = A diag(s) A, so
+With H = A diag(u) A, A = A^H gives H = G^H, so G_ji = conj(H_ij) and
+W = G o conj(H). With u = c + i s, G = P - i Q and H = P + i Q, where
+P = A diag(c) A and Q = A diag(s) A, so
 
     W = |P|^2 - |Q|^2 - 2 i Re(P o conj(Q)),
 
-symmetric since P and Q are Hermitian. Block I of h = OTOC_COMPLEX_ROWS
-rows starting at row s is the rows I of G and H right of column s,
-[A_I diag(conj(u)); A_I diag(u)] A[:, s:], which give W_I = G_I o conj(H_I)
-in two passes (strips A_I diag(c) and A_I diag(s) would give P and Q, and
-more passes to combine them). The strips of up to max(1, d/(8 h)) time
-points are stacked into one operand and take one complex GEMM against the
-fixed A[:, s:]: 16 h d (d - s) flops per time point, 8 d^3 (1 + h/d)
-summed over the blocks when h divides d. No d x d buffer is made: the
-strip and its product are the only buffers of more than a few d entries,
-at most max(2 h, d/4) rows of d complex entries each whatever the number
-of time points, so together at most half a d x d complex array once
-d >= 8 h (32 MiB at d = 2048). The identity assumes A = A^H exactly; where
-A is Hermitian only up to E = A - A^H, the value differs from Tr[(G U)^2]
-by at most 4 ||A||^3 ||E|| (spectral norms) beyond rounding. These are the
-per-point costs :func:`check_otoc_cost` states.
+symmetric since P and Q are Hermitian. Block I starting at row s takes the
+rows I of G right of column s from one GEMM of a strip of A_I scalings
+against the fixed A[:, s:]; the strips of up to max(1, d/(8 h)) time
+points are stacked into one operand. A complex A stacks
+[A_I diag(conj(u)); A_I diag(u)], whose product holds the rows of G and H,
+and forms W_I = G_I o conj(H_I) in two passes: 16 h d (d - s) flops per
+time point, 8 d^3 (1 + h/d) summed over the blocks when h divides d. A
+real A has real P and Q, so H = conj(G) and W = G o G; its real strip
+[A_I diag(c); A_I diag(-s)] gives the real and imaginary parts of the
+rows of G in one real GEMM: 4 h d (d - s) flops per time point,
+2 d^3 (1 + h/d) summed. No d x d buffer is made: the strip and its
+product are the only buffers of more than a few d entries, at most
+max(2 h, d/4) rows of d entries of A's dtype each whatever the number of
+time points, so together at most half a d x d array of that dtype once
+d >= 8 h: 32 MiB complex at d = 2048, and for the real L=12 operator
+(d = 4096) a traced 4.7 MiB at one time point and 68 MiB from 16 on. A
+real A writes G and its weighted copy over the strip and the product once
+the GEMM has read them, as complex arrays of the same bytes. The identity assumes A = A^H
+exactly; where A is Hermitian only up to E = A - A^H, the value differs
+from Tr[(G U)^2] by at most 4 ||A||^3 ||E|| (spectral norms) beyond
+rounding. These are the per-point costs :func:`check_otoc_cost` states.
 
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
 sum with weights (left, right) = (u, u), u = rho^(1/2), and (rho, 1):
@@ -110,8 +109,7 @@ from .errors import (CostGuardError, DivergentIntegralError, FitRejectedError,
 from .spectral import mean_level_spacing
 
 OTOC_MAX_DIM = 1 << 12
-OTOC_BLOCK_ROWS = 256      # b: rows of G per real GEMM in the real-operator OTOC
-OTOC_COMPLEX_ROWS = 32     # h: rows of G and H per block in the complex-operator OTOC
+OTOC_BLOCK_ROWS = 32       # h: rows of G per block of the OTOC
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
 BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
@@ -213,50 +211,39 @@ def thermal_correlators(a, spectrum, beta, times):
     return replace(f2, values=f2.real_values()), fsym, resp
 
 
-def _otoc_block_rows(d, real):
-    """Rows per block in :func:`otoc`: b = OTOC_BLOCK_ROWS of a real
-    operator's G, h = OTOC_COMPLEX_ROWS of a complex one's G and H."""
-    return min(OTOC_BLOCK_ROWS if real else OTOC_COMPLEX_ROWS, d)
-
-
 def _otoc_strip_points(d, h, n_times):
-    """Time points per stacked strip of the complex OTOC, 2 h rows each:
-    at most max(2 h, d/4) rows, whatever ``n_times``."""
+    """Time points per stacked strip of the OTOC, 2 h rows each: at most
+    max(2 h, d/4) rows, whatever ``n_times``."""
     return max(1, min(n_times, d // (8 * h)))
 
 
 def check_otoc_cost(a, n_times):
     """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_MAX_DIM.
 
-    The CostGuardError carries the flops of the path :func:`otoc` would
-    take (module docstring), per time point the exact sum over the upper
-    block triangle: about 2 d^3 (1 + b/d) for a real operator and
-    8 d^3 (1 + h/d) for a complex one. Its message also states the buffer
-    memory of the path: d x d plus b x d complex entries for a real
-    operator, the strip and its product of at most max(2 h, d/4) rows of d
-    each for a complex one.
+    The CostGuardError carries the flops :func:`otoc` would spend (module
+    docstring), per time point the exact sum over the upper block triangle
+    of W: about 2 d^3 (1 + h/d) for a real operator, whose strips take a
+    real GEMM, and 8 d^3 (1 + h/d) for a complex one. Its message also
+    states the buffer memory: the strip and its product, at most
+    max(2 h, d/4) rows of d entries of the operator's dtype each (a traced
+    68 MiB for 16 time points of the real L=12 operator, d = 4096).
     """
     d = a.dim
     if d > OTOC_MAX_DIM:
         real = np.isrealobj(a.matrix)
-        rows = _otoc_block_rows(d, real)
-        # 4 flops per multiply-add of a real GEMM on float views, 8 of a
-        # complex one, which forms 2 rows (of G and of H) per block row; the
-        # block at row s multiplies with the columns s: only
-        terms = sum(min(rows, d - s) * d * (d - s) for s in range(0, d, rows))
+        h = min(OTOC_BLOCK_ROWS, d)
+        # the 2 rows per block row (real and imaginary part of G, or G and
+        # H) at row s multiply the columns s: only: 2 x 2 flops per
+        # multiply-add of a real GEMM, 2 x 8 of a complex one
+        terms = sum(min(h, d - s) * d * (d - s) for s in range(0, d, h))
         flops = float((4 if real else 16) * terms * n_times)
-        if real:
-            path = (f"real operator: about 2 d^3 (1 + b/d) each over the upper "
-                    f"block triangle of G, b = {rows}")
-            entries = (d + rows) * d
-        else:
-            path = (f"complex operator: about 8 d^3 (1 + h/d) each over the upper "
-                    f"block triangles of G and H, h = {rows}")
-            entries = 2 * _otoc_strip_points(d, rows, n_times) * 2 * rows * d
+        rows = 2 * h * _otoc_strip_points(d, h, n_times)
+        buffers = 2 * rows * d * (8 if real else 16)
         raise CostGuardError(
             f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; estimated {flops:.2e} "
-            f"flops for {n_times} time points ({path}; buffers "
-            f"{entries * 16 / 2**30:.2f} GiB)",
+            f"flops for {n_times} time points (about {2 if real else 8} d^3 "
+            f"(1 + h/d) each over the upper block triangle of W, h = {h}; "
+            f"buffers {buffers / 2**30:.2f} GiB)",
             estimated_flops=flops,
         )
 
@@ -274,19 +261,20 @@ def _gibbs_factor(st):
 def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
-    Both dtypes sum u^T W u over the upper block triangle of the symmetric
-    W of the module docstring and never form G as a whole. A real A writes
-    diag(conj(u)) A into one reused d x d buffer per time point, and each
-    row block of b = OTOC_BLOCK_ROWS rows of G is a real GEMM on its float
-    view into one reused b x d buffer, W = G o G. A complex A forms the
-    row blocks of h = OTOC_COMPLEX_ROWS rows of G and of H = G^H together,
-    W = G o conj(H), up to max(1, d/(8 h)) time points per complex GEMM:
-    8 d^3 (1 + h/d) flops per time point, in two reused buffers of at most
-    max(2 h, d/4) rows of d complex entries each, whatever the number of
-    time points, and no d x d one. That identity holds for an exactly
-    Hermitian A; one Hermitian only up to E = A - A^H is off by at most
-    4 ||A||^3 ||E|| (spectral norms). Dimensions above OTOC_MAX_DIM are
-    refused by :func:`check_otoc_cost` instead of silently grinding.
+    Sums u^T W u over the upper block triangle of the symmetric W of the
+    module docstring and never forms G as a whole. Each row block of
+    h = OTOC_BLOCK_ROWS rows is one GEMM of a stacked strip of up to
+    max(1, d/(8 h)) time points against the fixed A[:, s:]: a complex A
+    forms the rows of G and H = G^H, W = G o conj(H), in 8 d^3 (1 + h/d)
+    flops per time point; a real A forms the real and imaginary parts of
+    the rows of G by a real GEMM, W = G o G, in 2 d^3 (1 + h/d). The strip
+    and its product are two reused buffers of at most max(2 h, d/4) rows of
+    d entries each, whatever the number of time points, and no d x d one
+    (at d = 4096 a real operator traces 4.7 MiB at one time point).
+    That identity holds for an exactly Hermitian A; one Hermitian only up
+    to E = A - A^H is off by at most 4 ||A||^3 ||E|| (spectral norms).
+    Dimensions above OTOC_MAX_DIM are refused by :func:`check_otoc_cost`
+    instead of silently grinding.
 
     States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
     are dropped by :func:`_gibbs_factor`. Foto is linear in each of its
@@ -299,48 +287,29 @@ def otoc(a, spectrum, beta, times):
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
     q = _gibbs_factor(thermal_state(spectrum, beta))
-    kernel = _otoc_real if np.isrealobj(a.matrix) else _otoc_complex
-    vals = kernel(a.matrix, q, spectrum.eigenvalues, times)
+    vals = _otoc_sum(a.matrix, q, spectrum.eigenvalues, times)
     series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
     return replace(series, values=series.real_values())
 
 
-def _otoc_real(a, q, e, times):
-    """u^T (G o G) u per time point over b-row blocks of the symmetric G."""
+def _otoc_sum(a, q, e, times):
+    """u^T W u over h-row blocks of W's upper block triangle, time points stacked."""
     d = a.shape[0]
-    rows = _otoc_block_rows(d, real=True)
-    phases = np.exp(1j * np.outer(times, e))
-    m = np.empty(a.shape, dtype=complex)
-    g = np.empty((rows, d), dtype=complex)
-    vals = np.zeros(times.size, dtype=complex)
-    for i, v in enumerate(phases):
-        u = q * v
-        np.multiply(u.conj()[:, None], a, out=m)
-        for s in range(0, d, rows):
-            # G[s:s+h, s:] = A[s:s+h] m[:, s:], a real GEMM on float views
-            h = min(rows, d - s)
-            blk = g[:h, :d - s]
-            np.matmul(a[s:s + h], m[:, s:].view(float), out=blk.view(float))
-            blk *= blk
-            us = u[s:]
-            vals[i] += us[:h] @ (blk[:, :h] @ us[:h] + 2 * (blk[:, h:] @ us[h:]))
-    return vals
-
-
-def _otoc_complex(a, q, e, times):
-    """u^T (G o conj(H)) u over h-row blocks of G and H, time points stacked."""
-    d = a.shape[0]
-    rows = _otoc_block_rows(d, real=False)
+    real = np.isrealobj(a)
+    rows = min(OTOC_BLOCK_ROWS, d)
     chunk = _otoc_strip_points(d, rows, times.size)
-    strip = np.empty(2 * chunk * rows * d, dtype=complex)
+    strip = np.empty(2 * chunk * rows * d, dtype=a.dtype)
     prod = np.empty_like(strip)
     vals = np.zeros(times.size, dtype=complex)
     for t0 in range(0, times.size, chunk):
         u = q * np.exp(1j * np.multiply.outer(times[t0:t0 + chunk], e))
         k = u.shape[0]
-        # per point the scalings conj(u) (rows of G) and u (rows of H), and
-        # the weights u and 2u of the diagonal block and the blocks right of it
-        scale = np.stack((u.conj(), u), axis=1)[:, :, None]
+        # per point the strip scalings, (Re conj(u), Im conj(u)) (real and
+        # imaginary part of the rows of G) or (conj(u), u) (rows of G and
+        # H), and the weights u and 2u of the diagonal block and the blocks
+        # right of it
+        ub = u.conj()
+        scale = np.stack((ub.real, ub.imag) if real else (ub, u), axis=1)[:, :, None]
         u2 = 2 * u
         for s in range(0, d, rows):
             h, n = min(rows, d - s), d - s
@@ -348,10 +317,19 @@ def _otoc_complex(a, q, e, times):
             np.multiply(a[s:s + h], scale, out=left)
             out = prod[:2 * k * h * n].reshape(k, 2, h, n)
             np.matmul(left.reshape(-1, d), a[:, s:], out=out.reshape(-1, n))
-            g, hc = out[:, 0], out[:, 1]
-            np.conjugate(hc, out=hc)
-            hc[..., :h] *= u[:, None, s:s + h]
-            hc[..., h:] *= u2[:, None, s + h:]
+            if real:
+                # G into the strip the GEMM has consumed; conj(H) = G,
+                # weighted below into the product G was read from
+                g = strip[:2 * k * h * n].view(complex).reshape(k, h, n)
+                np.copyto(g.real, out[:, 0])
+                np.copyto(g.imag, out[:, 1])
+                hc = prod[:2 * k * h * n].view(complex).reshape(k, h, n)
+                src = g
+            else:
+                g, hc = out[:, 0], out[:, 1]
+                src = np.conjugate(hc, out=hc)
+            np.multiply(src[..., :h], u[:, None, s:s + h], out=hc[..., :h])
+            np.multiply(src[..., h:], u2[:, None, s + h:], out=hc[..., h:])
             vals[t0:t0 + k] += np.einsum("ki,ki->k", u[:, s:s + h],
                                          np.einsum("kij,kij->ki", g, hc))
     return vals

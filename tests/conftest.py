@@ -24,7 +24,7 @@ def ising8():
 
 @pytest.fixture(scope="session")
 def ising9():
-    """L=9 chain (d=512): its real-operator OTOC spans two row blocks."""
+    """L=9 chain (d=512): its OTOC spans sixteen row blocks."""
     return _ising_chain(9)
 
 

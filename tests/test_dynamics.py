@@ -260,9 +260,9 @@ class TestOtoc:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 8.0, 400.0])
     def test_real_path_matches_complex_path(self, ising8, beta):
-        # a real operator takes the symmetric S S^T path, the same operator
-        # cast to complex the general product; at beta = 400 rho^(1/8) is
-        # exactly zero for the top states
+        # a real operator takes real strips and W = G o G, the same operator
+        # cast to complex the strips of G and H and W = G o conj(H); at
+        # beta = 400 rho^(1/8) is exactly zero for the top states
         a, spec = ising8["a"], ising8["spec"]
         assert np.isrealobj(a.matrix)
         weights = el.thermal_state(spec, beta).fractional_weights(0.125)
@@ -274,34 +274,29 @@ class TestOtoc:
         assert np.all(np.isfinite(real.values))
         assert rel_dev(real.values, cplx.values) <= 1e-13
 
-    @pytest.mark.parametrize("dtype,per_term", [(float, 4), (complex, 8)])
+    @pytest.mark.parametrize("dtype,per_term", [(float, 4), (complex, 16)])
     def test_cost_guard_states_flops_of_the_path(self, dtype, per_term):
         # the guard reads only the shape and dtype: a broadcast zero stands
-        # in for the matrix without allocating it; per_term counts flops per
-        # multiply-add of the path's GEMMs, and each path's block at row s
-        # multiplies its rows (of G, and for a complex operator also of H)
-        # with the columns s: only
+        # in for the matrix without allocating it; per_term counts the flops
+        # of one block row times one column times one inner index: two strip
+        # rows (real and imaginary part of G, or G and H) at 2 flops per
+        # multiply-add of a real GEMM or 8 of a complex one, and the block at
+        # row s multiplies with the columns s: only
         d = el.dynamics.OTOC_MAX_DIM
         at_cap = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
         el.dynamics.check_otoc_cost(at_cap, 5)
         above = el.OperatorEigenbasis(
             matrix=np.broadcast_to(dtype(0), (d + 1, d + 1)))
-        n, b = d + 1, el.dynamics.OTOC_BLOCK_ROWS
-        if dtype is float:
-            terms = sum(min(b, n - s) * n * (n - s) for s in range(0, n, b))
-            stated = "2 d\\^3 \\(1 \\+ b/d\\) each"
-            # about 2 n^3 (1 + b/n) per point: the last block is one row
-            assert per_term * terms == pytest.approx(2 * n**3 * (1 + b / n),
-                                                     rel=1e-3)
-        else:
-            h = el.dynamics.OTOC_COMPLEX_ROWS
-            terms = sum(2 * min(h, n - s) * n * (n - s) for s in range(0, n, h))
-            # 5 points stacked in one strip of 5 x 2h rows, and its product
-            stated = ("about 8 d\\^3 \\(1 \\+ h/d\\) each over the upper block "
-                      "triangles of G and H, h = 32; buffers 0.04 GiB")
-            # about 8 n^3 (1 + h/n) per point: the last block is one row
-            assert per_term * terms == pytest.approx(8 * n**3 * (1 + h / n),
-                                                     rel=1e-3)
+        n, h = d + 1, el.dynamics.OTOC_BLOCK_ROWS
+        terms = sum(min(h, n - s) * n * (n - s) for s in range(0, n, h))
+        # about 2 n^3 (1 + h/n) per point real, 8 n^3 (1 + h/n) complex: the
+        # last block is one row
+        assert per_term * terms == pytest.approx(
+            per_term // 2 * n**3 * (1 + h / n), rel=1e-3)
+        # 5 points stacked in one strip of 5 x 2h rows, and its product
+        buffers = {4: "0.02", 16: "0.04"}[per_term]
+        stated = (f"about {per_term // 2} d\\^3 \\(1 \\+ h/d\\) each over the "
+                  f"upper block triangle of W, h = 32; buffers {buffers} GiB")
         with pytest.raises(el.CostGuardError, match=stated) as err:
             el.dynamics.check_otoc_cost(above, 5)
         assert err.value.estimated_flops == per_term * terms * 5
@@ -317,7 +312,7 @@ class TestOtoc:
     def test_subnormal_gibbs_factors_flushed(self, ising8):
         # at beta = 200 the Gibbs factors of the top states reach the
         # subnormal range; they are zeroed, diag(conj(u)) A holds no
-        # subnormal entry, and both paths equal the unflushed sum
+        # subnormal entry, and a real and a complex A equal the unflushed sum
         a, spec, beta = ising8["a"], ising8["spec"], 200.0
         tiny = np.finfo(float).tiny
         st_ = el.thermal_state(spec, beta)
@@ -382,8 +377,9 @@ class TestOtoc:
 
     def test_gemm_operand_holds_no_subnormal(self, ising8, monkeypatch):
         # at beta = 200 rho^(1/4) of the top states falls below tiny^(1/2)
-        # of its maximum; they are dropped, so the right operand of every
-        # real GEMM, diag(rho^(1/4) e^(-iEt)) A as floats, is subnormal-free
+        # of its maximum; they are dropped, so the left operand of every
+        # real GEMM, A's rows scaled by the real and imaginary parts of
+        # rho^(1/4) e^(-iEt), is subnormal-free
         a, spec, beta = ising8["a"], ising8["spec"], 200.0
         st_ = el.thermal_state(spec, beta)
         q = el.dynamics._gibbs_factor(st_)
@@ -392,34 +388,31 @@ class TestOtoc:
         matmul = np.matmul
 
         def spy(x, y, **kwargs):
-            operands.append(np.array(y))
+            operands.append(np.array(x))
             return matmul(x, y, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
         times = np.linspace(0, 3, 6)
         el.otoc(a, spec, beta, times)
-        blocks = -(-spec.dim // el.dynamics.OTOC_BLOCK_ROWS)
-        assert len(operands) == times.size * blocks
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        points = el.dynamics._otoc_strip_points(spec.dim, h, times.size)
+        strips = -(-times.size // points) * -(-spec.dim // h)
+        assert len(operands) == strips
         tiny = np.finfo(float).tiny
-        for y in operands:
-            assert y.dtype == float
-            assert not np.any((y != 0) & (np.abs(y) < tiny))
+        for x in operands:
+            assert x.dtype == float
+            assert not np.any((x != 0) & (np.abs(x) < tiny))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 200.0, 400.0])
-    @pytest.mark.parametrize("kind", ["synthetic", "ising9"])
-    def test_real_path_spans_row_blocks(self, ising9, kind, beta):
-        # d = 2b + 65 (two full row blocks and a ragged one) and the L=9
-        # chain (d = 512, two blocks): every off-diagonal block of G is
-        # formed and counted twice; at beta = 200 and 400 states are flushed
-        b = el.dynamics.OTOC_BLOCK_ROWS
-        if kind == "ising9":
-            a, spec = ising9["a"], ising9["spec"]
-        else:
-            spec = el.synth_spectrum(el.SynthSpectrumParams(
-                dim=2 * b + 65, dos_shape="flat", bandwidth=8.0, seed=3))
-            x = np.random.default_rng(4).standard_normal((spec.dim, spec.dim))
-            a = el.OperatorEigenbasis(matrix=(x + x.T) / 2)
-        assert np.isrealobj(a.matrix) and spec.dim > b
+    @pytest.mark.parametrize("kind", ["ising9"])
+    def test_real_path_spans_row_blocks(self, request, kind, beta):
+        # the L=9 chain (d = 512, sixteen row blocks): every off-diagonal
+        # block of W is formed and counted twice; at beta = 200 and 400
+        # states are flushed
+        chain = request.getfixturevalue(kind)
+        a, spec = chain["a"], chain["spec"]
+        assert np.isrealobj(a.matrix)
+        assert spec.dim > el.dynamics.OTOC_BLOCK_ROWS
         e = spec.eigenvalues
         logw = -beta * (e - e.min())
         r4 = np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25
@@ -437,36 +430,31 @@ class TestOtoc:
         assert np.abs(real.values - direct).max() <= 1e-12 * np.abs(direct).max()
         assert rel_dev(real.values, cplx.values) <= 1e-13
 
-    def test_real_path_holds_one_square_buffer(self, ising9):
-        # at d = 512 the real path keeps diag(conj(u)) A as its one d x d
-        # complex buffer and forms G in a b x d block, never as a whole
-        a, spec = ising9["a"], ising9["spec"]
-        square = spec.dim**2 * np.dtype(complex).itemsize
-        tracemalloc.start()
-        try:
-            el.otoc(a, spec, 1.0, np.linspace(0, 3, 3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert square <= peak < 2 * square
-
     @pytest.mark.parametrize("n_times", [1, 7, 31])
     @pytest.mark.parametrize("beta", [0.0, 1.0, 200.0, 400.0])
-    @pytest.mark.parametrize("layout", ["ragged", "below_one_block", "stacked"])
-    def test_complex_path_matches_dense_direct_trace(self, layout, beta,
+    @pytest.mark.parametrize("layout,dtype", [
+        ("ragged", complex), ("below_one_block", complex), ("stacked", complex),
+        ("ragged", float), ("below_one_block", float), ("stacked", float)],
+        ids=["ragged", "below_one_block", "stacked",
+             "ragged-real", "below_one_block-real", "stacked-real"])
+    def test_complex_path_matches_dense_direct_trace(self, layout, dtype, beta,
                                                      n_times):
-        # d = 2h + 13 (two full row blocks of G and H and a ragged one), d < h
+        # a complex Hermitian and a real symmetric A through the same
+        # layouts: d = 2h + 13 (two full row blocks and a ragged one), d < h
         # (one block), and d = 16h + 13, where a strip stacks two time points
         # and 7 and 31 points leave a part-filled last strip; at beta = 200
         # and 400 states are flushed
-        h = el.dynamics.OTOC_COMPLEX_ROWS
+        h = el.dynamics.OTOC_BLOCK_ROWS
         dim = {"ragged": 2 * h + 13, "below_one_block": 20,
                "stacked": 16 * h + 13}[layout]
         spec = el.synth_spectrum(el.SynthSpectrumParams(
             dim=dim, dos_shape="flat", bandwidth=8.0, seed=dim))
         rng = np.random.default_rng(dim + 1)
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if dtype is float:
+            x = x.real
         a = el.OperatorEigenbasis(matrix=(x + x.conj().T) / 2)
+        assert a.matrix.dtype == dtype
         assert (spec.dim < h) == (layout == "below_one_block")
         points = el.dynamics._otoc_strip_points(dim, min(h, dim), n_times)
         assert (points > 1) == (layout == "stacked" and n_times > 1)
@@ -523,10 +511,14 @@ class TestOtoc:
         assert np.abs(oto.values - direct).max() <= \
             bound + 1e-12 * np.abs(direct).max()
 
-    def test_complex_path_holds_no_square_buffer(self):
-        # at d = 512 the complex path forms G and H in strips of at most
-        # d/4 rows, so its traced peak stays below one d x d complex array
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_holds_no_square_buffer(self, dtype):
+        # at d = 512 G (and H) are formed in strips of at most d/4 rows, so
+        # the traced peak stays below one d x d complex array
         spec, a = synth_complex(512, seed=8)
+        if dtype is float:
+            # the real part of a Hermitian matrix is symmetric
+            a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))
         square = spec.dim**2 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:

@@ -463,7 +463,11 @@ class TestRunner:
         monkeypatch.setattr(pipeline, "thermal_correlators", correlators_must_not_run)
         with pytest.raises(el.CostGuardError) as err:
             run(cfg, stages=("dynamics",))
-        assert err.value.estimated_flops == 4 * 256**3 * 3  # real operator
+        # real operator: 4 flops per block row, column and inner index over
+        # the upper block triangle
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        terms = sum(h * 256 * (256 - s) for s in range(0, 256, h))
+        assert err.value.estimated_flops == 4 * terms * 3
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"]["dynamics"].startswith("error: otoc at dim 256")
         # without OTOC points the cap does not apply
