@@ -33,25 +33,36 @@ P = A diag(c) A and Q = A diag(s) A, so
 
 symmetric since P and Q are Hermitian. Block I starting at row s takes the
 rows I of G right of column s from one GEMM of a strip of A_I scalings
-against the fixed A[:, s:]; the strips of up to max(1, d/(8 h)) time
-points are stacked into one operand. A complex A stacks
-[A_I diag(conj(u)); A_I diag(u)], whose product holds the rows of G and H,
-and forms W_I = G_I o conj(H_I) in two passes: 16 h d (d - s) flops per
-time point, 8 d^3 (1 + h/d) summed over the blocks when h divides d. A
-real A has real P and Q, so H = conj(G) and W = G o G; its real strip
-[A_I diag(c); A_I diag(-s)] gives the real and imaginary parts of the
-rows of G in one real GEMM: 4 h d (d - s) flops per time point,
-2 d^3 (1 + h/d) summed. No d x d buffer is made: the strip and its
-product are the only buffers of more than a few d entries, at most
-max(2 h, d/4) rows of d entries of A's dtype each whatever the number of
-time points, so together at most half a d x d array of that dtype once
-d >= 8 h: 32 MiB complex at d = 2048, and for the real L=12 operator
-(d = 4096) a traced 4.7 MiB at one time point and 68 MiB from 16 on. A
-real A writes G and its weighted copy over the strip and the product once
-the GEMM has read them, as complex arrays of the same bytes. The identity assumes A = A^H
-exactly; where A is Hermitian only up to E = A - A^H, the value differs
-from Tr[(G U)^2] by at most 4 ||A||^3 ||E|| (spectral norms) beyond
-rounding. These are the per-point costs :func:`check_otoc_cost` states.
+against the fixed A[:, s:]; the strips of up to chunk = max(1, d/(8 h))
+time points are stacked into one operand. h is 32, or max(32, d/16) for a
+call with a single time point, whose strip stacks no other point. A
+complex A stacks [A_I diag(conj(u)); A_I diag(u)], whose product holds the
+rows of G and H, and forms W_I = G_I o conj(H_I) in two passes:
+16 h d (d - s) flops per time point, 8 d^3 (1 + h/d) summed over the
+blocks when h divides d. A real A has real P and Q, so H = conj(G) and
+W = G o G; its real strip [A_I diag(c); A_I diag(-s)] gives the real and
+imaginary parts of the rows of G in one real GEMM: 4 h d (d - s) flops per
+time point, 2 d^3 (1 + h/d) summed. A real A writes G and its weighted
+copy over the strip and the product once the GEMM has read them, as
+complex arrays of the same bytes.
+
+The time points fall into n contiguous groups, each summed on its own
+thread by the same operations (numpy's GEMMs and ufuncs release the GIL),
+with n = max(1, min(T, cpus // blas)): cpus the CPUs of the process's
+affinity mask, blas the first positive integer among OPENBLAS_NUM_THREADS,
+MKL_NUM_THREADS and OMP_NUM_THREADS, and n = 1 when none is set, since
+BLAS then already spreads over every CPU. Each point's value comes from
+one thread; a group's strip holds at most ceil(chunk/n) points. No d x d
+buffer is made: the strips and their products are the only buffers of
+more than a few d entries, at most 2 h (chunk + n - 1) rows of d entries
+of A's dtype each over all groups whatever the number of time points, so
+on one thread at most half a d x d array of that dtype once d >= 8 h:
+32 MiB complex at d = 2048, and for the real L=12 operator (d = 4096) a
+traced 68 MiB from 16 points on. The identity assumes A = A^H exactly;
+where A is Hermitian only up to E = A - A^H, the value differs from
+Tr[(G U)^2] by at most 4 ||A||^3 ||E|| (spectral norms) beyond rounding.
+These are the per-point costs :func:`check_otoc_cost` states, and it
+refuses a call above OTOC_FLOP_BUDGET = 1e13 flops.
 
 F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
 sum with weights (left, right) = (u, u), u = rho^(1/2), and (rho, 1):
@@ -98,7 +109,9 @@ by at most (|x t|^N/N!) * exp(|x t|) ~ 6.7e-16, which is at most 9.0e-16 of
 the term itself.
 """
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,8 +121,9 @@ from .errors import (CostGuardError, DivergentIntegralError, FitRejectedError,
                      ValidationError)
 from .spectral import mean_level_spacing
 
-OTOC_MAX_DIM = 1 << 12
 OTOC_BLOCK_ROWS = 32       # h: rows of G per block of the OTOC
+OTOC_FLOP_BUDGET = 1e13    # flops one otoc call may spend
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
 BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
@@ -211,39 +225,81 @@ def thermal_correlators(a, spectrum, beta, times):
     return replace(f2, values=f2.real_values()), fsym, resp
 
 
+def _otoc_block_rows(d, n_times):
+    """h, the rows per block of W: OTOC_BLOCK_ROWS, or for a single time
+    point, whose strip stacks no other point, the taller max(h, d/16), so
+    that its GEMM is not a thin 2 h-row one; never more than d."""
+    h = OTOC_BLOCK_ROWS if n_times > 1 else max(OTOC_BLOCK_ROWS, d // 16)
+    return min(h, d)
+
+
 def _otoc_strip_points(d, h, n_times):
     """Time points per stacked strip of the OTOC, 2 h rows each: at most
     max(2 h, d/4) rows, whatever ``n_times``."""
     return max(1, min(n_times, d // (8 * h)))
 
 
-def check_otoc_cost(a, n_times):
-    """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_MAX_DIM.
+def _otoc_threads(n_times):
+    """Threads that sum the time points of one OTOC call:
+    max(1, min(n_times, cpus // blas)), cpus the CPUs this process may run
+    on and blas the first positive integer among BLAS_THREAD_VARS. With
+    none set, BLAS already spreads over every CPU, so one thread."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, min(n_times, cpus // blas))
+    return 1
 
-    The CostGuardError carries the flops :func:`otoc` would spend (module
-    docstring), per time point the exact sum over the upper block triangle
-    of W: about 2 d^3 (1 + h/d) for a real operator, whose strips take a
-    real GEMM, and 8 d^3 (1 + h/d) for a complex one. Its message also
-    states the buffer memory: the strip and its product, at most
-    max(2 h, d/4) rows of d entries of the operator's dtype each (a traced
-    68 MiB for 16 time points of the real L=12 operator, d = 4096).
+
+def _otoc_groups(d, h, n_times):
+    """Contiguous groups of the time points, one per thread, as
+    (start, stop, points per strip): a group's strip holds at most
+    ceil(chunk/n) points, chunk = :func:`_otoc_strip_points`, so the strips
+    of all n groups hold at most chunk + n - 1."""
+    n = _otoc_threads(n_times)
+    per = -(-_otoc_strip_points(d, h, n_times) // n)
+    stops = [n_times * (i + 1) // n for i in range(n)]
+    return [(start, stop, max(1, min(per, stop - start)))
+            for start, stop in zip([0] + stops[:-1], stops)]
+
+
+def check_otoc_cost(a, n_times):
+    """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_FLOP_BUDGET.
+
+    The flops are the ones :func:`otoc` spends (module docstring): the
+    exact sum over the upper block triangle of W, about 2 d^3 (1 + h/d) per
+    time point for a real operator, whose strips take a real GEMM, and
+    8 d^3 (1 + h/d) for a complex one, with h from :func:`_otoc_block_rows`.
+    The budget of 1e13 admits 7 real points at d = 8192 (7.7e12). The
+    CostGuardError carries the flops, and its message also states the
+    buffer memory: the strips and their products over all thread groups,
+    at most 2 h (chunk + n - 1) rows of d entries of the operator's dtype
+    each (a traced 68 MiB for 16 time points of the real L=12 operator,
+    d = 4096, on one thread).
     """
     d = a.dim
-    if d > OTOC_MAX_DIM:
-        real = np.isrealobj(a.matrix)
-        h = min(OTOC_BLOCK_ROWS, d)
-        # the 2 rows per block row (real and imaginary part of G, or G and
-        # H) at row s multiply the columns s: only: 2 x 2 flops per
-        # multiply-add of a real GEMM, 2 x 8 of a complex one
-        terms = sum(min(h, d - s) * d * (d - s) for s in range(0, d, h))
-        flops = float((4 if real else 16) * terms * n_times)
-        rows = 2 * h * _otoc_strip_points(d, h, n_times)
+    real = np.isrealobj(a.matrix)
+    h = _otoc_block_rows(d, n_times)
+    # the 2 rows per block row (real and imaginary part of G, or G and H)
+    # at row s multiply the columns s: only: 2 x 2 flops per multiply-add
+    # of a real GEMM, 2 x 8 of a complex one
+    terms = sum(min(h, d - s) * d * (d - s) for s in range(0, d, h))
+    flops = float((4 if real else 16) * terms * n_times)
+    if flops > OTOC_FLOP_BUDGET:
+        rows = 2 * h * sum(points for _, _, points in _otoc_groups(d, h, n_times))
         buffers = 2 * rows * d * (8 if real else 16)
         raise CostGuardError(
-            f"otoc at dim {d} exceeds cap {OTOC_MAX_DIM}; estimated {flops:.2e} "
-            f"flops for {n_times} time points (about {2 if real else 8} d^3 "
-            f"(1 + h/d) each over the upper block triangle of W, h = {h}; "
-            f"buffers {buffers / 2**30:.2f} GiB)",
+            f"otoc at dim {d} exceeds the budget of {OTOC_FLOP_BUDGET:.2e} "
+            f"flops; estimated {flops:.2e} flops for {n_times} time points "
+            f"(about {2 if real else 8} d^3 (1 + h/d) each over the upper "
+            f"block triangle of W, h = {h}; buffers {buffers / 2**30:.2f} GiB)",
             estimated_flops=flops,
         )
 
@@ -262,18 +318,22 @@ def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
     Sums u^T W u over the upper block triangle of the symmetric W of the
-    module docstring and never forms G as a whole. Each row block of
-    h = OTOC_BLOCK_ROWS rows is one GEMM of a stacked strip of up to
-    max(1, d/(8 h)) time points against the fixed A[:, s:]: a complex A
-    forms the rows of G and H = G^H, W = G o conj(H), in 8 d^3 (1 + h/d)
-    flops per time point; a real A forms the real and imaginary parts of
-    the rows of G by a real GEMM, W = G o G, in 2 d^3 (1 + h/d). The strip
-    and its product are two reused buffers of at most max(2 h, d/4) rows of
-    d entries each, whatever the number of time points, and no d x d one
-    (at d = 4096 a real operator traces 4.7 MiB at one time point).
-    That identity holds for an exactly Hermitian A; one Hermitian only up
+    module docstring and never forms G as a whole. Each row block of h rows
+    (32, or max(32, d/16) for one time point) is one GEMM of a stacked strip
+    of up to chunk = max(1, d/(8 h)) time points against the fixed A[:, s:]:
+    a complex A forms the rows of G and H = G^H, W = G o conj(H), in
+    8 d^3 (1 + h/d) flops per time point; a real A forms the real and
+    imaginary parts of the rows of G by a real GEMM, W = G o G, in
+    2 d^3 (1 + h/d). The time points are split into n contiguous groups, one
+    thread each, n = max(1, min(T, cpus // blas)) from the affinity mask and
+    the BLAS thread variables (module docstring); every point is summed by
+    one thread through the same operations, so the value agrees with the
+    one-thread sum to rounding. The strips and their products are the only
+    large buffers, at most 2 h (chunk + n - 1) rows of d entries each over
+    all groups, whatever the number of time points, and no d x d one.
+    The identity W = G o conj(H) holds for an exactly Hermitian A; one Hermitian only up
     to E = A - A^H is off by at most 4 ||A||^3 ||E|| (spectral norms).
-    Dimensions above OTOC_MAX_DIM are refused by :func:`check_otoc_cost`
+    Calls above OTOC_FLOP_BUDGET flops are refused by :func:`check_otoc_cost`
     instead of silently grinding.
 
     States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
@@ -293,11 +353,24 @@ def otoc(a, spectrum, beta, times):
 
 
 def _otoc_sum(a, q, e, times):
-    """u^T W u over h-row blocks of W's upper block triangle, time points stacked."""
+    """u^T W u for every time point, the groups of :func:`_otoc_groups`
+    each on its own thread (numpy's GEMMs and ufuncs release the GIL)."""
+    d = a.shape[0]
+    h = _otoc_block_rows(d, times.size)
+    groups = _otoc_groups(d, h, times.size)
+    if len(groups) == 1:
+        return _otoc_group(a, q, e, times, h, groups[0][2])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        parts = pool.map(lambda g: _otoc_group(a, q, e, times[g[0]:g[1]], h, g[2]),
+                         groups)
+        return np.concatenate(list(parts))
+
+
+def _otoc_group(a, q, e, times, rows, chunk):
+    """u^T W u over ``rows``-row blocks of W's upper block triangle,
+    ``chunk`` time points stacked per strip."""
     d = a.shape[0]
     real = np.isrealobj(a)
-    rows = min(OTOC_BLOCK_ROWS, d)
-    chunk = _otoc_strip_points(d, rows, times.size)
     strip = np.empty(2 * chunk * rows * d, dtype=a.dtype)
     prod = np.empty_like(strip)
     vals = np.zeros(times.size, dtype=complex)

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -275,39 +277,67 @@ class TestOtoc:
         assert rel_dev(real.values, cplx.values) <= 1e-13
 
     @pytest.mark.parametrize("dtype,per_term", [(float, 4), (complex, 16)])
-    def test_cost_guard_states_flops_of_the_path(self, dtype, per_term):
+    def test_cost_guard_states_flops_of_the_path(self, dtype, per_term,
+                                                 monkeypatch):
         # the guard reads only the shape and dtype: a broadcast zero stands
         # in for the matrix without allocating it; per_term counts the flops
         # of one block row times one column times one inner index: two strip
         # rows (real and imaginary part of G, or G and H) at 2 flops per
         # multiply-add of a real GEMM or 8 of a complex one, and the block at
         # row s multiplies with the columns s: only
-        d = el.dynamics.OTOC_MAX_DIM
-        at_cap = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
-        el.dynamics.check_otoc_cost(at_cap, 5)
-        above = el.OperatorEigenbasis(
-            matrix=np.broadcast_to(dtype(0), (d + 1, d + 1)))
-        n, h = d + 1, el.dynamics.OTOC_BLOCK_ROWS
+        n, h = 4097, el.dynamics.OTOC_BLOCK_ROWS
+        a = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (n, n)))
         terms = sum(min(h, n - s) * n * (n - s) for s in range(0, n, h))
         # about 2 n^3 (1 + h/n) per point real, 8 n^3 (1 + h/n) complex: the
         # last block is one row
         assert per_term * terms == pytest.approx(
             per_term // 2 * n**3 * (1 + h / n), rel=1e-3)
-        # 5 points stacked in one strip of 5 x 2h rows, and its product
+        flops = per_term * terms * 5
+        # admitted at exactly the budget, refused just above it
+        monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", float(flops))
+        el.dynamics.check_otoc_cost(a, 5)
+        monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", flops * (1 - 1e-9))
+        # 5 points stacked in strips of 5 x 2h rows over all thread groups,
+        # and their products
         buffers = {4: "0.02", 16: "0.04"}[per_term]
         stated = (f"about {per_term // 2} d\\^3 \\(1 \\+ h/d\\) each over the "
                   f"upper block triangle of W, h = 32; buffers {buffers} GiB")
         with pytest.raises(el.CostGuardError, match=stated) as err:
-            el.dynamics.check_otoc_cost(above, 5)
-        assert err.value.estimated_flops == per_term * terms * 5
+            el.dynamics.check_otoc_cost(a, 5)
+        assert err.value.estimated_flops == flops
 
-    def test_cost_guard(self):
-        e = np.linspace(0, 1, 1 << 13)
-        spec = el.EnergySpectrum(e)
-        a = el.OperatorEigenbasis(matrix=np.zeros((1 << 13, 1 << 13)))
+    def test_cost_guard(self, ising8, monkeypatch):
+        # the budget is 1e13 flops per call, stated in the message; a
+        # broadcast zero stands in for the operator. At d = 8192 it admits
+        # 7 real points (7.7e12) and 2 complex ones; a single point takes
+        # blocks of h = d/16 rows
+        budget = el.dynamics.OTOC_FLOP_BUDGET
+        assert budget == 1e13
+        grid = [(float, 4096, 64, True), (float, 4096, 80, False),
+                (float, 8192, 1, True), (float, 8192, 7, True),
+                (float, 8192, 9, True), (float, 8192, 10, False),
+                (complex, 8192, 1, True), (complex, 8192, 2, True),
+                (complex, 8192, 3, False), (float, 1 << 15, 1, False)]
+        for dtype, d, n_times, admitted in grid:
+            a = el.OperatorEigenbasis(matrix=np.broadcast_to(dtype(0), (d, d)))
+            if admitted:
+                el.dynamics.check_otoc_cost(a, n_times)
+                continue
+            with pytest.raises(el.CostGuardError,
+                               match=f"dim {d} exceeds the budget of 1.00e\\+13 "
+                                     "flops") as err:
+                el.dynamics.check_otoc_cost(a, n_times)
+            assert err.value.estimated_flops > budget
+        # otoc itself refuses before its first GEMM
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
+        monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", 1e6)
         with pytest.raises(el.CostGuardError) as err:
-            el.otoc(a, spec, 1.0, np.array([0.0]))
-        assert err.value.estimated_flops > 0
+            el.otoc(ising8["a"], ising8["spec"], 1.0, np.array([0.0]))
+        assert err.value.estimated_flops > 1e6
+        assert calls == []
 
     def test_subnormal_gibbs_factors_flushed(self, ising8):
         # at beta = 200 the Gibbs factors of the top states reach the
@@ -375,29 +405,37 @@ class TestOtoc:
                           times).values
         assert np.abs(f_order - c_order).max() <= 1e-13 * np.abs(c_order).max()
 
-    def test_gemm_operand_holds_no_subnormal(self, ising8, monkeypatch):
+    def test_gemm_operand_holds_no_subnormal(self, ising10, monkeypatch):
         # at beta = 200 rho^(1/4) of the top states falls below tiny^(1/2)
         # of its maximum; they are dropped, so the left operand of every
         # real GEMM, A's rows scaled by the real and imaginary parts of
-        # rho^(1/4) e^(-iEt), is subnormal-free
-        a, spec, beta = ising8["a"], ising8["spec"], 200.0
+        # rho^(1/4) e^(-iEt), is subnormal-free; at d = 1024 on two threads
+        # the 6 points form two groups of 3, each in strips of 2 and 1 points
+        a, spec, beta = ising10["a"], ising10["spec"], 200.0
         st_ = el.thermal_state(spec, beta)
         q = el.dynamics._gibbs_factor(st_)
         assert np.any((q == 0) & (st_.fractional_weights(0.25) > 0))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        times = np.linspace(0, 3, 6)
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        groups = el.dynamics._otoc_groups(spec.dim, h, times.size)
+        assert groups == [(0, 3, 2), (3, 6, 2)]
         operands = []
+        lock = threading.Lock()
         matmul = np.matmul
 
         def spy(x, y, **kwargs):
-            operands.append(np.array(x))
+            with lock:
+                operands.append(np.array(x))
             return matmul(x, y, **kwargs)
 
         monkeypatch.setattr(np, "matmul", spy)
-        times = np.linspace(0, 3, 6)
         el.otoc(a, spec, beta, times)
-        h = el.dynamics.OTOC_BLOCK_ROWS
-        points = el.dynamics._otoc_strip_points(spec.dim, h, times.size)
-        strips = -(-times.size // points) * -(-spec.dim // h)
-        assert len(operands) == strips
+        strips = sum(-(-(stop - start) // points) for start, stop, points in groups)
+        assert len(operands) == strips * -(-spec.dim // h)
+        assert sorted({x.shape[0] for x in operands}) == [2 * h, 4 * h]
         tiny = np.finfo(float).tiny
         for x in operands:
             assert x.dtype == float
@@ -527,6 +565,147 @@ class TestOtoc:
         finally:
             tracemalloc.stop()
         assert peak < square
+
+
+    @staticmethod
+    def _path(monkeypatch, cpus, blas="1"):
+        """Pin the thread rule: ``cpus`` CPUs in the affinity mask and
+        ``blas`` BLAS threads."""
+        for var in el.dynamics.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+
+    def test_thread_count_rule(self, monkeypatch):
+        threads = el.dynamics._otoc_threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        for var in el.dynamics.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        # no variable set: BLAS already spreads over every CPU
+        assert threads(7) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert threads(7) == 4
+        assert threads(3) == 3 and threads(1) == 1 and threads(0) == 1
+        # the first positive integer wins, in the order of BLAS_THREAD_VARS
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert threads(7) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")
+        assert threads(7) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+        assert threads(7) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert threads(7) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert threads(7) == 4
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert threads(7) == 2
+        # one CPU in the mask, as under taskset -c 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert threads(7) == 1
+        # no affinity on this platform: the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert threads(7) == 2
+
+    @pytest.mark.parametrize("n_times", [2, 7, 31])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("layout", ["stacked", "one_point_strips"])
+    def test_threaded_path_matches_single_path(self, monkeypatch, layout,
+                                               dtype, n_times):
+        # stacked: d = 24h + 13 stacks 3 points per strip on one thread, 2
+        # per strip in each of two groups, so 7 and 31 points leave a
+        # part-filled last strip in a group and exceed chunk x threads = 6;
+        # the GEMMs have other row counts on the two paths, and a BLAS may
+        # round a row differently with the row count (OpenBLAS's DGEMM can),
+        # so the values agree to rounding. one_point_strips: d = 8h + 13
+        # takes one point per strip on either path, so each point runs the
+        # same calls on the same operands and the values are bit-identical
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        dim, chunk = {"stacked": (24 * h + 13, 3),
+                      "one_point_strips": (8 * h + 13, 1)}[layout]
+        spec = el.synth_spectrum(el.SynthSpectrumParams(
+            dim=dim, dos_shape="flat", bandwidth=8.0, seed=dim))
+        x = np.random.default_rng(dim + 1).standard_normal((dim, dim, 2))
+        x = x[..., 0] + 1j * x[..., 1] if dtype is complex else x[..., 0]
+        a = el.OperatorEigenbasis(matrix=(x + x.conj().T) / 2)
+        times = np.linspace(0.0, 3.0, n_times)
+        assert el.dynamics._otoc_strip_points(dim, h, n_times) == min(chunk, n_times)
+        self._path(monkeypatch, cpus=1)
+        assert len(el.dynamics._otoc_groups(dim, h, n_times)) == 1
+        single = el.otoc(a, spec, 1.0, times).values
+        self._path(monkeypatch, cpus=2)
+        groups = el.dynamics._otoc_groups(dim, h, n_times)
+        per = -(-chunk // 2)
+        assert len(groups) == 2 and all(p == min(per, stop - start)
+                                        for start, stop, p in groups)
+        threaded = el.otoc(a, spec, 1.0, times).values
+        assert np.abs(threaded - single).max() <= 1e-15 * np.abs(single).max()
+        if layout == "one_point_strips":
+            assert np.array_equal(threaded, single)
+            # up to eight groups, whatever the number of cores
+            self._path(monkeypatch, cpus=8)
+            assert len(el.dynamics._otoc_groups(dim, h, n_times)) == min(8, n_times)
+            assert np.array_equal(el.otoc(a, spec, 1.0, times).values, single)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_threaded_strips_stay_within_bound(self, monkeypatch, dtype):
+        # the strips and products of all n groups hold at most
+        # 2h (chunk + n - 1) rows of d entries each: at d = 40h + 13 and
+        # 7 points chunk = 5, and two groups of 3 and 4 points take strips
+        # of 3, so 6 x 2h rows, not the 10 x 2h of a full chunk per group.
+        # Beyond them each thread holds a few d-entry vectors per point and
+        # the buffers of numpy's ufunc iterator, 3 x np.getbufsize() entries
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        dim = 40 * h + 13
+        spec, a = synth_complex(dim, seed=9)
+        if dtype is float:
+            a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))
+        times = np.linspace(0, 3, 7)
+        self._path(monkeypatch, cpus=2)
+        chunk = el.dynamics._otoc_strip_points(dim, h, times.size)
+        groups = el.dynamics._otoc_groups(dim, h, times.size)
+        assert chunk == 5
+        assert sum(points for _, _, points in groups) == chunk + 2 - 1
+        item, c16 = np.dtype(dtype).itemsize, np.dtype(complex).itemsize
+        bound = 2 * 2 * h * (chunk + 2 - 1) * dim * item
+        full = 2 * 2 * h * 2 * chunk * dim * item
+        others = (6 * times.size * dim + 2 * 3 * np.getbufsize()) * c16
+        assert bound + others < full
+        tracemalloc.start()
+        try:
+            el.otoc(a, spec, 1.0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound + others
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_point_takes_taller_blocks(self, dtype):
+        # one point takes h = max(32, d/16) = 64 at d = 32h + 13 (a ragged
+        # last block); two points keep h = 32, so both sums agree to
+        # rounding and with the dense trace
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        dim = 32 * h + 13
+        assert el.dynamics._otoc_block_rows(dim, 1) == 2 * h
+        assert el.dynamics._otoc_block_rows(dim, 2) == h
+        assert el.dynamics._otoc_block_rows(20, 1) == 20
+        spec, a = synth_complex(dim, seed=4)
+        if dtype is float:
+            a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))
+        t = 1.3
+        one = el.otoc(a, spec, 1.0, np.array([t])).values
+        two = el.otoc(a, spec, 1.0, np.array([t, 2.0])).values
+        e = spec.eigenvalues
+        r4 = np.exp(-0.25 * (e - e.min()))
+        r4 /= np.sum(r4**4) ** 0.25
+        u = r4 * np.exp(1j * e * t)
+        gu = ((a.matrix * u.conj()) @ a.matrix) * u
+        direct = np.einsum("ij,ji->", gu, gu)
+        assert abs(one[0] - two[0]) <= 1e-14 * abs(two[0])
+        assert abs(one[0] - direct) <= 1e-12 * abs(direct)
 
 
 class TestSpectralDensities:

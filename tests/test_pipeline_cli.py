@@ -458,8 +458,9 @@ class TestRunner:
         def correlators_must_not_run(*args):
             raise AssertionError("thermal_correlators ran before the OTOC cost guard")
 
-        # a cap below d = 256 stands in for an operator above the real cap
-        monkeypatch.setattr(el.dynamics, "OTOC_MAX_DIM", 128)
+        # a budget below the 1.1e8 flops of 3 points at d = 256 stands in
+        # for a grid above the real budget
+        monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", 1e8)
         monkeypatch.setattr(pipeline, "thermal_correlators", correlators_must_not_run)
         with pytest.raises(el.CostGuardError) as err:
             run(cfg, stages=("dynamics",))
@@ -470,7 +471,7 @@ class TestRunner:
         assert err.value.estimated_flops == 4 * terms * 3
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"]["dynamics"].startswith("error: otoc at dim 256")
-        # without OTOC points the cap does not apply
+        # without OTOC points the budget does not apply
         monkeypatch.setattr(pipeline, "thermal_correlators", el.thermal_correlators)
         manifest = run(cfg.with_path_value("dynamics.otoc_points", 0),
                        stages=("dynamics",))
