@@ -10,13 +10,11 @@ from .aqec import (BoundReport, CodeSpec, KlResidualReport, check_bounds,
                    code_error_bound, kl_residuals, lyapunov_lower_bound,
                    resolve_lambda, select_code_states)
 from .dynamics import (CorrelatorSeries, FdtDeviation, FluctuationReport,
-                       LyapunovFit, PureStateCoefficients, SpectralDensity,
-                       ThermalState, dissipation_time, dynamical_fluctuation,
-                       fdt_check, fit_lyapunov, fluctuation_bounds,
-                       gaussian_wavepacket, otoc, spectral_densities,
-                       spectral_peaks, static_fluct_integral,
-                       static_fluctuation, thermal_correlators,
-                       thermal_state)
+                       LyapunovFit, SpectralDensity, ThermalState,
+                       dissipation_time, dynamical_fluctuation, fdt_check,
+                       fit_lyapunov, fluctuation_bounds, gaussian_wavepacket,
+                       otoc, spectral_densities, static_fluct_integral,
+                       static_fluctuation, thermal_correlators, thermal_state)
 from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
                      EthLabError, FitRejectedError, NumericError, SizeError,
                      ValidationError)
@@ -24,11 +22,10 @@ from .extract import (BinningSpec, DiagonalProfile, EnvelopeModel,
                       GaussianityStats, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
 from .models import (LocalObservableSpec, SpinChainParams, reflection_blocks,
-                     reflection_permutation, restrict_to_reflection_sector,
-                     to_eigenbasis)
+                     reflection_permutation, to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, MicrocanonicalWindow,
-                       OperatorEigenbasis, eigendecompose, eigendecompose_blocks,
-                       entropy_model, mean_level_spacing, microcanonical_window,
+                       OperatorEigenbasis, eigendecompose_blocks, entropy_model,
+                       mean_level_spacing, microcanonical_window,
                        spacing_ratio_mean)
 from .synth import (EnvelopeSpec, SynthSpectrumParams, synth_eth_operator,
                     synth_spectrum)

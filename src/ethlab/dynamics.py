@@ -192,16 +192,13 @@ class CorrelatorSeries:
         return self.values.real
 
 
-def _check_hermitian_operator(a):
-    if not a.is_hermitian():
-        raise ValidationError("correlators require a Hermitian observable")
-
-
 def thermal_correlators(a, spectrum, beta, times):
     """(F2, Fsym, Resp) at each time from one walk over the pair table: F2
     with symmetric rho^(1/2) regulators, and the connected symmetric
-    correlator and commutator response, both built from <A(t) A>_beta."""
-    _check_hermitian_operator(a)
+    correlator and commutator response, both built from <A(t) A>_beta.
+
+    ``a`` must be Hermitian; that is not checked here (the pipeline checks
+    the operator once, when it reads it)."""
     times = np.asarray(times, dtype=float)
     st = thermal_state(spectrum, beta)
     rho = st.weights
@@ -334,7 +331,8 @@ def otoc(a, spectrum, beta, times):
     The identity W = G o conj(H) holds for an exactly Hermitian A; one Hermitian only up
     to E = A - A^H is off by at most 4 ||A||^3 ||E|| (spectral norms).
     Calls above OTOC_FLOP_BUDGET flops are refused by :func:`check_otoc_cost`
-    instead of silently grinding.
+    instead of silently grinding. ``a`` must be Hermitian; that is not
+    checked here (the pipeline checks the operator once, when it reads it).
 
     States with rho_k < tiny^2 * max(rho) (tiny = np.finfo(float).tiny)
     are dropped by :func:`_gibbs_factor`. Foto is linear in each of its
@@ -343,7 +341,6 @@ def otoc(a, spectrum, beta, times):
     4 r (1 + r)^3 ||A||^4, with ||A|| the spectral norm and
     r = (sum of the dropped rho_k)^(1/4) < d^(1/4) tiny^(1/2) ~ 1.5e-154 d^(1/4).
     """
-    _check_hermitian_operator(a)
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
     q = _gibbs_factor(thermal_state(spectrum, beta))
@@ -434,30 +431,13 @@ def _diagonal_weight(a, rho):
     return float(np.dot(rho, diag**2) - np.dot(rho, diag) ** 2)
 
 
-def spectral_peaks(a, spectrum, beta):
-    """Half delta comb of Fsym and Resp: each pair frequency stored once.
-
-    Returns (freqs, f_weights, rho_weights) for the pairs m < n, in
-    row-major order, at w = E_n - E_m >= 0, followed by one w = 0 entry
-    holding the diagonal (connected) symmetric weight: d(d-1)/2 + 1 entries
-    in all. The mirrored pair (n, m) sits at -w with the same F weight and
-    the opposite rho weight and is not stored. Weights satisfy
-    f_w = 2*coth(beta*w/2)*rho_w exactly for w != 0.
-    """
-    _check_hermitian_operator(a)
-    rho = thermal_state(spectrum, beta).weights
-    diagonal = ([0.0], [_diagonal_weight(a, rho)], [0.0])
-    return tuple(np.concatenate(parts) for parts in
-                 zip(*_pair_chunks(a, spectrum, rho), diagonal))
-
-
 def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     """Gaussian-broadened spectral densities on the given frequency grid.
 
     sigma_omega must be at least 1 mean bulk level spacing, otherwise the
-    broadened curves are under-resolved combs. The half comb of
-    :func:`spectral_peaks` is streamed once, block by block, into bins of
-    width sigma_omega/B holding N Taylor moments each (B = BROADENING_BINS
+    broadened curves are under-resolved combs. The half comb of the pairs
+    m < n (:func:`_pair_chunks`) is streamed once, block by block, into bins
+    of width sigma_omega/B holding N Taylor moments each (B = BROADENING_BINS
     = 16, N = BROADENING_MOMENTS = 12). Each omega then sums, at +omega
     (F and rho moments as stored) and at -omega (F moments, minus the rho
     moments), the bins whose centre lies within BROADENING_RADIUS *
@@ -465,7 +445,9 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
     window. The omega grid may be in any order and need not be uniform.
     The module docstring states the method and its two error bounds: a
     dropped term is below 3.4e-18 of its peak's weight, and a kept term is
-    off by at most 9.0e-16 of itself.
+    off by at most 9.0e-16 of itself. ``a`` must be Hermitian, since each
+    pair stands for its mirror; that is not checked here (the pipeline
+    checks the operator once, when it reads it).
     """
     omegas = np.asarray(omegas, dtype=float)
     spacing = mean_level_spacing(spectrum.eigenvalues)
@@ -474,7 +456,6 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
             f"sigma_omega {sigma_omega:g} under-resolved: below the mean "
             f"bulk level spacing ({spacing:g})"
         )
-    _check_hermitian_operator(a)
     rho = thermal_state(spectrum, beta).weights
     bins_per_sigma, n_moments = BROADENING_BINS, BROADENING_MOMENTS
     width = sigma_omega / bins_per_sigma
@@ -661,39 +642,23 @@ def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, f2=None):
                        reliability=_reliability_grade(residual))
 
 
-@dataclass(frozen=True)
-class PureStateCoefficients:
-    """Amplitudes over the energy eigenbasis, normalized to one."""
+def gaussian_wavepacket(spectrum, center, sigma):
+    """Populations |c_n|^2 of a Gaussian wave packet around an energy:
+    proportional to exp(-(E_n - center)^2 / (2 sigma^2)), summing to one.
 
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
-        norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValidationError(f"state not normalized: |c| = {norm:.12g}")
-        object.__setattr__(self, "c", c)
-
-    @property
-    def populations(self):
-        return np.abs(self.c) ** 2
-
-
-def gaussian_wavepacket(spectrum, center, sigma, seed):
-    """Gaussian-weighted superposition of eigenstates around an energy,
-    with random phases drawn from the Philox stream keyed by ``seed``."""
-    e = spectrum.eigenvalues
-    amp = np.exp(-((e - center) ** 2) / (4.0 * sigma**2))
-    if amp.max() <= 0:
+    The infinite-time average of a state and its fluctuations about it
+    depend on the state only through these populations when the energy
+    gaps are nondegenerate, so no phases are drawn.
+    """
+    p = np.exp(-((spectrum.eigenvalues - center) ** 2) / (2.0 * sigma**2))
+    if p.max() <= 0:
         raise ValidationError("wavepacket has no support on the spectrum")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    c = amp.astype(complex) * np.exp(2j * math.pi * rng.random(e.size))
-    c /= np.linalg.norm(c)
-    return PureStateCoefficients(c=c)
+    return p / p.sum()
 
 
-def dynamical_fluctuation(a, state):
-    """Infinite-time-averaged fluctuation sum_{m != n} p_n p_m |A_mn|^2.
+def dynamical_fluctuation(a, populations):
+    """Infinite-time-averaged fluctuation sum_{m != n} p_n p_m |A_mn|^2 of
+    a state with the given populations p_n = |c_n|^2.
 
     The off-diagonal terms are summed directly, row block by row block, so
     the result is exactly 0 for a diagonal operator and never negative.
@@ -701,11 +666,10 @@ def dynamical_fluctuation(a, state):
     Assumes nondegenerate energy gaps; rare rational gap coincidences in
     real chains are not corrected for.
     """
-    p = state.populations
     total = 0.0
     for rows, a2 in a.abs2_rows():
         np.fill_diagonal(a2[:, rows], 0.0)
-        total += p[rows] @ (a2 @ p)
+        total += populations[rows] @ (a2 @ populations)
     return float(total)
 
 

@@ -17,8 +17,7 @@ hands them to :func:`ethlab.spectral.eigendecompose_blocks`, which
 diagonalizes them one after the other and keeps their eigenvectors per
 block, so every eigenstate is an exact parity eigenstate, and records each
 eigenstate's parity in ``EnergySpectrum.parity``. Level statistics and
-matrix-element statistics should be computed per sector; see
-:func:`restrict_to_reflection_sector`.
+matrix-element statistics should be computed per sector.
 
 A Pauli word is applied as a signed permutation of the basis states (a bit
 flip mask and a per-state phase). :func:`to_eigenbasis` applies it to the
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .spectral import MAX_DENSE_DIM, EnergySpectrum, OperatorEigenbasis
+from .spectral import MAX_DENSE_DIM, OperatorEigenbasis
 
 
 @dataclass(frozen=True)
@@ -167,34 +166,27 @@ def _pauli_word_action(spec, n_sites):
 
 
 def to_eigenbasis(op, spectrum):
-    """Transform a site-basis operator to A_mn = V^dag op V.
+    """Transform a Pauli word to A_mn = V^dag op V.
 
-    ``op`` is a dense matrix or a :class:`LocalObservableSpec` on
-    log2(dim) qubits. A Pauli word is a signed permutation, applied block by
+    ``op`` is a :class:`LocalObservableSpec` on log2(dim) qubits; anything
+    else is refused. The word is a signed permutation, applied block by
     block to the spectrum's eigenvectors (:meth:`ethlab.spectral.
     BlockEigenvectors.signed_permutation_elements`), so neither a d x d
     operator nor a d x d eigenvector matrix is built; it needs a spectrum
-    with eigenvectors. A dense ``op`` reads the d x d ``spectrum.basis``.
+    with eigenvectors.
     """
-    if isinstance(op, LocalObservableSpec):
-        n_sites = spectrum.dim.bit_length() - 1
-        if spectrum.dim != 1 << n_sites:
-            raise ValidationError(
-                f"a Pauli word needs a power-of-two dimension, got {spectrum.dim}")
-        if spectrum.eigenvectors is None:
-            raise ValidationError("a Pauli word needs a spectrum with eigenvectors")
-        source, sign, factor = _pauli_word_action(op, n_sites)
-        a = spectrum.eigenvectors.signed_permutation_elements(source, sign, factor)
-        return OperatorEigenbasis(matrix=a)
-    op = np.asarray(op)
-    if op.shape != (spectrum.dim, spectrum.dim):
+    if not isinstance(op, LocalObservableSpec):
         raise ValidationError(
-            f"operator shape {op.shape} does not match spectrum dim {spectrum.dim}"
-        )
-    v = spectrum.basis
-    if v is None:
-        return OperatorEigenbasis(matrix=op.copy())
-    return OperatorEigenbasis(matrix=v.conj().T @ op @ v)
+            f"to_eigenbasis takes a LocalObservableSpec, got {type(op).__name__}")
+    n_sites = spectrum.dim.bit_length() - 1
+    if spectrum.dim != 1 << n_sites:
+        raise ValidationError(
+            f"a Pauli word needs a power-of-two dimension, got {spectrum.dim}")
+    if spectrum.eigenvectors is None:
+        raise ValidationError("a Pauli word needs a spectrum with eigenvectors")
+    source, sign, factor = _pauli_word_action(op, n_sites)
+    a = spectrum.eigenvectors.signed_permutation_elements(source, sign, factor)
+    return OperatorEigenbasis(matrix=a)
 
 
 def reflection_permutation(n_sites):
@@ -206,25 +198,3 @@ def reflection_permutation(n_sites):
         bit = (states >> (n_sites - 1 - i)) & 1
         out |= bit << i
     return out
-
-
-def restrict_to_reflection_sector(spectrum, a, parity=1):
-    """Restrict a spectrum and operator to one reflection-parity sector.
-
-    The sector is read from ``spectrum.parity``, which
-    :func:`ethlab.spectral.eigendecompose_blocks` records from the blocks of
-    :func:`reflection_blocks`; a spectrum without parities is refused.
-    Returns a new (EnergySpectrum, OperatorEigenbasis) pair living in the
-    sector eigenbasis (identity basis, sector eigenvalues ascending).
-    The restricted operator is the sector block, i.e. the reflection-even
-    part of the original observable when the input couples sectors.
-    """
-    if spectrum.parity is None:
-        raise ValidationError(
-            "reflection parity unknown: diagonalize with the reflection symmetry")
-    sel = np.flatnonzero(spectrum.parity == parity)
-    if sel.size == 0:
-        raise ValidationError("no eigenstates with the requested parity")
-    sub_spec = EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel])
-    sub_op = OperatorEigenbasis(matrix=a.matrix[np.ix_(sel, sel)].copy())
-    return sub_spec, sub_op

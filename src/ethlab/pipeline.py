@@ -8,7 +8,8 @@ directory. A stage is a function ``stage_*(cfg, inputs)`` that returns
 
 - Inputs are read once per run: ``inputs`` reads an earlier stage's file on
   first use and keeps it. Stages run in pipeline order, so no file is
-  rewritten after it was read.
+  rewritten after it was read. The operator is checked for Hermiticity
+  there, once; the kernels take it as given.
 - Outputs are replaced atomically (:func:`write_outputs`): a stage that
   fails leaves the previous files and no ``.tmp`` file.
 - ``manifest.json`` is merged, not overwritten. Per stage it records the
@@ -76,7 +77,7 @@ _CONFIG_KEYS = {
                  "extract.sigma_s"),
     "extract": ("extract",) + _WINDOW_KEYS,
     "code-error": ("seed", "code", "thermal.betas"),
-    "dynamics": ("seed", "dynamics", "thermal.betas") + _WINDOW_KEYS,
+    "dynamics": ("dynamics", "thermal.betas") + _WINDOW_KEYS,
     "bounds": ("slack",),
 }
 
@@ -119,7 +120,13 @@ class _Inputs:
 
     @functools.cached_property
     def operator(self):
-        return OperatorEigenbasis(read_array(os.path.join(self.out, "operator.ethb")))
+        """The operator, checked for Hermiticity once per run: every consumer
+        of the pair table takes |A_mn| = |A_nm| for granted."""
+        a = OperatorEigenbasis(read_array(os.path.join(self.out, "operator.ethb")))
+        if not a.is_hermitian():
+            raise ValidationError(
+                f"operator.ethb in {self.out} is not Hermitian; re-run generate")
+        return a
 
     @functools.cached_property
     def entropy(self):
@@ -246,14 +253,13 @@ def stage_dynamics(cfg, inputs):
     if omega_max is None:
         omega_max = 0.6 * spectrum.bandwidth
     omegas = np.linspace(-omega_max, omega_max, dyn["omega_points"])
-    state = gaussian_wavepacket(
+    populations = gaussian_wavepacket(
         spectrum, window.center,
-        dyn["wavepacket_sigma_fraction"] * spectrum.bandwidth,
-        seed=cfg.data["seed"])
+        dyn["wavepacket_sigma_fraction"] * spectrum.bandwidth)
     center_idx = int(window.start + np.argmin(
         np.abs(window.member_energies(spectrum) - window.center)))
     # neither fluctuation depends on beta
-    measured_dynamical = dynamical_fluctuation(a, state)
+    measured_dynamical = dynamical_fluctuation(a, populations)
     measured_static = static_fluctuation(a, center_idx)
     payloads = {}
     per_beta = []

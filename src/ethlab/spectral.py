@@ -12,7 +12,7 @@ PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). Every ``eigh``
 runs through one block path: a Hamiltonian that commutes with an involutive
 index permutation r (the reflection of a uniform Ising chain) is given as
 its two r-parity blocks (eigendecompose_blocks), which are diagonalized one
-at a time, and a dense matrix (eigendecompose) is the one block of the
+at a time; a Hamiltonian without such a symmetry is the one block of the
 identity r. The eigenvectors are kept as the block matrices
 (BlockEigenvectors, about d^2/2 numbers for two blocks), so every
 eigenvector is an exact parity eigenstate and no d x d basis exists unless
@@ -286,19 +286,6 @@ def _eigh_blocks(r, blocks):
                           parity=parity)
 
 
-def eigendecompose(h):
-    """Diagonalize a dense Hermitian matrix into an :class:`EnergySpectrum`.
-
-    Real-symmetric input takes the real LAPACK path, so the eigenvectors are
-    real in that case. Eigenvalues come back sorted ascending; within
-    degenerate subspaces the basis is an arbitrary orthonormal choice. This
-    is the one-block case of :func:`eigendecompose_blocks`: its eigenvectors
-    are the one block of the identity symmetry, and ``parity`` is ``None``.
-    """
-    h = np.asarray(h)
-    return _eigh_blocks(np.arange(h.shape[0] if h.ndim == 2 else 0), (h,))
-
-
 def eigendecompose_blocks(symmetry, blocks):
     """Diagonalize a Hamiltonian given as its two parity blocks under a symmetry.
 
@@ -308,8 +295,10 @@ def eigendecompose_blocks(symmetry, blocks):
     over the representatives s <= r(s) with basis vectors |s> on a fixed
     point s = r(s) and (|s> + |r(s)>)/sqrt(2) on a pair, then the odd block,
     over the pairs s < r(s) with (|s> - |r(s)>)/sqrt(2); the identity has
-    only the even block. :func:`ethlab.models.reflection_blocks` builds both
-    for the Ising chain, so no d x d H exists. The blocks are diagonalized
+    only the even block, so a dense h without symmetry is diagonalized as
+    ``eigendecompose_blocks(np.arange(d), [h])``.
+    :func:`ethlab.models.reflection_blocks` builds both blocks for the Ising
+    chain, so no d x d H exists. The blocks are diagonalized
     one after the other, at about a quarter of the cost of one full
     ``eigh``, and their eigenvectors are kept per block (:class:`BlockEigenvectors`), so no
     d x d basis is formed unless ``EnergySpectrum.basis`` is read. Every

@@ -6,6 +6,13 @@ from ising_reference import build_mixed_field_ising
 from pauli_reference import build_local_observable
 
 
+def eigendecompose_dense(h):
+    """Diagonalize a dense Hermitian matrix: the one block of the identity
+    symmetry, the one path every ``eigh`` takes."""
+    h = np.asarray(h)
+    return el.eigendecompose_blocks(np.arange(h.shape[0]), [h])
+
+
 def _ising_chain(n_sites):
     """The pipeline's path: the reflection blocks built from the chain and
     diagonalized one by one, Z_0 applied as a Pauli word."""

@@ -1,8 +1,11 @@
 """Dense mixed-field Ising Hamiltonian and its reflection-block gathers: the
 reference the directly built blocks of :func:`ethlab.reflection_blocks` are
-compared against."""
+compared against; and the restriction of a spectrum and operator to one
+reflection sector, for per-sector statistics."""
 
 import numpy as np
+
+import ethlab as el
 
 
 def build_mixed_field_ising(params):
@@ -43,3 +46,25 @@ def reflection_block_gathers(h, r):
     odd = h[np.ix_(reps[pair], reps[pair])]
     odd -= h[np.ix_(reps[pair], r[reps[pair]])]
     return even, odd
+
+
+def restrict_to_reflection_sector(spectrum, a, parity=1):
+    """Restrict a spectrum and operator to one reflection-parity sector.
+
+    The sector is read from ``spectrum.parity``, which
+    :func:`ethlab.eigendecompose_blocks` records from the blocks of
+    :func:`ethlab.reflection_blocks`; a spectrum without parities is refused.
+    Returns a new (EnergySpectrum, OperatorEigenbasis) pair living in the
+    sector eigenbasis (identity basis, sector eigenvalues ascending).
+    The restricted operator is the sector block, i.e. the reflection-even
+    part of the original observable when the input couples sectors.
+    """
+    if spectrum.parity is None:
+        raise el.ValidationError(
+            "reflection parity unknown: diagonalize with the reflection symmetry")
+    sel = np.flatnonzero(spectrum.parity == parity)
+    if sel.size == 0:
+        raise el.ValidationError("no eigenstates with the requested parity")
+    sub_spec = el.EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel])
+    sub_op = el.OperatorEigenbasis(matrix=a.matrix[np.ix_(sel, sel)].copy())
+    return sub_spec, sub_op

@@ -16,6 +16,8 @@ import ethlab as el
 from ethlab.cli import main as cli_main
 from ethlab.config import demo_config
 from ethlab.io import load_json
+from dynamics_reference import spectral_peaks
+from ising_reference import restrict_to_reflection_sector
 from pauli_reference import build_local_observable
 
 
@@ -29,7 +31,7 @@ def verdict(num, ok, detail):
 def ising12_sector():
     spec = el.eigendecompose_blocks(*el.reflection_blocks(el.SpinChainParams(n_sites=12)))
     a = el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
-    sub_spec, sub_a = el.restrict_to_reflection_sector(spec, a, parity=1)
+    sub_spec, sub_a = restrict_to_reflection_sector(spec, a, parity=1)
     return sub_spec, sub_a
 
 
@@ -176,7 +178,7 @@ def test_criterion_06_fdt_identity(ising8):
         res = el.fdt_check(sd)
         details.append(f"beta={beta}: {res.max_rel_dev * 100:.2f}%")
         ok = ok and (not res.empty) and res.max_rel_dev <= 0.05
-        freqs, f_w, r_w = el.spectral_peaks(a, spec, beta)
+        freqs, f_w, r_w = spectral_peaks(a, spec, beta)
         nz = np.abs(freqs) > 1e-12
         coth = 1.0 / np.tanh(beta * freqs[nz] / 2.0)
         peak_dev = np.abs(f_w[nz] - 2 * coth * r_w[nz]).max() / f_w[nz].max()
@@ -251,10 +253,12 @@ def test_criterion_09_dynamical_fluctuation_time_average(ising8):
     spec, a = ising8["spec"], ising8["a"]
     ent = el.entropy_model(spec)
     center = ent.grid_energies[np.argmax(ent.grid_entropy)]
-    state = el.gaussian_wavepacket(spec, center, 0.1 * spec.bandwidth, seed=3)
-    value = el.dynamical_fluctuation(a, state)
-    c = state.c
-    a_inf = float(np.dot(state.populations, np.real(np.diagonal(a.matrix))))
+    p = el.gaussian_wavepacket(spec, center, 0.1 * spec.bandwidth)
+    value = el.dynamical_fluctuation(a, p)
+    # a state with these populations and random phases, evolved directly
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+    c = np.sqrt(p) * np.exp(2j * math.pi * rng.random(p.size))
+    a_inf = float(np.dot(p, np.real(np.diagonal(a.matrix))))
     total, m_samples = 0.0, 100001
     ts = np.linspace(0.0, 1e4, m_samples)
     for s in range(0, m_samples, 4000):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ethlab as el
-from ising_reference import build_mixed_field_ising, reflection_block_gathers
+from conftest import eigendecompose_dense
+from ising_reference import (build_mixed_field_ising, reflection_block_gathers,
+                             restrict_to_reflection_sector)
 from pauli_reference import build_local_observable
 
 PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -78,7 +80,7 @@ class TestBuildIsing:
         # uniform open chains keep spatial reflection symmetry; the r
         # statistic is chaotic within each parity sector
         spec, a = ising10["spec"], ising10["a"]
-        sub_spec, _ = el.restrict_to_reflection_sector(spec, a, parity=1)
+        sub_spec, _ = restrict_to_reflection_sector(spec, a, parity=1)
         r = el.spacing_ratio_mean(sub_spec.eigenvalues)
         assert abs(r - 0.53) <= 0.03
 
@@ -131,30 +133,40 @@ class TestLocalObservable:
 
 
 class TestToEigenbasis:
+    # a dense operator is transformed in the test itself, as V^H op V from
+    # the d x d basis V; to_eigenbasis takes Pauli words only
     def test_identity_is_exact(self, ising8):
-        a = el.to_eigenbasis(np.eye(256), ising8["spec"])
-        assert np.allclose(a.matrix, np.eye(256), atol=1e-13)
+        v = ising8["spec"].basis
+        a = v.conj().T @ np.eye(256) @ v
+        assert np.allclose(a, np.eye(256), atol=1e-13)
 
     def test_hamiltonian_diagonalizes(self, ising8):
         spec = ising8["spec"]
-        a = el.to_eigenbasis(ising8["h"], spec)
-        dev = np.abs(a.matrix - np.diag(spec.eigenvalues)).max()
+        v = spec.basis
+        a = v.conj().T @ ising8["h"] @ v
+        dev = np.abs(a - np.diag(spec.eigenvalues)).max()
         assert dev <= 1e-9 * np.abs(spec.eigenvalues).max()
 
     def test_frobenius_invariance_random_hermitian(self):
         rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
         x = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
         op = x + x.conj().T
-        spec = el.eigendecompose(build_mixed_field_ising(
+        spec = eigendecompose_dense(build_mixed_field_ising(
             el.SpinChainParams(n_sites=7)))
-        a = el.to_eigenbasis(op, spec)
+        v = spec.basis
+        a = v.conj().T @ op @ v
         t_site = np.sum(np.abs(op) ** 2)
-        t_eig = np.sum(np.abs(a.matrix) ** 2)
+        t_eig = np.sum(np.abs(a) ** 2)
         assert abs(t_eig - t_site) <= 1e-10 * t_site
 
     def test_dimension_mismatch(self, ising8):
         with pytest.raises(el.ValidationError):
             el.to_eigenbasis(np.eye(8), ising8["spec"])
+
+    @pytest.mark.parametrize("op", [np.eye(256), "Z", None])
+    def test_refuses_anything_but_a_pauli_word(self, ising8, op):
+        with pytest.raises(el.ValidationError, match="LocalObservableSpec"):
+            el.to_eigenbasis(op, ising8["spec"])
 
     @pytest.mark.parametrize("sites,paulis", [
         ((0,), "X"), ((3,), "Y"), ((7,), "Z"), ((1, 2, 4), "XYZ"), ((2, 6), "YY")])
@@ -182,7 +194,7 @@ class TestToEigenbasis:
         # every word is Hermitian, and so is its A, exactly
         params = el.SpinChainParams(n_sites=n_sites, boundary=boundary)
         spec = (el.eigendecompose_blocks(*el.reflection_blocks(params)) if blocked
-                else el.eigendecompose(build_mixed_field_ising(params)))
+                else eigendecompose_dense(build_mixed_field_ising(params)))
         v = spec.basis
         last = n_sites - 1
         for sites, paulis in [((0,), "X"), ((1,), "Y"), ((0,), "Z"),
@@ -228,10 +240,10 @@ class TestReflectionSectors:
     def test_unknown_parity_rejected(self, ising8):
         spec = el.EnergySpectrum(ising8["spec"].eigenvalues)
         with pytest.raises(el.ValidationError):
-            el.restrict_to_reflection_sector(spec, ising8["a"])
+            restrict_to_reflection_sector(spec, ising8["a"])
 
     def test_restricted_operator_hermitian(self, ising8):
-        sub_spec, sub_a = el.restrict_to_reflection_sector(
+        sub_spec, sub_a = restrict_to_reflection_sector(
             ising8["spec"], ising8["a"], parity=1)
         assert sub_spec.dim == 136
         assert sub_a.is_hermitian()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import ethlab as el
+from conftest import eigendecompose_dense
 from ethlab.cli import main as cli_main
 from ethlab.config import RunConfig, demo_config
 from ethlab import pipeline
-from ethlab.io import dump_json, load_json, read_array, read_csv
+from ethlab.io import dump_json, load_json, read_array, read_csv, write_array
 from ethlab.pipeline import run, sweep
 
 
@@ -533,12 +534,13 @@ class TestRunner:
         manifest = run(cfg, stages=("generate",))
         assert manifest["status"] == {"generate": "ok"}
         with pytest.raises(AssertionError):
-            el.eigendecompose(np.eye(4)).basis
+            eigendecompose_dense(np.eye(4)).basis
 
     def test_dynamics_stage_walks_the_pair_table_twice_per_beta(self, tmp_path,
                                                                monkeypatch):
         # per beta one walk serves F2, Fsym and Resp and one the spectral
-        # densities; the dynamical fluctuation walks once for all betas
+        # densities; the dynamical fluctuation walks once for all betas, and
+        # the operator is checked for Hermiticity once, when it is read
         out = str(tmp_path / "spy")
         cfg = RunConfig.from_dict({
             "seed": 1, "out_dir": out,
@@ -557,10 +559,50 @@ class TestRunner:
 
             monkeypatch.setattr(el.OperatorEigenbasis, name, counted)
         run(cfg, stages=("dynamics",))
-        assert counts == {"abs2_rows": 5, "is_hermitian": 4}
+        assert counts == {"abs2_rows": 5, "is_hermitian": 1}
         counts.update(abs2_rows=0, is_hermitian=0)
         run(cfg.with_path_value("dynamics.otoc_points", 3), stages=("dynamics",))
-        assert counts == {"abs2_rows": 5, "is_hermitian": 6}
+        assert counts == {"abs2_rows": 5, "is_hermitian": 1}
+
+    @pytest.mark.parametrize("stage", ["extract", "code-error", "dynamics"])
+    def test_stages_refuse_a_non_hermitian_operator(self, tmp_path, stage):
+        # one off-diagonal entry of operator.ethb perturbed, far above the
+        # 2e-10 relative tolerance of is_hermitian
+        out = str(tmp_path / "skew")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out,
+            "model": {"kind": "ising", "n_sites": 8},
+            "dynamics": {"t_max": 2.0, "t_points": 5, "otoc_points": 2,
+                         "sigma_omega": 0.3, "omega_points": 41}})
+        run(cfg, stages=("generate",))
+        path = os.path.join(out, "operator.ethb")
+        a = read_array(path)
+        a[3, 17] += 1e-3
+        write_array(path, a)
+        with pytest.raises(el.ValidationError,
+                           match="operator.ethb .* not Hermitian; re-run generate"):
+            run(cfg, stages=(stage,))
+        manifest = load_json(os.path.join(out, "manifest.json"))
+        assert manifest["status"][stage].startswith("error: operator.ethb")
+        assert not os.path.exists(os.path.join(out, "bounds.json"))
+
+    def test_ising_dynamics_does_not_depend_on_the_seed(self, tmp_path):
+        # the seed feeds only synthetic models and the code selection; an
+        # Ising chain's wave packet is its populations, which the seed never
+        # touched, so its dynamics payloads are the same bytes for any seed
+        raw = {"model": {"kind": "ising", "n_sites": 8},
+               "dynamics": {"t_max": 4.0, "t_points": 17, "otoc_points": 3,
+                            "sigma_omega": 0.05, "omega_points": 201}}
+        files = []
+        for seed in (1, 2):
+            out = str(tmp_path / f"seed{seed}")
+            manifest = run(RunConfig.from_dict(dict(raw, seed=seed)), out,
+                           stages=("generate", "dynamics"))
+            files.append({name: manifest["files"][name]
+                          for name in manifest["stages"]["dynamics"]})
+        assert "dynamics.json" in files[0]
+        assert sum(name.startswith("correlator_") for name in files[0]) == 4
+        assert files[0] == files[1]
 
 
 def read_csv_text(path):
