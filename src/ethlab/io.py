@@ -19,7 +19,11 @@ endings so golden files compare byte for byte. JSON reports are written
 with sorted keys and a fixed separator/indent style for the same reason.
 :func:`dump_json` is the one codec for stage reports: a dataclass is written
 as its fields and a numpy array as its nested list, so reports go to JSON
-without hand-written ``to_dict`` methods.
+without hand-written ``to_dict`` methods. The one exception is
+``KlResidualReport.to_dict``/``from_dict``: ``code_error.json`` flattens the
+code's fields to the top level and splits epsilon into real and imaginary
+parts, and readers of the file (the benchmark's output checks among them)
+take ``members`` and ``eps_max`` from its top level.
 """
 
 import dataclasses

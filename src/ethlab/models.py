@@ -10,14 +10,13 @@ files are stable.
 
 A uniform chain, open or periodic, commutes with the spatial reflection
 (site i -> N-1-i), so its spectrum is a superposition of two independent
-sectors. :func:`reflection_blocks` writes H straight into its even and odd
-reflection blocks from the chain's bit structure, in O(d L) besides the
-blocks themselves, so no d x d Hamiltonian is ever formed. The pipeline
-hands them to :func:`ethlab.spectral.eigendecompose_blocks`, which
-diagonalizes them one after the other and keeps their eigenvectors per
-block, so every eigenstate is an exact parity eigenstate, and records each
-eigenstate's parity in ``EnergySpectrum.parity``. Level statistics and
-matrix-element statistics should be computed per sector.
+sectors. :func:`reflection_blocks` writes H straight into its blocks in the
+parity-adapted basis of :func:`ethlab.spectral.parity_layout`, from the
+chain's bit structure, in O(d L) besides the blocks themselves, so no d x d
+Hamiltonian is ever formed. The pipeline hands them to
+:func:`ethlab.spectral.eigendecompose_blocks`, whose
+``BlockEigenvectors.columns`` record each eigenstate's sector. Level
+statistics and matrix-element statistics should be computed per sector.
 
 A Pauli word is applied as a signed permutation of the basis states (a bit
 flip mask and a per-state phase). :func:`to_eigenbasis` applies it to the
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError, ValidationError
-from .spectral import MAX_DENSE_DIM, OperatorEigenbasis
+from .spectral import MAX_DENSE_DIM, OperatorEigenbasis, parity_layout
 
 
 @dataclass(frozen=True)
@@ -92,19 +91,19 @@ def reflection_blocks(params):
 
     Returns ``(r, blocks)``, the arguments of
     :func:`ethlab.spectral.eigendecompose_blocks`. ``blocks`` yields the even
-    block and then the odd one, each built only when it is asked for, so one
-    block is alive at a time and no d x d H is ever formed. With c = 1 on a
-    pair s < r(s) and 1/sqrt(2) on a fixed point s = r(s), the even block
-    over the representatives s <= r(s) is c_s c_s' (H[s, s'] + H[s, r(s')]),
-    and the odd block over the pairs is H[s, s'] - H[s, r(s')]. The diagonal
-    holds the ZZ and Z energies, doubled on a fixed point (no X term joins s
-    to r(s), which differ in an even number of bits). Each X_i takes s to
-    t = s ^ bit_i with weight hx, landing in the column of t's
-    representative: twice on a fixed point, where both terms are t, and in
-    the odd block signed by t's parity (+ for the representative, - for its
-    mirror). Every entry is bit-identical to the same sums over the dense H.
-    Chains above the dense cap raise :class:`SizeError` before anything of
-    size 2^n_sites is allocated.
+    block and then the odd one of :func:`ethlab.spectral.parity_layout`, each
+    built only when it is asked for, so one block is alive at a time and no
+    d x d H is ever formed. With c = 1 on a pair s < r(s) and 1/sqrt(2) on a
+    fixed point s = r(s), the even block over the representatives is
+    c_s c_s' (H[s, s'] + H[s, r(s')]), and the odd block over the pairs is
+    H[s, s'] - H[s, r(s')]. The diagonal holds the ZZ and Z energies, doubled
+    on a fixed point (no X term joins s to r(s), which differ in an even
+    number of bits). Each X_i takes s to t = s ^ bit_i with weight hx,
+    landing in the row of t's representative: twice on a fixed point, where
+    both terms are t, and signed by the sign of t's coefficient. Every entry
+    is bit-identical to the same sums over the dense H. Chains above the
+    dense cap raise :class:`SizeError` before anything of size 2^n_sites is
+    allocated.
     """
     n = params.n_sites
     if n > MAX_DENSE_DIM.bit_length() - 1:
@@ -116,16 +115,12 @@ def reflection_blocks(params):
 
 def _reflection_block(params, r, k):
     """Block k (0 even, 1 odd) of H under the reflection r; see :func:`reflection_blocks`."""
-    states = np.arange(r.size)
-    reps = states[states <= r] if k == 0 else states[states < r]
+    reps, column, coef = parity_layout(r, k)
     fixed = r[reps] == reps
-    # per basis state: the column of its representative (-1 outside the
-    # block) and the weight of an X flip onto it
-    column = np.full(r.size, -1)
-    column[reps] = np.arange(reps.size)
-    column = column[np.minimum(states, r)]
-    weight = np.where(states <= r, params.hx, -params.hx if k else params.hx)
-    weight[r == states] *= 2.0
+    # per basis state: the weight of an X flip onto it, which lands in the
+    # column of its representative (-1 outside the block)
+    weight = params.hx * np.sign(coef)
+    weight[r == np.arange(r.size)] *= 2.0
     block = np.zeros((reps.size, reps.size))
     rows = np.arange(reps.size)
     # H[s, s] +- H[s, r(s)], whose second term is 0.0 on a pair, as in the dense sum

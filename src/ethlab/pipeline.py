@@ -256,8 +256,7 @@ def stage_dynamics(cfg, inputs):
     populations = gaussian_wavepacket(
         spectrum, window.center,
         dyn["wavepacket_sigma_fraction"] * spectrum.bandwidth)
-    center_idx = int(window.start + np.argmin(
-        np.abs(window.member_energies(spectrum) - window.center)))
+    center_idx, = select_code_states(window, 0, spectrum=spectrum)
     # neither fluctuation depends on beta
     measured_dynamical = dynamical_fluctuation(a, populations)
     measured_static = static_fluctuation(a, center_idx)

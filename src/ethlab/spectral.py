@@ -11,11 +11,11 @@ formula in the package needs the full spectrum, but |A_mn|^2 is only formed
 PAIR_BLOCK_ROWS rows at a time (OperatorEigenbasis.abs2_rows). Every ``eigh``
 runs through one block path: a Hamiltonian that commutes with an involutive
 index permutation r (the reflection of a uniform Ising chain) is given as
-its two r-parity blocks (eigendecompose_blocks), which are diagonalized one
-at a time; a Hamiltonian without such a symmetry is the one block of the
-identity r. The eigenvectors are kept as the block matrices
-(BlockEigenvectors, about d^2/2 numbers for two blocks), so every
-eigenvector is an exact parity eigenstate and no d x d basis exists unless
+its blocks in the parity-adapted basis of r, which parity_layout alone lays
+out, and eigendecompose_blocks diagonalizes them one at a time; a
+Hamiltonian without such a symmetry is the one block of the identity r. The
+eigenvectors are kept as the block matrices (BlockEigenvectors, about d^2/2
+numbers for two blocks), and no d x d basis exists unless
 EnergySpectrum.basis is read.
 """
 
@@ -72,18 +72,37 @@ def require_hermitian(h, name="matrix"):
     return h
 
 
+def parity_layout(r, k):
+    """Block k of the parity-adapted basis of an involutive index permutation r.
+
+    Block 0 (even) lives on the representatives s <= r(s) and block 1 (odd)
+    on the pairs s < r(s); the identity r has no pairs and so only block 0,
+    the standard basis. The basis vector of representative s is |s> on a
+    fixed point s = r(s) and (|s> + |r(s)>)/sqrt(2) on a pair, with a minus
+    sign on the mirror |r(s)> in the odd block. Returns ``(reps, row, coef)``:
+    block k's representatives, and per basis state x the row of the block
+    that carries it (-1 for none) and its coefficient, so that column j of an
+    eigenvector matrix u of the block is the vector V[x] = coef[x] u[row[x], j].
+    """
+    states = np.arange(r.size)
+    reps = states[states <= r] if k == 0 else states[states < r]
+    row = np.full(r.size, -1)
+    row[reps] = np.arange(reps.size)
+    row = row[np.minimum(states, r)]
+    amp = np.where(r == states, 1.0, np.sqrt(0.5))
+    coef = np.where(row < 0, 0.0, np.where(states <= r, amp, -amp if k else amp))
+    return reps, row, coef
+
+
 @dataclass(frozen=True)
 class BlockEigenvectors:
     """Eigenvectors of a Hamiltonian h, kept as the blocks that ``eigh`` returns.
 
-    ``symmetry`` is an involutive index permutation r that commutes with h.
-    Block 0 (even) is the eigenvector matrix over the representatives
-    s <= r(s), block 1 (odd, absent for the identity r) the one over s < r(s),
-    and ``columns[k]`` are the sorted positions of block k's eigenvalues.
-    Column j of block k is the basis vector with V[s] = c_s u_k[i, j] and
-    V[r(s)] = +-c_s u_k[i, j] (+ even, - odd) for the i-th representative s,
-    where c = 1 on a fixed point s = r(s) and 1/sqrt(2) on a pair. The
-    identity r with one block is the plain ``eigh`` basis.
+    ``symmetry`` is an involutive index permutation r that commutes with h,
+    ``vectors[k]`` the eigenvector matrix of block k of its parity-adapted
+    basis (:func:`parity_layout`), and ``columns[k]`` the sorted positions of
+    block k's eigenvalues, which is the one record of each eigenstate's
+    sector. The identity r with one block is the plain ``eigh`` basis.
     """
 
     symmetry: np.ndarray
@@ -94,25 +113,11 @@ class BlockEigenvectors:
     def dim(self):
         return self.symmetry.size
 
-    def _layout(self, k):
-        """Block k's representatives, and per basis state x the row of u_k
-        that carries it (-1 for none) and its coefficient:
-        V[x, columns[k]] = coef[x] * u_k[row[x]]."""
-        r = self.symmetry
-        states = np.arange(r.size)
-        reps = states[states <= r] if k == 0 else states[states < r]
-        row = np.full(r.size, -1)
-        row[reps] = np.arange(reps.size)
-        row = row[np.minimum(states, r)]
-        amp = np.where(r == states, 1.0, np.sqrt(0.5))
-        coef = np.where(row < 0, 0.0, np.where(states <= r, amp, -amp if k else amp))
-        return reps, row, coef
-
     def dense(self):
         """The d x d eigenvector matrix V, scattered from the blocks on each call."""
         v = np.zeros((self.dim, self.dim), dtype=np.result_type(*self.vectors))
         for k, (u, cols) in enumerate(zip(self.vectors, self.columns)):
-            _, row, coef = self._layout(k)
+            _, row, coef = parity_layout(self.symmetry, k)
             on = np.flatnonzero(row >= 0)
             v[np.ix_(on, cols)] = coef[on, None] * u[row[on]]
         return v
@@ -137,7 +142,7 @@ class BlockEigenvectors:
         weights cancelling, such as Z_0. No d x d V is formed.
         """
         r = self.symmetry
-        layouts = [self._layout(k) for k in range(len(self.vectors))]
+        layouts = [parity_layout(r, k) for k in range(len(self.vectors))]
         out = np.zeros((self.dim, self.dim), dtype=np.result_type(factor, *self.vectors))
         for k, (u, cols) in enumerate(zip(self.vectors, self.columns)):
             reps = layouts[k][0]
@@ -183,14 +188,11 @@ class EnergySpectrum:
 
     ``eigenvectors`` holds them per symmetry block (:class:`BlockEigenvectors`);
     ``None`` means the identity basis, used by synthetic spectra that are
-    generated directly in their own eigenbasis. ``parity`` holds +-1 per
-    eigenvalue, the symmetry block each eigenvector came from in
-    :func:`eigendecompose_blocks`, or ``None`` when it is unknown.
+    generated directly in their own eigenbasis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: BlockEigenvectors | None = None
-    parity: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.eigenvalues, dtype=float)
@@ -201,11 +203,6 @@ class EnergySpectrum:
         object.__setattr__(self, "eigenvalues", e)
         if self.eigenvectors is not None and self.eigenvectors.dim != e.size:
             raise ValidationError("eigenvector count does not match eigenvalue count")
-        if self.parity is not None:
-            p = np.asarray(self.parity)
-            if p.shape != e.shape or not np.all((p == 1) | (p == -1)):
-                raise ValidationError("parity must be +-1 per eigenvalue")
-            object.__setattr__(self, "parity", p.astype(np.int8))
 
     @property
     def dim(self):
@@ -241,22 +238,29 @@ def _require_involution(r):
     return r
 
 
-def _eigh_blocks(r, blocks):
-    """Eigenvalues, :class:`BlockEigenvectors` and +-1 parities (``None`` for
-    one block) from the r-parity blocks of a Hamiltonian.
+def eigendecompose_blocks(symmetry, blocks):
+    """Diagonalize a Hamiltonian given as its blocks in a parity-adapted basis.
 
-    Block 0 lives on the representatives s <= r(s) and block 1 on the pairs
-    s < r(s); the identity r has one block, the matrix itself. Each block is
-    checked for Hermiticity and diagonalized before the next is taken from
-    ``blocks``, so a lazy iterable keeps one block alive at a time. The
-    eigenvalues are merged by a stable sort (block 0 before block 1 on ties).
+    ``symmetry`` is an involutive index permutation r that commutes with the
+    Hamiltonian H, and ``blocks`` yields block 0 and then block 1 of H in the
+    basis of :func:`parity_layout`; the identity has only block 0, so a dense
+    h is diagonalized as ``eigendecompose_blocks(np.arange(d), [h])``, and
+    :func:`ethlab.models.reflection_blocks` yields both blocks of the Ising
+    chain. Each block is checked for Hermiticity and diagonalized before the
+    next is taken, so a lazy iterable keeps one block alive at a time; two
+    blocks cost about a quarter of one full ``eigh``. The eigenvectors stay
+    per block (:class:`BlockEigenvectors`), and the eigenvalues are merged by
+    a stable sort (block 0 before block 1 on ties). A permutation that is not
+    an involution, a wrong number of blocks, a block of the wrong size or one
+    not Hermitian to ``HERMITICITY_RTOL`` raises :class:`ValidationError`,
+    and a dimension above ``MAX_DENSE_DIM`` raises :class:`SizeError`.
     """
+    r = _require_involution(symmetry)
     d = r.size
     if d > MAX_DENSE_DIM:
         raise SizeError(f"dimension {d} exceeds dense cap {MAX_DENSE_DIM}")
-    states = np.arange(d)
-    sizes = [np.count_nonzero(states <= r), np.count_nonzero(states < r)]
-    sizes = sizes[:1 if sizes[1] == 0 else 2]
+    sizes = [parity_layout(r, k)[0].size for k in (0, 1)]
+    sizes = [n for n in sizes if n]    # the identity has no block 1
     values, vectors = [], []
     for block in blocks:    # not enumerate, whose cached tuple holds on to the block
         k = len(values)
@@ -277,39 +281,11 @@ def _eigh_blocks(r, blocks):
     eigenvalues = np.concatenate(values)
     order = np.argsort(eigenvalues, kind="stable")
     column = np.empty(d, dtype=np.intp)
-    column[order] = states
-    columns = tuple(np.split(column, [values[0].size])) if len(values) == 2 else (column,)
-    parity = np.where(order < values[0].size, 1, -1) if len(values) == 2 else None
+    column[order] = np.arange(d)
+    columns = tuple(np.split(column, np.cumsum(sizes)[:-1]))
     return EnergySpectrum(eigenvalues=eigenvalues[order],
                           eigenvectors=BlockEigenvectors(symmetry=r, vectors=tuple(vectors),
-                                                         columns=columns),
-                          parity=parity)
-
-
-def eigendecompose_blocks(symmetry, blocks):
-    """Diagonalize a Hamiltonian given as its two parity blocks under a symmetry.
-
-    ``symmetry`` is an involutive index permutation r that commutes with the
-    Hamiltonian H, such as the reflection of a uniform Ising chain, and
-    ``blocks`` yields H in the parity-adapted basis: first the even block,
-    over the representatives s <= r(s) with basis vectors |s> on a fixed
-    point s = r(s) and (|s> + |r(s)>)/sqrt(2) on a pair, then the odd block,
-    over the pairs s < r(s) with (|s> - |r(s)>)/sqrt(2); the identity has
-    only the even block, so a dense h without symmetry is diagonalized as
-    ``eigendecompose_blocks(np.arange(d), [h])``.
-    :func:`ethlab.models.reflection_blocks` builds both blocks for the Ising
-    chain, so no d x d H exists. The blocks are diagonalized
-    one after the other, at about a quarter of the cost of one full
-    ``eigh``, and their eigenvectors are kept per block (:class:`BlockEigenvectors`), so no
-    d x d basis is formed unless ``EnergySpectrum.basis`` is read. Every
-    basis vector is an exact parity eigenstate, and ``parity`` records which
-    block (+1 even, -1 odd) each came from; the eigenvalues of the two
-    blocks are merged by a stable sort (even before odd on ties). A
-    permutation that is not an involution, a block of the wrong size and a
-    block that is not Hermitian to ``HERMITICITY_RTOL`` raise
-    :class:`ValidationError`.
-    """
-    return _eigh_blocks(_require_involution(symmetry), blocks)
+                                                         columns=columns))
 
 
 @dataclass(frozen=True)
@@ -474,9 +450,6 @@ class MicrocanonicalWindow:
     @property
     def indices(self):
         return np.arange(self.start, self.stop)
-
-    def member_energies(self, spectrum):
-        return spectrum.eigenvalues[self.start:self.stop]
 
 
 def microcanonical_window(spectrum, center, half_width):

@@ -48,21 +48,35 @@ def reflection_block_gathers(h, r):
     return even, odd
 
 
+def reflection_parity(spectrum):
+    """+1 or -1 per eigenvalue: the even or odd block its eigenvector came
+    from, read from ``BlockEigenvectors.columns``; ``None`` for a spectrum
+    without two blocks."""
+    vectors = spectrum.eigenvectors
+    if vectors is None or len(vectors.columns) != 2:
+        return None
+    parity = np.empty(spectrum.dim, dtype=np.int8)
+    parity[vectors.columns[0]] = 1
+    parity[vectors.columns[1]] = -1
+    return parity
+
+
 def restrict_to_reflection_sector(spectrum, a, parity=1):
     """Restrict a spectrum and operator to one reflection-parity sector.
 
-    The sector is read from ``spectrum.parity``, which
-    :func:`ethlab.eigendecompose_blocks` records from the blocks of
-    :func:`ethlab.reflection_blocks`; a spectrum without parities is refused.
+    The sector is read from :func:`reflection_parity`, so the spectrum must
+    come from :func:`ethlab.eigendecompose_blocks` on the two blocks of
+    :func:`ethlab.reflection_blocks`; a spectrum without them is refused.
     Returns a new (EnergySpectrum, OperatorEigenbasis) pair living in the
     sector eigenbasis (identity basis, sector eigenvalues ascending).
     The restricted operator is the sector block, i.e. the reflection-even
     part of the original observable when the input couples sectors.
     """
-    if spectrum.parity is None:
+    p = reflection_parity(spectrum)
+    if p is None:
         raise el.ValidationError(
             "reflection parity unknown: diagonalize with the reflection symmetry")
-    sel = np.flatnonzero(spectrum.parity == parity)
+    sel = np.flatnonzero(p == parity)
     if sel.size == 0:
         raise el.ValidationError("no eigenstates with the requested parity")
     sub_spec = el.EnergySpectrum(eigenvalues=spectrum.eigenvalues[sel])

@@ -131,6 +131,24 @@ class TestRun:
 
 
 class TestConfigBranches:
+    def test_synthetic_smoothed_entropy(self, tmp_path):
+        # entropy.kind "smoothed" writes the kernel estimate of the drawn
+        # spectrum, whose peak lies inside the band; the flat log_dim
+        # default would put the dos_peak window at the lowest level
+        out = str(tmp_path / "smoothed")
+        cfg = RunConfig.from_dict({"seed": 1, "out_dir": out,
+                                   "model": {"kind": "synthetic", "dim": 256,
+                                             "dos_shape": "flat",
+                                             "entropy": {"kind": "smoothed"}}})
+        run(cfg, stages=("generate", "extract"))
+        spec = el.EnergySpectrum(read_array(os.path.join(out, "spectrum.ethb")))
+        ent = el.entropy_model(spec)
+        header, columns = read_csv(os.path.join(out, "entropy.csv"))
+        assert header == ["e", "s", "beta"]
+        for got, want in zip(columns, (ent.grid_energies, ent.grid_entropy, ent.grid_beta)):
+            assert np.array_equal(got, want)
+        assert load_json(os.path.join(out, "extract.json"))["window"]["start"] > 0
+
     def test_ising_traceless_shift_and_numeric_window(self, tmp_path):
         out = str(tmp_path / "shift")
         cfg = RunConfig.from_dict({
