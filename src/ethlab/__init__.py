@@ -6,14 +6,14 @@ of eigenstate codes, and checks the inequalities tying the code error to
 scrambling rates, fluctuations and the fluctuation-dissipation relation.
 """
 
-from .aqec import (BoundReport, CodeSpec, KlResidualReport, check_bounds,
-                   code_error_bound, kl_residuals, lyapunov_lower_bound,
-                   resolve_lambda, select_code_states)
-from .dynamics import (CorrelatorSeries, FdtDeviation, FluctuationReport,
-                       LyapunovFit, SpectralDensity, ThermalState,
-                       dissipation_time, dynamical_fluctuation, fdt_check,
-                       fit_lyapunov, fluctuation_bounds, gaussian_wavepacket,
-                       otoc, spectral_densities, static_fluct_integral,
+from .aqec import (BoundReport, CodeSpec, FluctuationReport, KlResidualReport,
+                   check_bounds, code_error_bound, kl_residuals,
+                   lyapunov_lower_bound, resolve_lambda, select_code_states,
+                   static_fluct_integral)
+from .dynamics import (CorrelatorSeries, FdtDeviation, LyapunovFit,
+                       SpectralDensity, ThermalState, dissipation_time,
+                       dynamical_fluctuation, fdt_check, fit_lyapunov,
+                       gaussian_wavepacket, otoc, spectral_densities,
                        static_fluctuation, thermal_correlators, thermal_state)
 from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
                      EthLabError, FitRejectedError, NumericError, SizeError,

@@ -16,8 +16,19 @@ the pair frequency separation w:
     eps_code  <= 2**(d+2k) * exp(-S/4 - pi*|w|/(2*lam))        (upper bound)
     lam       >= pi*|w| / (2*ln(2**(d+2k)/eps_code) - S/2)      (lower bound)
 
-with lam itself capped by the chaos bound 2*pi/beta. All checks carry a
-configurable slack factor because the inequalities hold up to O(1) factors.
+with lam itself capped by the chaos bound 2*pi/beta (Maldacena, Shenker and
+Stanford, arXiv:1503.01409). The fluctuation bounds (Murthy and Srednicki,
+arXiv:1906.10808) take the same S, w, lam and beta, each in a rate form and
+a code form, with r = eps_code / 2**(d+2k):
+
+    dynamical <= exp(-S - pi*|w|/lam)  or  exp(-S/2) * r**2
+    static    <= integral over w' of exp(beta*w'/2 - pi*|w'|/lam)
+    FDT       <= 4*pi*cosh(beta*w/2) * (exp(-pi*|w|/lam)  or  exp(S/2) * r**2)
+
+:func:`check_bounds` is the one evaluator of all of them, for one code at
+one beta, and gives that beta's verdict. A bound beyond the double range is
+inf, written as null. All checks carry a configurable slack factor because
+the inequalities hold up to O(1) factors.
 """
 
 import math
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergentIntegralError, ValidationError
 
 DEFAULT_SLACK = 10.0
 
@@ -164,6 +175,14 @@ def kl_residuals(a, spectrum, code, metadata=None):
     )
 
 
+def _exp(x):
+    """e**x, or inf where that is beyond the double range (math.exp raises)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return float("inf")
+
+
 def code_error_bound(entropy, lam, omega, d, k, weak_exponent=False):
     """Upper bound 2**(d+2k) * exp(-S/4 - pi*|w|/(2*lam)) on the code error.
 
@@ -175,7 +194,7 @@ def code_error_bound(entropy, lam, omega, d, k, weak_exponent=False):
     if lam <= 0:
         raise ValidationError("growth rate lam must be positive")
     rate = 4.0 * lam if weak_exponent else 2.0 * lam
-    return float(2.0 ** (d + 2 * k) * math.exp(-entropy / 4.0 - math.pi * abs(omega) / rate))
+    return float(2.0 ** (d + 2 * k) * _exp(-entropy / 4.0 - math.pi * abs(omega) / rate))
 
 
 def lyapunov_lower_bound(eps_code, d, k, entropy, omega):
@@ -226,22 +245,18 @@ class BoundReport:
         return all(self.flags.values())
 
 
-def resolve_lambda(beta, lyapunov_fit=None, envelope=None):
+def resolve_lambda(beta, lam_fit, gamma):
     """Growth-rate source precedence: accepted fit, envelope-implied, chaos bound.
 
-    ``lyapunov_fit`` may be a LyapunovFit or a bare fitted rate, and
-    ``envelope`` an EnvelopeModel or its bare decay rate gamma. The envelope
-    decay gamma implies lam = pi/(2*gamma) by matching exp(-gamma*|w|)
-    against exp(-pi*|w|/(2*lam)). Returns (lam, source).
+    ``lam_fit`` is an accepted fit's rate and ``gamma`` the central envelope
+    decay rate; either may be None. gamma implies lam = pi/(2*gamma) by
+    matching exp(-gamma*|w|) against exp(-pi*|w|/(2*lam)). Returns
+    (lam, source).
     """
-    if lyapunov_fit is not None:
-        lam_fit = float(getattr(lyapunov_fit, "lam", lyapunov_fit))
-        if lam_fit > 0:
-            return lam_fit, "fitted"
-    if envelope is not None:
-        gamma = float(getattr(envelope, "central_gamma", envelope))
-        if np.isfinite(gamma) and gamma > 0:
-            return float(math.pi / (2.0 * gamma)), "envelope-implied"
+    if lam_fit is not None and lam_fit > 0:
+        return float(lam_fit), "fitted"
+    if gamma is not None and math.isfinite(gamma) and gamma > 0:
+        return float(math.pi / (2.0 * gamma)), "envelope-implied"
     if beta > 0:
         return float(2.0 * math.pi / beta), "chaos-bound"
     raise ValidationError(
@@ -249,17 +264,79 @@ def resolve_lambda(beta, lyapunov_fit=None, envelope=None):
     )
 
 
-def check_bounds(report, entropy, beta, envelope=None, lyapunov_fit=None,
-                 slack=DEFAULT_SLACK):
-    """Evaluate the code-error bound and the growth-rate sandwich for a code.
+def static_fluct_integral(lam, beta):
+    """Closed form of the static-fluctuation frequency integral.
 
-    ``envelope`` and ``lyapunov_fit`` are passed to :func:`resolve_lambda`.
-    The entropy is taken at the mean code-member energy. Checks are flagged
-    as violations only beyond ``slack``, since every inequality drops O(1)
-    constants. A vacuous lower bound is flagged separately and does not
-    count as a violation.
+    integral over w of exp(beta*w/2 - pi*|w|/lam)
+        = (2*pi/lam) / ((pi/lam)**2 - (beta/2)**2),
+
+    finite only below the chaos bound; at or above lam = 2*pi/beta the
+    integral diverges and a :class:`DivergentIntegralError` is raised
+    carrying the saturation diagnosis.
     """
-    lam, source = resolve_lambda(beta, lyapunov_fit=lyapunov_fit, envelope=envelope)
+    if lam <= 0:
+        raise ValidationError("growth rate lam must be positive")
+    if beta < 0:
+        raise ValidationError("beta must be nonnegative")
+    a = math.pi / lam
+    b = beta / 2.0
+    if a <= b:
+        raise DivergentIntegralError(lam, beta)
+    return float(2.0 * a / (a * a - b * b))
+
+
+@dataclass(frozen=True)
+class FluctuationReport:
+    """Bound values for dynamical/static fluctuations and the spectral ceiling.
+
+    The code-error form of the dynamical bound is
+    exp(-S/2) * (eps_code / 2**(d+2k))**2, algebraically identical to the
+    growth-rate form exp(-S - pi*|w|/lam) when eps_code sits exactly on its
+    upper bound. ``static_divergent`` is set exactly when pi/lam <= beta/2.
+    ``slack_ratios`` holds measured / bound for every bound that is positive
+    and finite.
+    """
+
+    dynamical_bound_rate: float
+    dynamical_bound_code: float
+    static_bound: float
+    static_divergent: bool
+    fdt_bound_rate: float
+    fdt_bound_code: float
+    omega: float
+    entropy_value: float
+    measured_dynamical: float
+    measured_static: float
+    slack: float
+    slack_ratios: dict
+
+    @property
+    def all_within_slack(self):
+        """Only ``dynamical_rate`` and ``static`` gate: substituting the lower
+        bound of lam into the decreasing exponent makes the code form a
+        reference expression, not a valid ceiling, whenever eps_code sits
+        below its saturation scale (unitary observables drive it to zero)."""
+        return all(ratio <= self.slack for name, ratio in self.slack_ratios.items()
+                   if name in ("dynamical_rate", "static"))
+
+
+def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
+                 measured_static, slack=DEFAULT_SLACK):
+    """Evaluate every inequality of one code at one beta.
+
+    ``lam_fit`` (an accepted fit's rate) and ``gamma`` (the central envelope
+    decay rate), each possibly None, are passed to :func:`resolve_lambda`.
+    The entropy is taken at the mean code-member energy, and the fluctuation
+    bounds at the code's largest pair separation ``omega_char``, against the
+    measured dynamical (wave packet) and static (eigenstate) fluctuations.
+    Checks are flagged as violations only beyond ``slack``, since every
+    inequality drops O(1) constants. A vacuous lower bound is flagged
+    separately and does not count as a violation.
+
+    Returns (BoundReport, FluctuationReport, verdict), the verdict being
+    True when both reports are within slack.
+    """
+    lam, source = resolve_lambda(beta, lam_fit, gamma)
     s_value = float(entropy.entropy_at(float(report.member_energies.mean())))
     d, k = report.code.d, report.code.k
     omega_char = report.omega_char
@@ -299,7 +376,7 @@ def check_bounds(report, entropy, beta, envelope=None, lyapunov_fit=None,
         "lower_over_used": float(ratio_lower),
         "used_over_chaos": float(ratio_chaos),
     }
-    return BoundReport(
+    bound = BoundReport(
         code_error=report.eps_code,
         code_error_rhs=rhs,
         code_error_rhs_weak=rhs_weak,
@@ -314,3 +391,37 @@ def check_bounds(report, entropy, beta, envelope=None, lyapunov_fit=None,
         slack_ratios=slack_ratios,
         per_pair=per_pair,
     )
+
+    rate_exponent = -math.pi * omega_char / lam
+    rel = report.eps_code / pref
+
+    def fdt(x):
+        # 4*pi*cosh(beta*w/2)*e**x with the cosh in the exponents, so that
+        # no factor overflows where the product is finite
+        h = beta * omega_char / 2.0
+        return 2.0 * math.pi * (_exp(x + h) + _exp(x - h))
+
+    dyn_rate = _exp(-s_value + rate_exponent)
+    dyn_code = _exp(-s_value / 2.0) * rel**2
+    try:
+        static_bound, static_div = static_fluct_integral(lam, beta), False
+    except DivergentIntegralError:
+        static_bound, static_div = float("inf"), True
+    fluct = FluctuationReport(
+        dynamical_bound_rate=dyn_rate,
+        dynamical_bound_code=dyn_code,
+        static_bound=static_bound,
+        static_divergent=static_div,
+        fdt_bound_rate=fdt(rate_exponent),
+        fdt_bound_code=fdt(s_value / 2.0 + 2.0 * math.log(rel)) if rel > 0 else 0.0,
+        omega=omega_char,
+        entropy_value=s_value,
+        measured_dynamical=measured_dynamical,
+        measured_static=measured_static,
+        slack=float(slack),
+        slack_ratios={name: float(measured / value) for name, measured, value in (
+            ("dynamical_rate", measured_dynamical, dyn_rate),
+            ("dynamical_code", measured_dynamical, dyn_code),
+            ("static", measured_static, static_bound)) if 0 < value < math.inf},
+    )
+    return bound, fluct, bound.all_within_slack and fluct.all_within_slack

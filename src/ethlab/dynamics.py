@@ -116,9 +116,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aqec import DEFAULT_SLACK
-from .errors import (CostGuardError, DivergentIntegralError, FitRejectedError,
-                     ValidationError)
+from .errors import CostGuardError, FitRejectedError, ValidationError
 from .spectral import mean_level_spacing
 
 OTOC_BLOCK_ROWS = 32       # h: rows of G per block of the OTOC
@@ -682,119 +680,3 @@ def static_fluctuation(a, n):
     col = np.abs(a.matrix[:, n]) ** 2
     col[n] = 0.0
     return float(np.sum(col))
-
-
-def static_fluct_integral(lam, beta):
-    """Closed form of the static-fluctuation frequency integral.
-
-    integral over w of exp(beta*w/2 - pi*|w|/lam)
-        = (2*pi/lam) / ((pi/lam)**2 - (beta/2)**2),
-
-    finite only below the chaos bound; at or above lam = 2*pi/beta the
-    integral diverges and a :class:`DivergentIntegralError` is raised
-    carrying the saturation diagnosis.
-    """
-    if lam <= 0:
-        raise ValidationError("growth rate lam must be positive")
-    if beta < 0:
-        raise ValidationError("beta must be nonnegative")
-    a = math.pi / lam
-    b = beta / 2.0
-    if a <= b:
-        raise DivergentIntegralError(lam, beta)
-    return float(2.0 * a / (a * a - b * b))
-
-
-@dataclass(frozen=True)
-class FluctuationReport:
-    """Bound values for dynamical/static fluctuations and the spectral ceiling.
-
-    The code-error form of the dynamical bound is
-    exp(-S/2) * (eps_code / 2**(d+2k))**2, algebraically identical to the
-    growth-rate form exp(-S - pi*|w|/lam) when eps_code sits exactly on its
-    upper bound. ``static_divergent`` is set exactly when pi/lam <= beta/2.
-    """
-
-    dynamical_bound_rate: float
-    dynamical_bound_code: float
-    static_bound: float
-    static_divergent: bool
-    fdt_bound_rate: float
-    fdt_bound_code: float
-    omega: float
-    entropy_value: float
-    measured_dynamical: float
-    measured_static: float
-    slack: float
-    slack_ratios: dict
-
-    @property
-    def all_within_slack(self):
-        """Only ``dynamical_rate`` and ``static`` gate: substituting the lower
-        bound of lam into the decreasing exponent makes the code form a
-        reference expression, not a valid ceiling, whenever eps_code sits
-        below its saturation scale (unitary observables drive it to zero)."""
-        return all(ratio <= self.slack for name, ratio in self.slack_ratios.items()
-                   if name in ("dynamical_rate", "static"))
-
-
-def fluctuation_bounds(entropy_value, beta, omega, lam=None, eps_code=None,
-                       d=0, k=0, measured_dynamical=None, measured_static=None,
-                       slack=DEFAULT_SLACK):
-    """Evaluate the fluctuation bounds from a growth rate and/or a code error.
-
-    At least one of ``lam`` and ``eps_code`` must be given. Bounds that need
-    the missing input come back NaN. Measured values, when supplied, produce
-    slack ratios (measured / bound); which of them gate is stated by
-    :attr:`FluctuationReport.all_within_slack`.
-    """
-    if lam is None and eps_code is None:
-        raise ValidationError("need a growth rate or a code error")
-    s = float(entropy_value)
-    w = abs(float(omega))
-    nan = float("nan")
-
-    if lam is not None:
-        if lam <= 0:
-            raise ValidationError("growth rate lam must be positive")
-        dyn_rate = math.exp(-s - math.pi * w / lam)
-        fdt_rate = 4.0 * math.pi * math.cosh(beta * w / 2.0) * math.exp(-math.pi * w / lam)
-        try:
-            static_bound = static_fluct_integral(lam, beta)
-            static_div = False
-        except DivergentIntegralError:
-            static_bound = float("inf")
-            static_div = True
-    else:
-        dyn_rate, fdt_rate, static_bound, static_div = nan, nan, nan, False
-
-    if eps_code is not None:
-        rel = eps_code / 2.0 ** (d + 2 * k)
-        dyn_code = math.exp(-s / 2.0) * rel**2
-        fdt_code = 4.0 * math.pi * math.cosh(beta * w / 2.0) * math.exp(s / 2.0) * rel**2
-    else:
-        dyn_code, fdt_code = nan, nan
-
-    ratios = {}
-    if measured_dynamical is not None:
-        if np.isfinite(dyn_rate) and dyn_rate > 0:
-            ratios["dynamical_rate"] = float(measured_dynamical / dyn_rate)
-        if np.isfinite(dyn_code) and dyn_code > 0:
-            ratios["dynamical_code"] = float(measured_dynamical / dyn_code)
-    if measured_static is not None and np.isfinite(static_bound) and static_bound > 0:
-        ratios["static"] = float(measured_static / static_bound)
-
-    return FluctuationReport(
-        dynamical_bound_rate=float(dyn_rate),
-        dynamical_bound_code=float(dyn_code),
-        static_bound=float(static_bound),
-        static_divergent=static_div,
-        fdt_bound_rate=float(fdt_rate),
-        fdt_bound_code=float(fdt_code),
-        omega=w,
-        entropy_value=s,
-        measured_dynamical=measured_dynamical,
-        measured_static=measured_static,
-        slack=float(slack),
-        slack_ratios=ratios,
-    )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class EthLabError(Exception):
     """Base class for all package errors."""
@@ -43,7 +45,7 @@ class DivergentIntegralError(EthLabError, ArithmeticError):
     def __init__(self, lam, beta):
         super().__init__(
             f"integral of exp(beta*w/2 - pi*|w|/lam) diverges: lam={lam:g} "
-            f"is at or above the chaos bound 2*pi/beta={2 * 3.141592653589793 / beta if beta > 0 else float('inf'):g}"
+            f"is at or above the chaos bound 2*pi/beta={2 * math.pi / beta if beta > 0 else float('inf'):g}"
         )
         self.lam = lam
         self.beta = beta

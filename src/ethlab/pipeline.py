@@ -41,10 +41,9 @@ from . import __version__
 from .aqec import CodeSpec, KlResidualReport, check_bounds, kl_residuals, select_code_states
 from .config import RunConfig
 from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
-                       fdt_check, fit_lyapunov, fluctuation_bounds,
-                       gaussian_wavepacket, otoc, spectral_densities,
-                       static_fluctuation, thermal_correlators,
-                       thermal_state)
+                       fdt_check, fit_lyapunov, gaussian_wavepacket, otoc,
+                       spectral_densities, static_fluctuation,
+                       thermal_correlators, thermal_state)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -309,7 +308,8 @@ def stage_dynamics(cfg, inputs):
 
 
 def stage_bounds(cfg, inputs):
-    """Bound checks combining the code error, envelope, and dynamics outputs.
+    """Bound checks on the code error, envelope and dynamics outputs: one
+    :func:`check_bounds` call per beta.
 
     Of the envelope only its central decay rate is needed; ``extract.json``
     stores it, with null meaning no slice could be fitted.
@@ -321,26 +321,20 @@ def stage_bounds(cfg, inputs):
     all_ok = True
     for entry in inputs.report("dynamics.json")["per_beta"]:
         beta = entry["beta"]
-        fit = None
-        if entry["fit"].get("status") == "accepted":
-            fit = entry["fit"]["lambda"]
-        bound = check_bounds(report, inputs.entropy, beta, envelope=gamma,
-                             lyapunov_fit=fit, slack=slack)
-        lam = bound.lambda_used
-        fluct = fluctuation_bounds(
-            bound.entropy_value, beta, bound.omega_char, lam=lam,
-            eps_code=report.eps_code, d=report.code.d, k=report.code.k,
+        fit = entry["fit"]
+        bound, fluct, ok = check_bounds(
+            report, inputs.entropy, beta,
+            lam_fit=fit["lambda"] if fit["status"] == "accepted" else None,
+            gamma=gamma,
             measured_dynamical=entry["measured_dynamical_fluctuation"],
-            measured_static=entry["measured_static_fluctuation"],
-            slack=slack)
-        ok = bound.all_within_slack and fluct.all_within_slack
+            measured_static=entry["measured_static_fluctuation"], slack=slack)
         all_ok = all_ok and ok
         # time-scale metadata recorded alongside the code checks; no gating
         # on the dissipation/scrambling hierarchy is applied
         per_beta.append({"beta": beta, "bound_report": bound,
                          "fluctuation_report": fluct,
                          "dissipation_time": entry["dissipation_time"],
-                         "fit": entry["fit"],
+                         "fit": fit,
                          "within_slack": ok})
     return {"bounds.json": {"per_beta": per_beta, "all_within_slack": all_ok,
                             "slack": slack}}

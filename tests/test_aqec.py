@@ -224,6 +224,11 @@ class TestCheckBounds:
         return el.kl_residuals(op, spec,
                                el.CodeSpec(members=members, k=k, d=d))
 
+    @staticmethod
+    def _check(rep, ent, beta, lam_fit=None, gamma=None):
+        return el.check_bounds(rep, ent, beta, lam_fit=lam_fit, gamma=gamma,
+                               measured_dynamical=0.0, measured_static=0.0)
+
     def test_saturating_envelope_implies_chaos_bound(self):
         # gamma = beta/4 decay makes the implied rate exactly 2*pi/beta
         beta = 1.0
@@ -234,7 +239,7 @@ class TestCheckBounds:
                                    el.EnvelopeSpec(gamma=beta / 4), seed=21)
         env = el.envelope_estimate(op, spec, ent)
         report = self._report(spec, op)
-        bound = el.check_bounds(report, ent, beta, envelope=env)
+        bound, _, _ = self._check(report, ent, beta, gamma=env.central_gamma)
         assert bound.lambda_source == "envelope-implied"
         chaos = 2 * math.pi / beta
         assert abs(bound.lambda_used - chaos) / chaos < 0.15
@@ -246,20 +251,21 @@ class TestCheckBounds:
         code = el.CodeSpec(members=(250, 251), k=1, d=1)
         rep = el.kl_residuals(el.OperatorEigenbasis(matrix=np.eye(512)),
                               spec, code)
-        bound = el.check_bounds(rep, ent, 1.0)
+        bound, _, within = self._check(rep, ent, 1.0)
         assert bound.lambda_lower == 0.0
-        assert bound.all_within_slack
+        assert bound.all_within_slack and within
 
     def test_lambda_source_precedence(self, synth512):
         spec, ent, op = synth512
         rep = self._report(spec, op)
         env = el.envelope_estimate(op, spec, ent)
-        fitted = el.check_bounds(rep, ent, 1.0, envelope=env, lyapunov_fit=2.5)
+        gamma = env.central_gamma
+        fitted, _, _ = self._check(rep, ent, 1.0, lam_fit=2.5, gamma=gamma)
         assert fitted.lambda_source == "fitted"
         assert fitted.lambda_used == 2.5
-        implied = el.check_bounds(rep, ent, 1.0, envelope=env)
+        implied, _, _ = self._check(rep, ent, 1.0, gamma=gamma)
         assert implied.lambda_source == "envelope-implied"
-        chaos = el.check_bounds(rep, ent, 1.0)
+        chaos, _, _ = self._check(rep, ent, 1.0)
         assert chaos.lambda_source == "chaos-bound"
         assert chaos.lambda_used == pytest.approx(2 * math.pi)
 
@@ -267,7 +273,7 @@ class TestCheckBounds:
         spec, ent, op = synth512
         rep = self._report(spec, op)
         with pytest.raises(el.ValidationError):
-            el.check_bounds(rep, ent, 0.0)
+            self._check(rep, ent, 0.0)
 
     def test_lower_bound_below_used_when_code_error_within(self, synth512):
         # algebraic consistency of the sandwich: when the code error sits
@@ -275,25 +281,24 @@ class TestCheckBounds:
         # rate that produced the ceiling (monotonicity of the inverse)
         spec, ent, op = synth512
         rep = self._report(spec, op, k=2, d=1)
-        bound = el.check_bounds(rep, ent, 1.0)
+        bound, _, _ = self._check(rep, ent, 1.0)
         if bound.slack_ratios["code_error"] <= 1 and bound.lambda_lower:
             assert bound.lambda_lower <= bound.lambda_used * (1 + 1e-12)
 
     def test_bare_gamma_matches_envelope(self, synth512):
         spec, ent, op = synth512
         rep = self._report(spec, op)
-        env = el.envelope_estimate(op, spec, ent)
-        from_model = el.check_bounds(rep, ent, 1.0, envelope=env)
-        from_gamma = el.check_bounds(rep, ent, 1.0, envelope=env.central_gamma)
-        assert from_gamma == from_model
+        gamma = el.envelope_estimate(op, spec, ent).central_gamma
+        from_gamma, _, _ = self._check(rep, ent, 1.0, gamma=gamma)
         assert from_gamma.lambda_source == "envelope-implied"
-        unfitted = el.check_bounds(rep, ent, 1.0, envelope=float("nan"))
+        assert from_gamma.lambda_used == math.pi / (2 * gamma)
+        unfitted, _, _ = self._check(rep, ent, 1.0, gamma=float("nan"))
         assert unfitted.lambda_source == "chaos-bound"
 
     def test_report_serialization_fields(self, synth512, tmp_path):
         spec, ent, op = synth512
         rep = self._report(spec, op)
-        bound = el.check_bounds(rep, ent, 1.0)
+        bound, _, _ = self._check(rep, ent, 1.0)
         dump_json(tmp_path / "bound.json", bound)
         d = load_json(tmp_path / "bound.json")
         for key in ("code_error", "code_error_rhs", "code_error_rhs_weak",

@@ -1114,35 +1114,51 @@ class TestStaticFluctIntegral:
 
 
 class TestFluctuationBounds:
+    @staticmethod
+    def _bounds(s, beta, omega, eps_code=0.0, d=0, *, lam_fit=None, gamma=None,
+                measured_dynamical=0.0, measured_static=0.0):
+        """check_bounds on a two-state code (k=1) at separation ``omega``
+        with code error ``eps_code``, in an entropy model constant at ``s``."""
+        pref = 2.0 ** (d + 2)
+        eps_max = (eps_code / pref) ** 2
+        report = el.KlResidualReport(
+            code=el.CodeSpec(members=(0, 1), k=1, d=d), c_a=1.0,
+            epsilon=np.array([[0.0, eps_max], [eps_max, 0.0]]),
+            eps_max=eps_max, eps_code=eps_code,
+            omega=np.array([[0.0, -omega], [omega, 0.0]]),
+            member_energies=np.array([0.0, omega]), diagonal_spread=0.0,
+            metadata={})
+        ent = el.EntropyModel.constant(s, -1.0, 1.0 + omega)
+        return el.check_bounds(report, ent, beta, lam_fit=lam_fit, gamma=gamma,
+                               measured_dynamical=measured_dynamical,
+                               measured_static=measured_static)
+
     def test_substitution_identity(self):
         # with eps_code on its ceiling the two dynamical bounds coincide
         s, lam, omega, d, k = 7.0, 1.3, 2.2, 1, 1
         eps = el.code_error_bound(s, lam, omega, d, k)
-        rep = el.fluctuation_bounds(s, 1.0, omega, lam=lam, eps_code=eps,
-                                    d=d, k=k)
+        _, rep, _ = self._bounds(s, 1.0, omega, eps, d, lam_fit=lam)
         assert abs(rep.dynamical_bound_rate - rep.dynamical_bound_code) <= \
             1e-10 * rep.dynamical_bound_rate
 
     def test_unit_bound_at_origin(self):
-        rep = el.fluctuation_bounds(0.0, 1.0, 0.0, lam=3.0)
+        _, rep, _ = self._bounds(0.0, 1.0, 0.0, lam_fit=3.0)
         assert rep.dynamical_bound_rate == pytest.approx(1.0)
 
     def test_divergence_flag_matches_condition(self):
-        rep = el.fluctuation_bounds(1.0, 1.0, 0.5, lam=2 * math.pi)
+        _, rep, _ = self._bounds(1.0, 1.0, 0.5, lam_fit=2 * math.pi)
         assert rep.static_divergent
-        rep2 = el.fluctuation_bounds(1.0, 1.0, 0.5, lam=math.pi)
+        assert "static" not in rep.slack_ratios
+        _, rep2, _ = self._bounds(1.0, 1.0, 0.5, lam_fit=math.pi)
         assert not rep2.static_divergent
 
-    def test_needs_some_source(self):
-        with pytest.raises(el.ValidationError):
-            el.fluctuation_bounds(1.0, 1.0, 0.5)
-
     def test_measured_ratios_reported(self):
-        rep = el.fluctuation_bounds(2.0, 1.0, 0.0, lam=2.0,
-                                    measured_dynamical=1e-3,
-                                    measured_static=0.5)
-        assert "dynamical_rate" in rep.slack_ratios
-        assert "static" in rep.slack_ratios
+        _, rep, _ = self._bounds(2.0, 1.0, 0.0, lam_fit=2.0,
+                                 measured_dynamical=1e-3, measured_static=0.5)
+        assert rep.slack_ratios["dynamical_rate"] == \
+            pytest.approx(1e-3 / rep.dynamical_bound_rate, rel=1e-15)
+        assert rep.slack_ratios["static"] == \
+            pytest.approx(0.5 / rep.static_bound, rel=1e-15)
 
     @pytest.mark.parametrize("ratios, within", [
         ({"dynamical_rate": 0.5, "dynamical_code": 1.6e14, "static": 2.0}, True),
@@ -1150,31 +1166,50 @@ class TestFluctuationBounds:
         ({"dynamical_rate": 10.5, "static": 2.0}, False),
     ])
     def test_only_rate_and_static_ratios_gate(self, ratios, within):
-        nan = float("nan")
-        rep = el.FluctuationReport(
-            dynamical_bound_rate=nan, dynamical_bound_code=nan,
-            static_bound=nan, static_divergent=False, fdt_bound_rate=nan,
-            fdt_bound_code=nan, omega=0.5, entropy_value=2.0,
-            measured_dynamical=None, measured_static=None, slack=10.0,
-            slack_ratios=ratios)
+        # measured values and code errors set to give the ratios; a zero
+        # code error leaves the code form at 0, with no ratio
+        s, beta, omega, lam = 2.0, 1.0, 0.5, 2.0
+        _, ref, _ = self._bounds(s, beta, omega, lam_fit=lam)
+        dyn = ratios["dynamical_rate"] * ref.dynamical_bound_rate
+        rel2 = dyn / ratios["dynamical_code"] * math.exp(s / 2) \
+            if "dynamical_code" in ratios else 0.0
+        bound, rep, verdict = self._bounds(
+            s, beta, omega, 4.0 * math.sqrt(rel2), lam_fit=lam,
+            measured_dynamical=dyn,
+            measured_static=ratios["static"] * ref.static_bound)
+        assert rep.slack_ratios == pytest.approx(ratios, rel=1e-12)
         assert rep.all_within_slack is within
+        assert verdict is (bound.all_within_slack and within)
+
+    def test_fdt_forms_past_cosh_range(self):
+        # beta*w/2 = 720 overflows cosh alone, yet the rate form
+        # 4*pi*cosh(720)*e^-30 is finite; a code form beyond the double
+        # range comes back inf, one inside it finite
+        beta, omega, lam = 1440.0, 1.0, math.pi / 30.0
+        _, rep, _ = self._bounds(1.0, beta, omega, 4.0 * math.exp(-1.0),
+                                 lam_fit=lam)
+        assert rep.fdt_bound_rate == pytest.approx(2 * math.pi * math.exp(690.0),
+                                                   rel=1e-12)
+        assert rep.fdt_bound_code == math.inf
+        _, rep, _ = self._bounds(1.0, beta, omega, 4.0 * math.exp(-360.0),
+                                 lam_fit=lam)
+        assert rep.fdt_bound_code == pytest.approx(
+            2 * math.pi * math.exp(720.0 + 0.5 - 720.0), rel=1e-12)
 
     def test_synthetic_ensemble_within_slack(self):
         # mid-spectrum wavepacket fluctuations sit below the rate bound; a
         # packet is its populations, so the ensemble is one of centres
         spec = el.synth_spectrum(el.SynthSpectrumParams(
             dim=2048, dos_shape="flat", bandwidth=4.0, seed=23))
-        ent = el.EntropyModel.constant(np.log(2048), 0, 4)
         gamma = 0.25
-        op = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=gamma),
-                                   seed=29)
-        lam = math.pi / (2 * gamma)
-        s_val = math.log(2048)
+        op = el.synth_eth_operator(spec, el.EntropyModel.constant(np.log(2048), 0, 4),
+                                   el.EnvelopeSpec(gamma=gamma), seed=29)
         ok = 0
         for center in np.linspace(1.5, 2.5, 20):
             p = el.gaussian_wavepacket(spec, center, 0.2)
             measured = el.dynamical_fluctuation(op, p)
-            rep = el.fluctuation_bounds(s_val, 1.0, 0.0, lam=lam,
-                                        measured_dynamical=measured)
+            bound, rep, _ = self._bounds(math.log(2048), 1.0, 0.0, gamma=gamma,
+                                         measured_dynamical=measured)
+            assert bound.lambda_source == "envelope-implied"
             ok += rep.slack_ratios["dynamical_rate"] <= rep.slack
         assert ok >= 19

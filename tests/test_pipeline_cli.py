@@ -76,9 +76,9 @@ class TestRun:
         assert data["eps_max"] == 0.0
 
     def test_bound_reports_match_in_memory_check(self, tmp_path):
-        # the bounds stage reads back only the code-error report and the
-        # central decay rate; its reports must equal those of the in-memory
-        # chain that holds the whole envelope model
+        # the bounds stage reads back only the code-error report, the central
+        # decay rate and the measured fluctuations; its reports and verdict
+        # must equal those of one in-memory check on the whole envelope model
         out = str(tmp_path / "codec")
         cfg = small_synth_config(out)
         run(cfg)
@@ -90,14 +90,35 @@ class TestRun:
         env = el.envelope_estimate(a, spec, ent, el.BinningSpec(min_count=20))
         members = load_json(os.path.join(out, "code_error.json"))["members"]
         report = el.kl_residuals(a, spec, el.CodeSpec(members=members, k=1, d=1))
+        dynamics = load_json(os.path.join(out, "dynamics.json"))["per_beta"]
         per_beta = load_json(os.path.join(out, "bounds.json"))["per_beta"]
-        assert per_beta
-        for entry in per_beta:
-            fit = entry["fit"].get("lambda")
-            bound = el.check_bounds(report, ent, entry["beta"], envelope=env,
-                                    lyapunov_fit=fit, slack=cfg.data["slack"])
-            dump_json(tmp_path / "bound.json", bound)
-            assert entry["bound_report"] == load_json(tmp_path / "bound.json")
+        assert per_beta and len(per_beta) == len(dynamics)
+        for entry, dyn in zip(per_beta, dynamics):
+            bound, fluct, within = el.check_bounds(
+                report, ent, entry["beta"], lam_fit=entry["fit"].get("lambda"),
+                gamma=env.central_gamma,
+                measured_dynamical=dyn["measured_dynamical_fluctuation"],
+                measured_static=dyn["measured_static_fluctuation"],
+                slack=cfg.data["slack"])
+            for key, value in (("bound_report", bound),
+                               ("fluctuation_report", fluct)):
+                dump_json(tmp_path / "report.json", value)
+                assert entry[key] == load_json(tmp_path / "report.json")
+            assert entry["within_slack"] is within
+
+    def test_bounds_complete_far_below_the_code_gap(self, tmp_path):
+        # at beta = 20000 the k=2 code's omega_char = 0.079 puts beta*w/2
+        # near 790, past the range of math.cosh; the bounds stage completes
+        # and writes a form beyond the double range as null
+        out = str(tmp_path / "frozen")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out,
+            "model": {"kind": "ising", "n_sites": 8}, "code": {"k": 2},
+            "thermal": {"betas": [20000]}, "dynamics": {"otoc_points": 0}})
+        assert run(cfg)["status"]["bounds"] == "ok"
+        entry, = load_json(os.path.join(out, "bounds.json"))["per_beta"]
+        assert entry["bound_report"]["omega_char"] * 20000 / 2 > 710
+        assert entry["fluctuation_report"]["fdt_bound_rate"] is None
 
     def test_stage_rerun_reproduces_outputs(self, tmp_path):
         out = str(tmp_path / "stages")
