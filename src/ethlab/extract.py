@@ -4,10 +4,15 @@ normalized off-diagonal elements.
 
 The envelope estimator inverts the matrix-element ansatz bin by bin:
 |f|^2 in a (Ebar, w) bin is exp(S(Ebar)) times the mean |A_mn|^2 over the
-bin of pairs m != n, each m < n binned once (from row blocks of |A|^2) for
-both orders. The decay rate per Ebar slice comes from a count-weighted
-least-squares fit of log|f|^2 against |w|; since |f|^2 decays at twice the
-rate of f, the reported gamma is minus half that slope.
+bin of pairs m != n, each m < n binned once for both orders. Bins are
+half-open, so the last edge is exclusive: the widest pair (0, d-1), at
+w = omega_max, is not counted. The pair counts come from the sorted
+spectrum alone, through per-row breakpoints that agree exactly with
+``np.digitize`` of the computed Ebar and |w|; the |A|^2 sums are taken per
+segment between breakpoints of each 64-row block of |A|^2. The decay rate
+per Ebar slice comes from a count-weighted least-squares fit of log|f|^2
+against |w|; since |f|^2 decays at twice the rate of f, the reported gamma
+is minus half that slope.
 """
 
 from dataclasses import dataclass
@@ -144,29 +149,89 @@ class EnvelopeModel:
         return float("nan") if i is None else float(self.e_centers[i])
 
 
+def _first_reaching(value, guess, e, m, x, first, after):
+    """Per row m and edge x: the first n in (m, d) with value(e_m, e_n) >= x,
+    or d where there is none. value never decreases with n, so the guess
+    (from inverting it) is corrected by evaluating it, stepping over a whole
+    run of equal eigenvalues at a time: ``first`` and ``after`` give each
+    level's run start and the index past its run."""
+    d = e.size
+    em = e[m, None]
+    lo = m[:, None] + 1
+    n = np.clip(guess, lo, d)
+    while (back := (n > lo) & (value(em, e[n - 1]) >= x)).any():
+        n = np.where(back, np.maximum(first[n - 1], lo), n)
+    while (ahead := (n < d) & (value(em, e[np.minimum(n, d - 1)]) < x)).any():
+        n = np.where(ahead, after[np.minimum(n, d - 1)], n)
+    return n
+
+
+def _mean_energy(em, en):
+    return 0.5 * (em + en)
+
+
+def _frequency(em, en):
+    return en - em
+
+
 def _pair_bins(a, e, e_edges, omega_edges):
     """Per-bin counts and |A|^2 sums over the ordered pairs m != n, binning
-    each m < n once for both orders (same Ebar, |w| and, A Hermitian, |A_mn|^2)."""
+    each m < n once for both orders (same Ebar, |w| and, A Hermitian, |A_mn|^2).
+
+    e is sorted, so along row m both Ebar = 0.5 (e_m + e_n) and w = e_n - e_m
+    never decrease with n, and the row's bin changes only at the first n > m
+    where either reaches an edge: at most len(e_edges) + len(omega_edges)
+    breakpoints per row. They cut the row into segments whose bins equal
+    ``np.digitize`` of the computed Ebar and |w|, the last edge exclusive.
+    The counts are the segment lengths and depend on the spectrum alone; the
+    sums take one ``np.add.reduceat`` per :meth:`abs2_rows` block, in which
+    each row's first segment (n <= m, and n short of the first edges) is
+    summed and discarded."""
+    d = e.size
     ne, nw = len(e_edges) - 1, len(omega_edges) - 1
+    starts_run = np.diff(e, prepend=-np.inf) > 0
+    run_start = np.flatnonzero(starts_run)
+    run = np.cumsum(starts_run) - 1
+    first, after = run_start[run], np.append(run_start[1:], d)[run]
     counts = np.zeros(ne * nw, dtype=np.int64)
     sums = np.zeros(ne * nw)
-    for rows, upper, a2 in a.upper_pairs():
-        ii = np.digitize(0.5 * (e[rows, None] + e)[upper], e_edges) - 1
-        jj = np.digitize((e - e[rows, None])[upper], omega_edges) - 1
+    for rows, a2 in a.abs2_rows():
+        m = np.arange(rows.start, rows.stop)
+        em = e[m, None]
+        pe = _first_reaching(_mean_energy, np.searchsorted(e, 2 * e_edges - em),
+                             e, m, e_edges, first, after)
+        pw = _first_reaching(_frequency, np.searchsorted(e, em + omega_edges),
+                             e, m, omega_edges, first, after)
+        marks = np.concatenate([np.zeros_like(pe[:, :1]), pe, pw], axis=1)
+        order = np.argsort(marks, axis=1, kind="stable")
+        cuts = np.take_along_axis(marks, order, axis=1)
+        lengths = np.diff(cuts, append=d, axis=1)
+        # edges at or below each segment's start, exact at the last of tied marks
+        ii = np.cumsum((order > 0) & (order <= ne + 1), axis=1) - 1
+        jj = np.cumsum(order > ne + 1, axis=1) - 1
+        live = lengths > 0
+        seg = np.add.reduceat(a2.ravel(), (cuts + (m - rows.start)[:, None] * d)[live])
+        ii, jj, lengths = ii[live], jj[live], lengths[live]
         ok = (ii >= 0) & (ii < ne) & (jj >= 0) & (jj < nw)
         flat = ii[ok] * nw + jj[ok]
-        counts += np.bincount(flat, minlength=ne * nw)
-        sums += np.bincount(flat, weights=a2[ok], minlength=ne * nw)
+        counts += np.bincount(flat, lengths[ok], minlength=ne * nw).astype(np.int64)
+        sums += np.bincount(flat, seg[ok], minlength=ne * nw)
     return 2 * counts.reshape(ne, nw), 2 * sums.reshape(ne, nw)
 
 
 def envelope_estimate(a, spectrum, entropy, binning=None):
     """Binned |f|^2 estimate and per-slice decay-rate fits.
 
-    Only m != n pairs enter. Bins with fewer than ``min_count`` pairs are
-    dropped; slices with fewer than 4 surviving bins in the fit window get
-    gamma = NaN. The default fit window starts at 4 mean bulk level spacings
-    to keep the smallest, discreteness-dominated frequencies out of the fit.
+    Only m != n pairs enter, in half-open bins: a pair on the last Ebar or
+    |w| edge, such as the widest pair at the default ``omega_max``, is not
+    counted. The counts depend on the spectrum alone and match
+    ``np.digitize`` of the computed Ebar and |w| exactly; the |A|^2 sums are
+    taken per row segment of each 64-row block, so only their order of
+    addition differs from a pair-by-pair sum. Bins with fewer than
+    ``min_count`` pairs are dropped; slices with fewer than 4 surviving bins
+    in the fit window get gamma = NaN. The default fit window starts at 4
+    mean bulk level spacings to keep the smallest, discreteness-dominated
+    frequencies out of the fit.
     """
     if binning is None:
         binning = BinningSpec()
@@ -288,9 +353,10 @@ def _moments(sample):
     n = sample.size
     mean = float(sample.mean())
     centered = sample - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    squared = centered * centered
+    m2 = float(np.mean(squared))
+    m3 = float(np.mean(squared * centered))
+    m4 = float(np.mean(squared * squared))
     if m2 <= 0:
         raise ValidationError("degenerate sample: zero variance")
     return GaussianityStats(

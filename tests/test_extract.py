@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 import ethlab as el
+from ethlab.extract import _moments
 
 
 class TestDiagonalProfile:
@@ -138,3 +140,16 @@ class TestGaussianityStats:
                                     start=1000, stop=1001)
         with pytest.raises(el.ValidationError):
             el.gaussianity_stats(synth2000["op"], spec, model, w)
+
+    def test_moments_match_scipy(self):
+        # heavy tails (Student t, 5 degrees of freedom) make the third and
+        # fourth moments large and sensitive to how they are formed
+        sample = np.random.default_rng(8).standard_t(5, size=20000)
+        got = _moments(sample)
+        assert got.mean == pytest.approx(np.mean(sample), rel=1e-12)
+        assert got.variance == pytest.approx(np.var(sample), rel=1e-12)
+        assert got.skewness == pytest.approx(
+            scipy.stats.skew(sample, bias=True), rel=1e-12)
+        assert got.excess_kurtosis == pytest.approx(
+            scipy.stats.kurtosis(sample, bias=True), rel=1e-12)
+        assert got.sample_size == sample.size and not got.low_power

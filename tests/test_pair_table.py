@@ -32,11 +32,35 @@ def synth(dim, real, seed=5):
     return spec, ent, a
 
 
-@pytest.fixture(params=[(d, real) for d in RAGGED_DIMS for real in (False, True)],
-                ids=lambda p: f"d{p[0]}-{'real' if p[1] else 'complex'}")
+RAGGED = [(d, real) for d in RAGGED_DIMS for real in (False, True)]
+
+
+def case_id(case):
+    return case if isinstance(case, str) else \
+        f"d{case[0]}-{'real' if case[1] else 'complex'}"
+
+
+@pytest.fixture(params=RAGGED, ids=case_id)
 def ragged(request):
     dim, real = request.param
     return synth(dim, real)
+
+
+def tied(name):
+    """Spectra whose computed Ebar and |w| tie and fall on bin edges: the L=8
+    chain without transverse field, diagonal in the Z basis and so exactly
+    degenerate, and a flat synthetic spectrum centred on 0 and rounded to one
+    decimal, where inverting Ebar or w from an edge rounds to either side
+    of runs of equal levels."""
+    if name == "zz8":
+        params = el.SpinChainParams(n_sites=8, hx=0.0)
+        spec = el.eigendecompose_blocks(*el.reflection_blocks(params))
+        a = el.to_eigenbasis(el.LocalObservableSpec(sites=(0,), paulis="Z"), spec)
+    else:
+        spec, _, a = synth(200, real=False)
+        spec = el.EnergySpectrum(eigenvalues=np.round(spec.eigenvalues - 2.0, 1))
+    e = spec.eigenvalues
+    return spec, el.EntropyModel.constant(np.log(spec.dim), e[0], e[-1]), a
 
 
 def dense_abs2(a):
@@ -54,8 +78,9 @@ def test_blocks_cover_the_table_once(ragged):
                           dense_abs2(a))
 
 
-def test_envelope_matches_dense_both_orders(ragged):
-    spec, ent, a = ragged
+@pytest.mark.parametrize("case", [*RAGGED, "zz8", "rounded"], ids=case_id)
+def test_envelope_matches_dense_both_orders(case):
+    spec, ent, a = tied(case) if isinstance(case, str) else synth(*case)
     e, d = spec.eigenvalues, spec.dim
     binning = el.BinningSpec(min_count=1)
     env = el.envelope_estimate(a, spec, ent, binning)
