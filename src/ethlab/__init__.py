@@ -11,10 +11,11 @@ from .aqec import (BoundReport, CodeSpec, FluctuationReport, KlResidualReport,
                    lyapunov_lower_bound, resolve_lambda, select_code_states,
                    static_fluct_integral)
 from .dynamics import (CorrelatorSeries, FdtDeviation, LyapunovFit,
-                       SpectralDensity, ThermalState, dissipation_time,
+                       SpectralDensity, dissipation_time,
                        dynamical_fluctuation, fdt_check, fit_lyapunov,
-                       gaussian_wavepacket, otoc, spectral_densities,
-                       static_fluctuation, thermal_correlators, thermal_state)
+                       gaussian_wavepacket, gibbs_weights, otoc,
+                       spectral_densities, static_fluctuation,
+                       thermal_correlators)
 from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
                      EthLabError, FitRejectedError, NumericError, SizeError,
                      ValidationError)

@@ -127,40 +127,20 @@ BROADENING_BINS = 16       # B: bins per sigma_omega
 BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
 
 
-@dataclass(frozen=True)
-class ThermalState:
-    """Gibbs weights exp(-beta E_n)/Z in stabilized log form."""
-
-    beta: float
-    log_z: float
-    log_weights: np.ndarray
-
-    @property
-    def weights(self):
-        if self.beta == 0:
-            # exact uniform weights at infinite temperature
-            d = self.log_weights.size
-            return np.full(d, 1.0 / d)
-        return np.exp(self.log_weights)
-
-    def fractional_weights(self, power):
-        """Weights of rho**power, i.e. exp(-power*beta*E_n - power*log Z)."""
-        if self.beta == 0:
-            d = self.log_weights.size
-            return np.full(d, float(d) ** (-float(power)))
-        return np.exp(power * self.log_weights)
-
-
-def thermal_state(spectrum, beta):
-    """Thermal state at inverse temperature beta >= 0 (beta = 0 is uniform)."""
+def gibbs_weights(spectrum, beta, power=1.0):
+    """Weights rho_n**power of the Gibbs state rho = exp(-beta H)/Z at
+    inverse temperature beta >= 0: exp(power * (-beta E_n - log Z)), with
+    log Z in stabilized log form. beta = 0 gives the exact uniform 1/d, or
+    d**(-power)."""
     if beta < 0 or not math.isfinite(beta):
         raise ValidationError("beta must be finite and nonnegative")
-    e = spectrum.eigenvalues
-    logw = -beta * e
+    if beta == 0:
+        d = spectrum.dim
+        return np.full(d, 1.0 / d if power == 1 else float(d) ** (-float(power)))
+    logw = -beta * spectrum.eigenvalues
     peak = logw.max()
-    log_z = peak + math.log(np.exp(logw - peak).sum())
-    return ThermalState(beta=float(beta), log_z=float(log_z),
-                        log_weights=logw - log_z)
+    log_z = float(peak + math.log(np.exp(logw - peak).sum()))
+    return np.exp(power * (logw - log_z))
 
 
 @dataclass(frozen=True)
@@ -198,14 +178,14 @@ def thermal_correlators(a, spectrum, beta, times):
     ``a`` must be Hermitian; that is not checked here (the pipeline checks
     the operator once, when it reads it)."""
     times = np.asarray(times, dtype=float)
-    st = thermal_state(spectrum, beta)
-    rho = st.weights
+    rho = gibbs_weights(spectrum, beta)
     n = times.size
     # right weights side by side: [u conj(v) | conj(v)], v_m(t) = exp(i E_m t)
     right = np.empty((spectrum.dim, 2 * n), dtype=complex)
     np.multiply.outer(spectrum.eigenvalues, -1j * times, out=right[:, n:])
     np.exp(right[:, n:], out=right[:, n:])
-    np.multiply(st.fractional_weights(0.5)[:, None], right[:, n:], out=right[:, :n])
+    np.multiply(gibbs_weights(spectrum, beta, 0.5)[:, None], right[:, n:],
+                out=right[:, :n])
     f2_sum, c = np.zeros((2, n), dtype=complex)    # c = <A(t) A>
     for rows, a2 in a.abs2_rows():
         # |A|^2 is real: one real product with the (d, 4T) float view, then
@@ -299,12 +279,12 @@ def check_otoc_cost(a, n_times):
         )
 
 
-def _gibbs_factor(st):
+def _gibbs_factor(spectrum, beta):
     """rho^(1/4) with the entries below tiny^(1/2) of its maximum zeroed
     (tiny = np.finfo(float).tiny): they would only feed subnormal numbers,
     slow and far below rounding, into the GEMMs of :func:`otoc`, whose
     operands scaled by u or conj(u) then hold none."""
-    w = st.fractional_weights(0.25)
+    w = gibbs_weights(spectrum, beta, 0.25)
     w[w < np.sqrt(np.finfo(float).tiny) * w.max()] = 0.0
     return w
 
@@ -341,7 +321,7 @@ def otoc(a, spectrum, beta, times):
     """
     times = np.asarray(times, dtype=float)
     check_otoc_cost(a, times.size)
-    q = _gibbs_factor(thermal_state(spectrum, beta))
+    q = _gibbs_factor(spectrum, beta)
     vals = _otoc_sum(a.matrix, q, spectrum.eigenvalues, times)
     series = CorrelatorSeries(kind="OTOC", times=times, values=vals)
     return replace(series, values=series.real_values())
@@ -454,7 +434,7 @@ def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
             f"sigma_omega {sigma_omega:g} under-resolved: below the mean "
             f"bulk level spacing ({spacing:g})"
         )
-    rho = thermal_state(spectrum, beta).weights
+    rho = gibbs_weights(spectrum, beta)
     bins_per_sigma, n_moments = BROADENING_BINS, BROADENING_MOMENTS
     width = sigma_omega / bins_per_sigma
     e = spectrum.eigenvalues
@@ -549,21 +529,14 @@ def fdt_check(sd, threshold=0.3):
 
 @dataclass(frozen=True)
 class LyapunovFit:
-    """Exponential-growth fit of the rescaled four-point correlator."""
+    """Exponential-growth fit of the rescaled four-point correlator, with
+    the dissipation time it was checked against (t_d < t_s)."""
 
     lam: float
     t_s: float
-    t_d: float            # None when no two-point series was supplied
+    t_d: float
     residual_rms: float
     reliability: str
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise FitRejectedError("non-growing series: fitted rate <= 0")
-        if self.t_d is not None and self.t_d >= self.t_s:
-            raise FitRejectedError(
-                f"no valid hierarchy: t_d={self.t_d:g} >= t_s={self.t_s:g}"
-            )
 
 
 def _reliability_grade(residual_rms):
@@ -600,14 +573,14 @@ def dissipation_time(f2):
     return float(t[j - 1] + frac * (t[j] - t[j - 1]))
 
 
-def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, f2=None):
+def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, t_d):
     """Fit log(1 - f(t)) = lam*(t - t_s) on a window, f = Foto/(F2(0)^2 + eps).
 
     Rejects non-growing fits (lam <= 0), windows whose data crosses
-    1 - f <= 0, and fits whose scrambling time lands inside or before the
-    window (the growth ansatz only makes sense for t << t_s). When a
-    two-point series is supplied, the dissipation time is estimated from it
-    and the hierarchy t_d < t_s is enforced.
+    1 - f <= 0, fits whose scrambling time lands inside or before the
+    window (the growth ansatz only makes sense for t << t_s), and fits
+    without the hierarchy t_d < t_s, where ``t_d`` is the dissipation time
+    of the same beta (:func:`dissipation_time` of its F2 series).
     """
     t = otoc_series.times
     y = otoc_series.real_values(tol=1e-6)
@@ -633,9 +606,10 @@ def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, f2=None):
         raise FitRejectedError(
             f"fit window extends past the fitted scrambling time t_s={t_s:g}"
         )
+    if t_d >= t_s:
+        raise FitRejectedError(f"no valid hierarchy: t_d={t_d:g} >= t_s={t_s:g}")
     fitted = intercept + slope * x
     residual = float(np.sqrt(np.mean((logg - fitted) ** 2)))
-    t_d = dissipation_time(f2) if f2 is not None else None
     return LyapunovFit(lam=lam, t_s=t_s, t_d=t_d, residual_rms=residual,
                        reliability=_reliability_grade(residual))
 

@@ -13,6 +13,13 @@ segment between breakpoints of each 64-row block of |A|^2. The decay rate
 per Ebar slice comes from a count-weighted least-squares fit of log|f|^2
 against |w|; since |f|^2 decays at twice the rate of f, the reported gamma
 is minus half that slope.
+
+The Gaussianity sample R_hat = A_mn exp(S/2)/f_hat bins each window pair
+m < n once, one ``np.digitize`` per axis, for both |f|^2 and exp(S). A
+component of A_mn, real or imaginary, enters only when its max |.| over the
+window exceeds 1e-12 max(1, max |A_mn|), scaled by sqrt(2) only when both
+enter: a real operator gives its real parts, a purely imaginary one (i times
+a real antisymmetric matrix) its imaginary parts alone.
 """
 
 from dataclasses import dataclass
@@ -88,7 +95,8 @@ class EnvelopeModel:
     ``f2`` is NaN in bins dropped for low count. ``gamma`` is NaN for slices
     where fewer than 4 bins survive inside the fit window. ``density_boost``
     records exp(S(Ebar)) at each slice center, so downstream normalization
-    can recover exp(S/2) without re-supplying the entropy model.
+    can recover exp(S/2) without re-supplying the entropy model;
+    :func:`gaussianity_stats` indexes both with one bin pair per matrix element.
     """
 
     e_edges: np.ndarray
@@ -109,22 +117,6 @@ class EnvelopeModel:
     @property
     def omega_centers(self):
         return 0.5 * (self.omega_edges[:-1] + self.omega_edges[1:])
-
-    def f2_at(self, e_bar, omega):
-        """Bin lookup; NaN where no estimate survived or outside the grid."""
-        e_bar = np.asarray(e_bar, dtype=float)
-        omega = np.abs(np.asarray(omega, dtype=float))
-        i = np.digitize(e_bar, self.e_edges) - 1
-        j = np.digitize(omega, self.omega_edges) - 1
-        ne, nw = self.f2.shape
-        ok = (i >= 0) & (i < ne) & (j >= 0) & (j < nw)
-        return np.where(ok, self.f2[np.clip(i, 0, ne - 1), np.clip(j, 0, nw - 1)],
-                        np.nan)
-
-    def boost_at(self, e_bar):
-        i = np.clip(np.digitize(np.asarray(e_bar, dtype=float), self.e_edges) - 1,
-                    0, self.density_boost.size - 1)
-        return self.density_boost[i]
 
     @property
     def _central_slice(self):
@@ -297,12 +289,9 @@ def _weighted_line(x, y, w):
 
 @dataclass(frozen=True)
 class GaussianityStats:
-    """Moments of normalized off-diagonal elements over a window.
-
-    For complex operators the sample is the real and imaginary components
-    scaled by sqrt(2) (unit variance each under the Hermitian-noise
-    convention); essentially-real operators use the real parts directly.
-    """
+    """Moments of normalized off-diagonal elements over a window; two
+    components enter scaled by sqrt(2), unit variance each under the
+    Hermitian-noise convention (:func:`gaussianity_stats`)."""
 
     mean: float
     variance: float
@@ -317,35 +306,39 @@ def gaussianity_stats(a, spectrum, envelope, window):
 
     exp(S/2) comes from the envelope's recorded density boost and
     f_hat = sqrt(|f|^2) from its bins, so an envelope estimated on an
-    independent realization can be used to normalize this one. Pairs in
-    bins without an estimate are excluded; raises when nothing survives.
+    independent realization can be used to normalize this one. Each window
+    pair m < n is binned once, one ``np.digitize`` per axis, for both
+    lookups; pairs off the grid or in bins without an estimate are
+    excluded, and it raises when nothing survives. A component of A_mn,
+    real or imaginary, enters only when its max |.| over the window exceeds
+    1e-12 max(1, max |A_mn|), scaled by sqrt(2) only when both enter; with
+    neither, the zero real parts make a degenerate sample, which raises.
     A sample of fewer than 1000 values is flagged ``low_power``.
     """
-    idx = window.indices
-    if idx.size < 2:
+    if window.size < 2:
         raise ValidationError("window too small: no off-diagonal pairs")
-    e = spectrum.eigenvalues[idx]
-    sub = a.matrix[np.ix_(idx, idx)]
-    iu = np.triu_indices(idx.size, 1)
-    vals = sub[iu]
-    ebar = 0.5 * (e[iu[0]] + e[iu[1]])
-    omega = np.abs(e[iu[0]] - e[iu[1]])
-    f2 = envelope.f2_at(ebar, omega)
-    ok = np.isfinite(f2) & (f2 > 0)
-    if not np.any(ok):
+    m, n = np.triu_indices(window.size, 1)
+    m += window.start
+    n += window.start
+    vals = a.matrix[m, n]
+    e = spectrum.eigenvalues
+    i = np.digitize(0.5 * (e[m] + e[n]), envelope.e_edges) - 1
+    j = np.digitize(np.abs(e[m] - e[n]), envelope.omega_edges) - 1
+    ne, nw = envelope.f2.shape
+    keep = np.flatnonzero((i >= 0) & (i < ne) & (j >= 0) & (j < nw))
+    f2 = envelope.f2[i[keep], j[keep]]
+    live = np.isfinite(f2) & (f2 > 0)
+    if not np.any(live):
         raise ValidationError("no pairs with an available envelope estimate")
-    amp = np.sqrt(envelope.boost_at(ebar[ok]))
-    r_hat = vals[ok] * amp / np.sqrt(f2[ok])
-    real = np.isrealobj(a.matrix)
-    if not real:  # max|Im A| <= 1e-12 max(1, max|A|), row block by row block
-        im = a.matrix.imag    # a view
-        peaks = [(np.abs(im[rows]).max(), a2.max()) for rows, a2 in a.abs2_rows()]
-        imag, scale_sq = np.max(peaks, axis=0)
-        real = imag <= 1e-12 * max(1.0, np.sqrt(scale_sq))  # exact: sqrt(fl(x*x)) = x
-    if real:
-        sample = np.real(r_hat)
+    keep = keep[live]
+    amp = np.sqrt(envelope.density_boost[i[keep]])
+    r_hat = vals[keep] * amp / np.sqrt(f2[live])
+    floor = 1e-12 * max(1.0, np.abs(vals).max())
+    re, im = (np.abs(part).max() > floor for part in (vals.real, vals.imag))
+    if re and im:
+        sample = np.concatenate([r_hat.real, r_hat.imag]) * np.sqrt(2.0)
     else:
-        sample = np.concatenate([np.real(r_hat), np.imag(r_hat)]) * np.sqrt(2.0)
+        sample = r_hat.imag if im else r_hat.real
     return _moments(sample)
 
 

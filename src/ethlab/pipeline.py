@@ -41,9 +41,9 @@ from . import __version__
 from .aqec import CodeSpec, KlResidualReport, check_bounds, kl_residuals, select_code_states
 from .config import RunConfig
 from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
-                       fdt_check, fit_lyapunov, gaussian_wavepacket, otoc,
-                       spectral_densities, static_fluctuation,
-                       thermal_correlators, thermal_state)
+                       fdt_check, fit_lyapunov, gaussian_wavepacket,
+                       gibbs_weights, otoc, spectral_densities,
+                       static_fluctuation, thermal_correlators)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -166,7 +166,7 @@ def stage_generate(cfg, inputs):
         if obs["traceless_shift"]:
             # V^dag (op - c I) V = A - c I: subtract the thermal mean at the
             # first beta from the eigenbasis diagonal
-            rho = thermal_state(spectrum, cfg.data["thermal"]["betas"][0]).weights
+            rho = gibbs_weights(spectrum, cfg.data["thermal"]["betas"][0])
             diag = np.diag_indices(spectrum.dim)
             a.matrix[diag] -= np.dot(rho, a.matrix[diag].real)
         sigma_s = cfg.data["extract"]["sigma_s"]
@@ -276,11 +276,12 @@ def stage_dynamics(cfg, inputs):
             ["omega", "f", "rho"], [sd.omegas, sd.f_values, sd.rho_values])
         dev = fdt_check(sd, threshold=dyn["fdt_threshold"])
         f2_zero = float(f2.real_values()[0])
+        t_d = dissipation_time(f2)
         fit_info = {"status": "not-attempted"}
         if dyn["fit_window"] is not None and oto is not None:
             try:
                 fit = fit_lyapunov(oto, f2_zero, dyn["eps_reg"],
-                                   tuple(dyn["fit_window"]), f2=f2)
+                                   tuple(dyn["fit_window"]), t_d)
                 fit_info = {"status": "accepted", "lambda": fit.lam,
                             "t_s": fit.t_s, "t_d": fit.t_d,
                             "residual_rms": fit.residual_rms,
@@ -293,7 +294,7 @@ def stage_dynamics(cfg, inputs):
             "fdt_max_deviation": dev.max_rel_dev,
             "fdt_admissible_points": dev.n_admissible,
             "fdt_degenerate_beta": dev.degenerate_beta,
-            "dissipation_time": dissipation_time(f2),
+            "dissipation_time": t_d,
             "fit": fit_info,
             "measured_dynamical_fluctuation": measured_dynamical,
             "measured_static_fluctuation": measured_static,

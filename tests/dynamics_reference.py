@@ -18,7 +18,7 @@ def spectral_peaks(a, spectrum, beta):
     the opposite rho weight and is not stored. Weights satisfy
     f_w = 2*coth(beta*w/2)*rho_w exactly for w != 0.
     """
-    rho = el.thermal_state(spectrum, beta).weights
+    rho = el.gibbs_weights(spectrum, beta)
     diagonal = ([0.0], [_diagonal_weight(a, rho)], [0.0])
     return tuple(np.concatenate(parts) for parts in
                  zip(*_pair_chunks(a, spectrum, rho), diagonal))

@@ -233,7 +233,9 @@ def test_criterion_08_lyapunov_fit_fidelity():
     clean = el.CorrelatorSeries(
         kind="OTOC", times=t,
         values=(1 - np.exp(lam * (t - t_s))).astype(complex))
-    fit = el.fit_lyapunov(clean, 1.0, 0.0, (4, 8))
+    # a dissipation time far below t_s: the fidelity, not the hierarchy,
+    # is under test
+    fit = el.fit_lyapunov(clean, 1.0, 0.0, (4, 8), 0.5)
     err_clean = abs(fit.lam - lam)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
     t2 = np.linspace(7, 9.5, 51)
@@ -241,7 +243,7 @@ def test_criterion_08_lyapunov_fit_fidelity():
                   + 1e-3 * rng.standard_normal(t2.size))
     noisy = el.CorrelatorSeries(kind="OTOC", times=t2,
                                 values=noisy_vals.astype(complex))
-    fit2 = el.fit_lyapunov(noisy, 1.0, 0.0, (7, 9.5))
+    fit2 = el.fit_lyapunov(noisy, 1.0, 0.0, (7, 9.5), 0.5)
     err_noisy = abs(fit2.lam - lam) / lam
     ok = err_clean <= 1e-8 and err_noisy <= 0.02
     verdict(8, ok, f"noiseless lam err {err_clean:.2e}; "

@@ -64,7 +64,7 @@ def synth_complex(dim, seed, diagonal=None):
 def dense_broadened(a, spectrum, beta, sigma, omegas):
     """Untruncated Gaussian sum over every pair peak, built from the matrix."""
     e = spectrum.eigenvalues
-    rho = el.thermal_state(spectrum, beta).weights
+    rho = el.gibbs_weights(spectrum, beta)
     abs2 = np.abs(a.matrix) ** 2
     off = ~np.eye(e.size, dtype=bool)
     freqs = (e[None, :] - e[:, None])[off]          # w = E_n - E_m
@@ -84,31 +84,37 @@ def dense_broadened(a, spectrum, beta, sigma, omegas):
 
 
 class TestThermalState:
-    def test_infinite_temperature_uniform(self, ising8):
-        st_ = el.thermal_state(ising8["spec"], 0.0)
-        assert np.allclose(st_.weights, 1 / 256)
-        assert st_.weights.sum() == pytest.approx(1.0)
+    """The Gibbs weights of the thermal state, from :func:`el.gibbs_weights`."""
+
+    @pytest.mark.parametrize("power", [1.0, 0.5, 0.25])
+    def test_infinite_temperature_uniform(self, power):
+        # d = 321 is not a power of two: 1/d and d**(-p) are rounded
+        d = 321
+        spec = el.EnergySpectrum(np.linspace(-3.0, 3.0, d))
+        weights = el.gibbs_weights(spec, 0.0, power)
+        expected = 1.0 / d if power == 1 else float(d) ** -power
+        assert np.all(weights == expected)
+        assert weights.sum() == pytest.approx(float(d) ** (1 - power))
 
     def test_two_level_weights(self):
         spec = el.EnergySpectrum(np.array([0.0, 0.7]))
-        st_ = el.thermal_state(spec, 1.0)
         expected = np.array([1.0, math.exp(-0.7)])
         expected /= expected.sum()
-        assert np.allclose(st_.weights, expected, rtol=1e-14)
+        assert np.allclose(el.gibbs_weights(spec, 1.0), expected, rtol=1e-14)
 
     def test_thermodynamic_identity(self, ising10):
-        # <H> = -d(log Z)/d(beta) by centered difference
+        # <H> = -d(log Z)/d(beta) by centered difference, log Z summed here
         spec = ising10["spec"]
         beta, h_step = 1.0, 1e-4
-        mean_e = np.dot(el.thermal_state(spec, beta).weights,
-                        spec.eigenvalues)
-        lz = lambda b: el.thermal_state(spec, b).log_z
+        mean_e = np.dot(el.gibbs_weights(spec, beta), spec.eigenvalues)
+        e0 = spec.eigenvalues.min()
+        lz = lambda b: -b * e0 + math.log(np.exp(-b * (spec.eigenvalues - e0)).sum())
         numeric = -(lz(beta + h_step) - lz(beta - h_step)) / (2 * h_step)
         assert abs(mean_e - numeric) <= 1e-6 * abs(numeric)
 
     def test_negative_beta_rejected(self, ising8):
         with pytest.raises(el.ValidationError):
-            el.thermal_state(ising8["spec"], -0.5)
+            el.gibbs_weights(ising8["spec"], -0.5)
 
 
 class TestTwoPoint:
@@ -263,7 +269,7 @@ class TestOtoc:
         # beta = 400 rho^(1/8) is exactly zero for the top states
         a, spec = ising8["a"], ising8["spec"]
         assert np.isrealobj(a.matrix)
-        weights = el.thermal_state(spec, beta).fractional_weights(0.125)
+        weights = el.gibbs_weights(spec, beta, 0.125)
         assert np.any(weights == 0) == (beta == 400.0)
         times = np.linspace(0, 3, 6)
         real = el.otoc(a, spec, beta, times)
@@ -341,10 +347,9 @@ class TestOtoc:
         # subnormal entry, and a real and a complex A equal the unflushed sum
         a, spec, beta = ising8["a"], ising8["spec"], 200.0
         tiny = np.finfo(float).tiny
-        st_ = el.thermal_state(spec, beta)
-        q = el.dynamics._gibbs_factor(st_)
-        assert np.any((q == 0) & (st_.fractional_weights(0.25) > 0))
-        raw = st_.fractional_weights(0.125)
+        q = el.dynamics._gibbs_factor(spec, beta)
+        assert np.any((q == 0) & (el.gibbs_weights(spec, beta, 0.25) > 0))
+        raw = el.gibbs_weights(spec, beta, 0.125)
         times = np.linspace(0, 3, 6)
         unflushed = []
         for t in times:
@@ -408,9 +413,8 @@ class TestOtoc:
         # rho^(1/4) e^(-iEt), is subnormal-free; at d = 1024 on two threads
         # the 6 points form two groups of 3, each in strips of 2 and 1 points
         a, spec, beta = ising10["a"], ising10["spec"], 200.0
-        st_ = el.thermal_state(spec, beta)
-        q = el.dynamics._gibbs_factor(st_)
-        assert np.any((q == 0) & (st_.fractional_weights(0.25) > 0))
+        q = el.dynamics._gibbs_factor(spec, beta)
+        assert np.any((q == 0) & (el.gibbs_weights(spec, beta, 0.25) > 0))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
@@ -787,7 +791,7 @@ class TestSpectralDensities:
         freqs, f_w, r_w = spectral_peaks(a, spec, 1.0)
         assert freqs.shape == f_w.shape == r_w.shape == (d * (d - 1) // 2 + 1,)
         assert freqs.min() >= 0.0
-        rho = el.thermal_state(spec, 1.0).weights
+        rho = el.gibbs_weights(spec, 1.0)
         diag = np.diagonal(a.matrix).real
         assert freqs[-1] == 0.0 and r_w[-1] == 0.0
         assert f_w[-1] == pytest.approx(rho @ diag**2 - (rho @ diag) ** 2)
@@ -809,7 +813,7 @@ class TestSpectralDensities:
         om = np.linspace(-1.2, 1.2, 25)
         sd = el.spectral_densities(a, spec, beta, sigma, om)
         e = spec.eigenvalues
-        rho = el.thermal_state(spec, beta).weights
+        rho = el.gibbs_weights(spec, beta)
         abs2 = np.abs(a.matrix) ** 2
         off = ~np.eye(d, dtype=bool)
         freqs = (e[None, :] - e[:, None])[off]
@@ -861,7 +865,7 @@ class TestSpectralDensities:
 
     def test_pair_chunks_are_the_half_comb(self, ising8):
         spec, a = ising8["spec"], ising8["a"]
-        rho = el.thermal_state(spec, 1.0).weights
+        rho = el.gibbs_weights(spec, 1.0)
         chunks = list(el.dynamics._pair_chunks(a, spec, rho))
         assert len(chunks) > 1
         peaks = spectral_peaks(a, spec, 1.0)
@@ -902,6 +906,10 @@ class TestFdtCheck:
 
 
 class TestFitLyapunov:
+    # a dissipation time far below every fitted t_s, for the fits whose
+    # hierarchy is not under test
+    T_D = 0.5
+
     def _series(self, t, values):
         return el.CorrelatorSeries(kind="OTOC", times=t,
                                    values=np.asarray(values, complex))
@@ -910,7 +918,8 @@ class TestFitLyapunov:
         lam, t_s = 1.5, 10.0
         t = np.linspace(4, 8, 81)
         fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
-                              1.0, 0.0, (4, 8))
+                              1.0, 0.0, (4, 8), self.T_D)
+        assert fit.t_d == self.T_D
         assert abs(fit.lam - lam) <= 1e-8
         assert abs(fit.t_s - t_s) <= 1e-8
         assert fit.residual_rms <= 1e-10
@@ -921,7 +930,8 @@ class TestFitLyapunov:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(9)))
         t = np.linspace(7, 9.5, 51)
         noisy = 1 - np.exp(lam * (t - t_s)) + 1e-3 * rng.standard_normal(t.size)
-        fit = el.fit_lyapunov(self._series(t, noisy), 1.0, 0.0, (7, 9.5))
+        fit = el.fit_lyapunov(self._series(t, noisy), 1.0, 0.0, (7, 9.5),
+                              self.T_D)
         assert abs(fit.lam - lam) / lam <= 0.02
         assert abs(fit.t_s - t_s) / t_s <= 0.02
 
@@ -929,20 +939,20 @@ class TestFitLyapunov:
         t = np.linspace(4, 8, 41)
         with pytest.raises(el.FitRejectedError):
             el.fit_lyapunov(self._series(t, np.full(t.size, 0.3)), 1.0, 0.0,
-                            (4, 8))
+                            (4, 8), self.T_D)
 
     def test_window_past_scrambling_rejected(self):
         lam, t_s = 1.5, 10.0
         t = np.linspace(8, 12, 41)
         with pytest.raises(el.FitRejectedError):
             el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
-                            1.0, 0.0, (8, 12))
+                            1.0, 0.0, (8, 12), self.T_D)
 
     def test_nonpositive_growth_in_window_rejected(self):
         t = np.linspace(0, 4, 21)
         vals = 1.0 + 0.1 * np.cos(t)  # f > 1 means 1 - f < 0
         with pytest.raises(el.FitRejectedError):
-            el.fit_lyapunov(self._series(t, vals), 1.0, 0.0, (0, 4))
+            el.fit_lyapunov(self._series(t, vals), 1.0, 0.0, (0, 4), self.T_D)
 
     def test_hierarchy_enforced_with_two_point(self, ising8):
         # a real-chain two-point series decays fast; t_d lands near t=0 and
@@ -950,10 +960,24 @@ class TestFitLyapunov:
         lam, t_s = 1.5, 12.0
         t = np.linspace(0, 8, 81)
         f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, t)[0]
+        t_d = el.dissipation_time(f2)
         fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
-                              1.0, 0.0, (4, 8), f2=f2)
-        assert fit.t_d is not None
+                              1.0, 0.0, (4, 8), t_d)
+        assert fit.t_d == t_d
         assert fit.t_d < fit.t_s
+
+    def test_broken_hierarchy_rejected(self):
+        # t_d at or past the fitted scrambling time leaves no window of
+        # exponential growth: rejected, with both times in the reason
+        lam, t_s = 1.5, 10.0
+        t = np.linspace(4, 8, 81)
+        series = self._series(t, 1 - np.exp(lam * (t - t_s)))
+        fitted = el.fit_lyapunov(series, 1.0, 0.0, (4, 8), self.T_D).t_s
+        for t_d in (fitted, 12.0):
+            with pytest.raises(el.FitRejectedError) as err:
+                el.fit_lyapunov(series, 1.0, 0.0, (4, 8), t_d)
+            assert str(err.value) == (
+                f"no valid hierarchy: t_d={t_d:g} >= t_s={fitted:g}")
 
 
 class TestFluctuations:

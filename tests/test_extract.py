@@ -105,13 +105,77 @@ class TestEnvelopeEstimate:
         assert measured <= 0.65
         assert 0.3 * expected <= measured <= 3.0 * expected
 
-    def test_out_of_range_lookup_is_nan(self, synth2000):
-        model = el.envelope_estimate(synth2000["op"],
-                                     synth2000["spec"], synth2000["entropy"])
-        assert np.isnan(model.f2_at(2.0, 1e9))
+
+def per_pair_sample(a, spectrum, envelope, window):
+    """The Gaussianity sample by per-pair lookups: Ebar and |w| digitized
+    for |f|^2 (NaN off the grid), and Ebar digitized again for exp(S), over
+    the window's whole submatrix; the real parts of a real operator, both
+    components scaled by sqrt(2) of a complex one. Also returns which
+    pairs fell on the grid."""
+    idx = window.indices
+    e = spectrum.eigenvalues[idx]
+    m, n = np.triu_indices(idx.size, 1)
+    vals = a.matrix[np.ix_(idx, idx)][m, n]
+    ebar = 0.5 * (e[m] + e[n])
+    i = np.digitize(ebar, envelope.e_edges) - 1
+    j = np.digitize(np.abs(e[m] - e[n]), envelope.omega_edges) - 1
+    ne, nw = envelope.f2.shape
+    on_grid = (i >= 0) & (i < ne) & (j >= 0) & (j < nw)
+    f2 = np.where(on_grid,
+                  envelope.f2[np.clip(i, 0, ne - 1), np.clip(j, 0, nw - 1)],
+                  np.nan)
+    ok = np.isfinite(f2) & (f2 > 0)
+    k = np.clip(np.digitize(ebar[ok], envelope.e_edges) - 1, 0, ne - 1)
+    r_hat = vals[ok] * np.sqrt(envelope.density_boost[k]) / np.sqrt(f2[ok])
+    if np.isrealobj(r_hat):
+        return r_hat, on_grid
+    return np.concatenate([r_hat.real, r_hat.imag]) * np.sqrt(2.0), on_grid
 
 
 class TestGaussianityStats:
+    @pytest.mark.parametrize("kind", ["ising8-real", "synth2000-complex"])
+    def test_single_lookup_matches_per_pair_digitize(self, request, kind):
+        # omega_max at half the window width leaves the widest window pairs
+        # off the grid; one set of bin indices must give the very sample of
+        # the per-pair lookups
+        if kind == "ising8-real":
+            ising8 = request.getfixturevalue("ising8")
+            spec, a = ising8["spec"], ising8["a"]
+            ent = el.entropy_model(spec)
+            window = el.microcanonical_window(spec, 0.0, 0.1 * spec.bandwidth)
+            binning = el.BinningSpec(min_count=5, omega_max=0.1 * spec.bandwidth)
+        else:
+            synth2000 = request.getfixturevalue("synth2000")
+            spec, a, ent = synth2000["spec"], synth2000["op"], synth2000["entropy"]
+            window = el.microcanonical_window(spec, 2.0, 0.5)
+            binning = el.BinningSpec(omega_max=0.5)
+        assert np.isrealobj(a.matrix) == (kind == "ising8-real")
+        env = el.envelope_estimate(a, spec, ent, binning)
+        sample, on_grid = per_pair_sample(a, spec, env, window)
+        assert on_grid.any() and not on_grid.all()
+        assert el.gaussianity_stats(a, spec, env, window) == _moments(sample)
+
+    def test_purely_imaginary_operator_samples_its_imaginary_parts(self):
+        # X_1 Y_4 on the L=7 chain is i times a real antisymmetric matrix:
+        # its real parts are exactly zero and carry no data, so the sample
+        # is the imaginary parts alone, unscaled, as for the real operator
+        # with those values
+        spec = el.eigendecompose_blocks(*el.reflection_blocks(
+            el.SpinChainParams(n_sites=7)))
+        a = el.to_eigenbasis(el.LocalObservableSpec(sites=(1, 4), paulis="XY"),
+                             spec)
+        assert np.all(a.matrix.real == 0) and np.abs(a.matrix.imag).max() > 0
+        ent = el.entropy_model(spec)
+        env = el.envelope_estimate(a, spec, ent)
+        window = el.microcanonical_window(spec, 0.0, 0.2 * spec.bandwidth)
+        imaginary = el.gaussianity_stats(a, spec, env, window)
+        skew = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.imag))
+        real = el.gaussianity_stats(skew, spec, env, window)
+        assert imaginary.sample_size == real.sample_size
+        for name in ("mean", "variance", "skewness", "excess_kurtosis"):
+            assert getattr(imaginary, name) == pytest.approx(
+                getattr(real, name), rel=1e-12, abs=1e-15)
+
     def test_synthetic_roundtrip(self, synth2000):
         spec, ent = synth2000["spec"], synth2000["entropy"]
         model = el.envelope_estimate(synth2000["op"], spec, ent)

@@ -104,7 +104,7 @@ def test_envelope_matches_dense_both_orders(case):
 def test_lehmann_sum_matches_dense(ragged):
     # F2 has weights (u, u), u = rho^(1/2), and <A(t) A> has (rho, 1)
     spec, _, a = ragged
-    rho = el.thermal_state(spec, 1.0).weights
+    rho = el.gibbs_weights(spec, 1.0)
     times = np.linspace(0.0, 5.0, 7)
     v = np.exp(1j * np.outer(spec.eigenvalues, times))
 
@@ -135,7 +135,7 @@ def test_dynamical_fluctuation_matches_dense(ragged):
 def test_spectral_peaks_equal_dense_triu_gather(ragged):
     spec, _, a = ragged
     d, e = spec.dim, spec.eigenvalues
-    rho = el.thermal_state(spec, 1.0).weights
+    rho = el.gibbs_weights(spec, 1.0)
     m, n = np.triu_indices(d, 1)
     a2 = dense_abs2(a)[m, n]
     freqs, f_w, r_w = spectral_peaks(a, spec, 1.0)
@@ -147,8 +147,9 @@ def test_spectral_peaks_equal_dense_triu_gather(ragged):
 
 
 def test_gaussianity_treats_complex_dtype_of_real_values_as_real():
-    # the sample is real when max|Im A| <= 1e-12 max(1, max|A|), whatever
-    # the dtype; above that it holds both components, scaled by sqrt(2)
+    # the sample is real when max|Im A_mn| <= 1e-12 max(1, max|A_mn|) over
+    # the window's pairs m < n, whatever the dtype; above that it holds both
+    # components, scaled by sqrt(2)
     spec, ent, a = synth(400, real=True)
     env = el.envelope_estimate(a, spec, ent)
     window = el.microcanonical_window(spec, 2.0, 0.4)
@@ -159,7 +160,8 @@ def test_gaussianity_treats_complex_dtype_of_real_values_as_real():
     for name in ("mean", "variance", "skewness", "excess_kurtosis"):
         assert getattr(cast, name) == pytest.approx(getattr(real, name),
                                                     rel=1e-12, abs=1e-15)
-    scale = max(1.0, np.abs(a.matrix).max())
+    sub = a.matrix[window.start:window.stop, window.start:window.stop]
+    scale = max(1.0, np.abs(sub[np.triu_indices(window.size, 1)]).max())
     below, above = (el.OperatorEigenbasis(matrix=a.matrix + 1j * x * scale)
                     for x in (1e-12, 1e-11))
     assert el.gaussianity_stats(below, spec, env, window).sample_size == \

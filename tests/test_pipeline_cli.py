@@ -195,7 +195,7 @@ class TestConfigBranches:
         assert np.all(np.abs(e) <= half * 1.5)
         # the shift zeroes the thermal mean of the written operator at beta
         spec = el.EnergySpectrum(read_array(os.path.join(out, "spectrum.ethb")))
-        rho = el.thermal_state(spec, 0.8).weights
+        rho = el.gibbs_weights(spec, 0.8)
         a = read_array(os.path.join(out, "operator.ethb"))
         assert abs(np.dot(rho, np.diagonal(a).real)) <= 1e-12
 
@@ -602,6 +602,39 @@ class TestRunner:
         counts.update(abs2_rows=0, is_hermitian=0)
         run(cfg.with_path_value("dynamics.otoc_points", 3), stages=("dynamics",))
         assert counts == {"abs2_rows": 5, "is_hermitian": 1}
+
+    def test_fit_takes_the_dissipation_time_the_stage_writes(self, tmp_path,
+                                                              monkeypatch):
+        # per beta the stage computes t_d once, hands it to the fit and
+        # writes it; at beta = 1 this window's fit lands t_s before t_d
+        out = str(tmp_path / "fit")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out,
+            "model": {"kind": "ising", "n_sites": 8},
+            "thermal": {"betas": [0.5, 1.0]},
+            "dynamics": {"t_max": 4.0, "t_points": 41, "otoc_points": 41,
+                         "sigma_omega": 0.05, "omega_points": 21,
+                         "fit_window": [0.1, 0.5], "eps_reg": 0.5}})
+        run(cfg, stages=("generate",))
+        computed, passed = [], []
+
+        def dissipation_time(f2):
+            computed.append(el.dissipation_time(f2))
+            return computed[-1]
+
+        def fit_lyapunov(*args):
+            passed.append(args[4])
+            return el.fit_lyapunov(*args)
+
+        monkeypatch.setattr(pipeline, "dissipation_time", dissipation_time)
+        monkeypatch.setattr(pipeline, "fit_lyapunov", fit_lyapunov)
+        run(cfg, stages=("dynamics",))
+        per_beta = load_json(os.path.join(out, "dynamics.json"))["per_beta"]
+        assert [e["dissipation_time"] for e in per_beta] == passed == computed
+        fit = per_beta[1]["fit"]
+        prefix = f"no valid hierarchy: t_d={passed[1]:g} >= t_s="
+        assert fit["status"] == "rejected" and fit["reason"].startswith(prefix)
+        assert float(fit["reason"][len(prefix):]) <= passed[1]
 
     @pytest.mark.parametrize("stage", ["extract", "code-error", "dynamics"])
     def test_stages_refuse_a_non_hermitian_operator(self, tmp_path, stage):
