@@ -17,9 +17,10 @@ the pair frequency separation w:
     lam       >= pi*|w| / (2*ln(2**(d+2k)/eps_code) - S/2)      (lower bound)
 
 with lam itself capped by the chaos bound 2*pi/beta (Maldacena, Shenker and
-Stanford, arXiv:1503.01409). The fluctuation bounds (Murthy and Srednicki,
-arXiv:1906.10808) take the same S, w, lam and beta, each in a rate form and
-a code form, with r = eps_code / 2**(d+2k):
+Stanford, arXiv:1503.01409). The weak form of the upper bound, with
+pi*|w|/(4*lam) in the exponent, is the same bound at 2*lam. The fluctuation
+bounds (Murthy and Srednicki, arXiv:1906.10808) take the same S, w, lam and
+beta, each in a rate form and a code form, with r = eps_code / 2**(d+2k):
 
     dynamical <= exp(-S - pi*|w|/lam)  or  exp(-S/2) * r**2
     static    <= integral over w' of exp(beta*w'/2 - pi*|w'|/lam)
@@ -28,7 +29,8 @@ a code form, with r = eps_code / 2**(d+2k):
 :func:`check_bounds` is the one evaluator of all of them, for one code at
 one beta, and gives that beta's verdict. A bound beyond the double range is
 inf, written as null. All checks carry a configurable slack factor because
-the inequalities hold up to O(1) factors.
+the inequalities hold up to O(1) factors: each flag is its slack ratio
+(measured over bound) <= slack.
 """
 
 import math
@@ -183,18 +185,16 @@ def _exp(x):
         return float("inf")
 
 
-def code_error_bound(entropy, lam, omega, d, k, weak_exponent=False):
+def code_error_bound(entropy, lam, omega, d, k):
     """Upper bound 2**(d+2k) * exp(-S/4 - pi*|w|/(2*lam)) on the code error.
 
-    ``weak_exponent`` evaluates the alternate form with pi*|w|/(4*lam) in
-    the exponent, the weaker rate that appears when the square root is
-    carried through the frequency factor; both are reported by
-    :func:`check_bounds` and neither is resolved here.
+    The weak form, with pi*|w|/(4*lam) in the exponent (the weaker rate that
+    appears when the square root is carried through the frequency factor),
+    is this bound at 2*lam; :func:`check_bounds` reports both.
     """
     if lam <= 0:
         raise ValidationError("growth rate lam must be positive")
-    rate = 4.0 * lam if weak_exponent else 2.0 * lam
-    return float(2.0 ** (d + 2 * k) * _exp(-entropy / 4.0 - math.pi * abs(omega) / rate))
+    return float(2.0 ** (d + 2 * k) * _exp(-entropy / 4.0 - math.pi * abs(omega) / (2.0 * lam)))
 
 
 def lyapunov_lower_bound(eps_code, d, k, entropy, omega):
@@ -219,11 +219,12 @@ def lyapunov_lower_bound(eps_code, d, k, entropy, omega):
 class BoundReport:
     """Both sides of the code-error and growth-rate inequalities.
 
-    ``flags`` use the report's slack factor; a None lower bound means the
-    growth-rate bound was vacuous for these inputs. ``per_pair`` lists, for
-    every ordered code pair i < j, the separation, the pairwise code error
-    2**(d+2k) * sqrt(|eps_ij|), the bound at that separation, and their
-    ratio.
+    Each flag is its slack ratio <= ``slack``. A None lower bound means the
+    growth-rate bound was vacuous for these inputs, and its ratio is 0, as
+    is ``used_over_chaos`` at beta = 0. ``code_error_rhs_weak`` is the bound
+    at 2*lam. ``per_pair`` lists, for every ordered code pair i < j, the
+    separation, the pairwise code error 2**(d+2k) * sqrt(|eps_ij|), the
+    bound at that separation, and their ratio.
     """
 
     code_error: float
@@ -274,8 +275,8 @@ def static_fluct_integral(lam, beta):
     integral diverges and a :class:`DivergentIntegralError` is raised
     carrying the saturation diagnosis.
     """
-    if lam <= 0:
-        raise ValidationError("growth rate lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValidationError("growth rate lam must be positive and finite")
     if beta < 0:
         raise ValidationError("beta must be nonnegative")
     a = math.pi / lam
@@ -329,9 +330,9 @@ def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
     The entropy is taken at the mean code-member energy, and the fluctuation
     bounds at the code's largest pair separation ``omega_char``, against the
     measured dynamical (wave packet) and static (eigenstate) fluctuations.
-    Checks are flagged as violations only beyond ``slack``, since every
-    inequality drops O(1) constants. A vacuous lower bound is flagged
-    separately and does not count as a violation.
+    Each check's flag is its slack ratio <= ``slack``, so it is a violation
+    only beyond ``slack``, since every inequality drops O(1) constants. A
+    vacuous lower bound (None) has ratio 0 and is no violation.
 
     Returns (BoundReport, FluctuationReport, verdict), the verdict being
     True when both reports are within slack.
@@ -343,7 +344,7 @@ def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
     chaos = float(2.0 * math.pi / beta) if beta > 0 else float("inf")
 
     rhs = code_error_bound(s_value, lam, omega_char, d, k)
-    rhs_weak = code_error_bound(s_value, lam, omega_char, d, k, weak_exponent=True)
+    rhs_weak = code_error_bound(s_value, 2.0 * lam, omega_char, d, k)
     lower = lyapunov_lower_bound(report.eps_code, d, k, s_value, omega_char)
 
     per_pair = []
@@ -357,25 +358,20 @@ def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
             ratio = pair_err / pair_rhs if pair_rhs > 0 else float("inf")
             per_pair.append((i, j, w, pair_err, pair_rhs, ratio))
 
-    ratio_code = report.eps_code / rhs if rhs > 0 else float("inf")
-    ratio_lower = (lower / lam) if (lower is not None and lam > 0) else 0.0
-    ratio_chaos = lam / chaos if math.isfinite(chaos) else 0.0
-
-    flags = {
-        "code_error_within_slack": bool(ratio_code <= slack),
-        "pairs_within_slack": bool(all(r[5] <= slack for r in per_pair)),
-        "lower_bound_consistent": bool(lower is None or lower <= lam * slack),
-        # estimated rates may straddle the chaos bound at saturation, so
-        # this flag carries the same slack as every other inequality; the
-        # precise ratio is always in slack_ratios
-        "chaos_bound_respected": bool(lam <= chaos * slack),
-    }
     slack_ratios = {
-        "code_error": float(ratio_code),
+        "code_error": float(report.eps_code / rhs if rhs > 0 else float("inf")),
         "pair_max": float(max((r[5] for r in per_pair), default=0.0)),
-        "lower_over_used": float(ratio_lower),
-        "used_over_chaos": float(ratio_chaos),
+        "lower_over_used": float(0.0 if lower is None else lower / lam),
+        "used_over_chaos": float(lam / chaos),    # 0.0 at beta = 0
     }
+    # estimated rates may straddle the chaos bound at saturation, so the
+    # chaos flag carries the same slack as every other inequality; the
+    # precise ratio is always in slack_ratios
+    flags = {flag: bool(slack_ratios[name] <= slack) for flag, name in (
+        ("code_error_within_slack", "code_error"),
+        ("pairs_within_slack", "pair_max"),
+        ("lower_bound_consistent", "lower_over_used"),
+        ("chaos_bound_respected", "used_over_chaos"))}
     bound = BoundReport(
         code_error=report.eps_code,
         code_error_rhs=rhs,

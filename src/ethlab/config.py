@@ -16,7 +16,9 @@ one of:
 A value may be null only where its default is null. Unknown keys are
 rejected at every level, so a typo cannot silently fall back to a default,
 and every error names the dotted key. The few rules a table cannot state
-are checked in ``RunConfig.from_dict``.
+are checked in ``RunConfig.from_dict``, among them that a
+``dynamics.fit_window`` needs ``dynamics.otoc_points`` >= 1 and that each
+``sweep.grid`` value is a number (or bool) or a string: it names a point.
 
 ``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
 are materialized on parse), the config hash is the sha256 of the canonical
@@ -155,12 +157,19 @@ class RunConfig:
                     raise ValidationError(f"{block}.fit_window must be [lo, hi]")
                 d[block]["fit_window"] = [_value(f"{block}.fit_window.{i}", x, 0.0, float)
                                           for i, x in enumerate(window)]
+        if d["dynamics"]["fit_window"] is not None and d["dynamics"]["otoc_points"] == 0:
+            raise ValidationError("dynamics.fit_window needs an OTOC to fit: "
+                                  "dynamics.otoc_points must be >= 1")
         if d["sweep"] is not None:
             if not d["sweep"]["grid"]:
                 raise ValidationError("sweep.grid must be a nonempty mapping")
             for path, values in d["sweep"]["grid"].items():
                 if not isinstance(values, list) or not values:
                     raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
+                for i, v in enumerate(values):
+                    if not isinstance(v, (int, float, str)):
+                        raise ValidationError(f"sweep.grid[{path!r}][{i}] must be a number "
+                                              f"or a string, got {type(v).__name__}")
         if (d["model"]["kind"] == "synthetic" and d["observable"]
                 != {key: spec[0] for key, spec in SCHEMA["observable"].items()}):
             raise ValidationError(

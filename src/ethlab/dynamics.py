@@ -566,9 +566,7 @@ def dissipation_time(f2):
     below = np.where(g <= target)[0]
     if below.size == 0:
         return float(t[-1])
-    j = below[0]
-    if j == 0:
-        return float(t[0])
+    j = below[0]    # >= 1: g[0] is exactly 1
     frac = (g[j - 1] - target) / (g[j - 1] - g[j])
     return float(t[j - 1] + frac * (t[j] - t[j - 1]))
 

@@ -38,22 +38,16 @@ class CostGuardError(EthLabError):
 class DivergentIntegralError(EthLabError, ArithmeticError):
     """The static-fluctuation integral diverges for the given rates.
 
-    Carries the saturation diagnosis: divergence occurs exactly when the
-    growth rate reaches or exceeds the chaos bound, lam >= 2*pi/beta.
+    Divergence occurs exactly when the growth rate reaches or exceeds the
+    chaos bound, lam >= 2*pi/beta (so beta > 0); the message states both.
     """
 
     def __init__(self, lam, beta):
         super().__init__(
             f"integral of exp(beta*w/2 - pi*|w|/lam) diverges: lam={lam:g} "
-            f"is at or above the chaos bound 2*pi/beta={2 * math.pi / beta if beta > 0 else float('inf'):g}"
+            f"is at or above the chaos bound 2*pi/beta={2 * math.pi / beta:g}"
         )
-        self.lam = lam
-        self.beta = beta
 
 
 class FitRejectedError(EthLabError):
-    """An exponential-growth fit was rejected; carries the reason."""
-
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+    """An exponential-growth fit was rejected; the message is the reason."""

@@ -278,7 +278,7 @@ def stage_dynamics(cfg, inputs):
         f2_zero = float(f2.real_values()[0])
         t_d = dissipation_time(f2)
         fit_info = {"status": "not-attempted"}
-        if dyn["fit_window"] is not None and oto is not None:
+        if dyn["fit_window"] is not None:
             try:
                 fit = fit_lyapunov(oto, f2_zero, dyn["eps_reg"],
                                    tuple(dyn["fit_window"]), t_d)

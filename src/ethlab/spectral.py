@@ -307,8 +307,6 @@ class OperatorEigenbasis:
     def is_hermitian(self):
         """True when ||A - A^H||_F <= 2e-10 ||A||_F."""
         norm = np.linalg.norm(self.matrix)
-        if norm == 0:
-            return True
         return _hermitian_deviation(self.matrix) <= 1e-10 * norm * 2
 
     def abs2_rows(self):
@@ -335,11 +333,8 @@ def mean_level_spacing(eigenvalues):
         raise ValidationError("need at least two levels for a spacing")
     n = e.size
     lo = int(round(0.2 * n))  # 20% off each end
-    hi = max(lo + 2, n - lo)
-    spacings = np.diff(e[lo:hi])
-    if spacings.size == 0:
-        spacings = np.diff(e)
-    return float(spacings.mean())
+    hi = max(lo + 2, n - lo)    # <= n, so e[lo:hi] holds at least two levels
+    return float(np.diff(e[lo:hi]).mean())
 
 
 def spacing_ratio_mean(eigenvalues):

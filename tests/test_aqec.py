@@ -170,10 +170,23 @@ class TestBoundFormulas:
         val = el.code_error_bound(10.0, 2 * math.pi, 2.0, 2, 1)
         assert val == pytest.approx(16 * math.exp(-2.5 - 0.5), rel=1e-12)
 
-    def test_weak_exponent_variant_is_larger(self):
-        strong = el.code_error_bound(3.0, 1.0, 2.0, 1, 1)
-        weak = el.code_error_bound(3.0, 1.0, 2.0, 1, 1, weak_exponent=True)
+    def test_weak_exponent_variant_is_larger(self, synth512):
+        # the weak form, pi*|w|/(4*lam) in the exponent, is the bound at
+        # 2*lam, and check_bounds reports it as exactly that
+        s, lam, omega, d, k = 3.0, 1.0, 2.0, 1, 1
+        strong = el.code_error_bound(s, lam, omega, d, k)
+        weak = el.code_error_bound(s, 2 * lam, omega, d, k)
+        assert weak == 2.0 ** (d + 2 * k) * math.exp(-s / 4 - math.pi * omega / (4 * lam))
         assert weak > strong
+        spec, ent, op = synth512
+        w = el.microcanonical_window(spec, 2.0, 0.4)
+        code = el.CodeSpec(members=el.select_code_states(w, 1, spectrum=spec), k=1, d=1)
+        rep = el.kl_residuals(op, spec, code)
+        for beta, lam_fit in ((1.0, None), (0.0, 0.7)):
+            bound, _, _ = el.check_bounds(rep, ent, beta, lam_fit=lam_fit, gamma=None,
+                                          measured_dynamical=0.0, measured_static=0.0)
+            assert bound.code_error_rhs_weak == el.code_error_bound(
+                bound.entropy_value, 2 * bound.lambda_used, bound.omega_char, 1, 1)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(el.ValidationError):
@@ -294,6 +307,43 @@ class TestCheckBounds:
         assert from_gamma.lambda_used == math.pi / (2 * gamma)
         unfitted, _, _ = self._check(rep, ent, 1.0, gamma=float("nan"))
         assert unfitted.lambda_source == "chaos-bound"
+
+    def test_flags_are_ratios_within_slack(self, synth512):
+        # seeded draws of code, entropy, beta and rate source: S = 100 makes
+        # the lower bound vacuous (None), beta = 0 puts the chaos bound at
+        # inf, and every ratio is probed with slacks below, at and above it
+        ratio_of = {"code_error_within_slack": "code_error",
+                    "pairs_within_slack": "pair_max",
+                    "lower_bound_consistent": "lower_over_used",
+                    "chaos_bound_respected": "used_over_chaos"}
+        spec, _, op = synth512
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(30)))
+        seen, outcomes = set(), {flag: set() for flag in ratio_of}
+        for _ in range(16):
+            rep = self._report(spec, op, k=int(rng.integers(0, 3)),
+                               d=int(rng.integers(0, 3)))
+            ent = el.EntropyModel.constant(float(rng.choice([0.0, np.log(512), 100.0])),
+                                           -4, 4)
+            beta = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
+            lam_fit = float(rng.uniform(0.1, 10.0)) if beta == 0 or rng.random() < 0.5 else None
+            base, _, _ = self._check(rep, ent, beta, lam_fit=lam_fit)
+            ratios = base.slack_ratios
+            if base.lambda_lower is None:
+                seen.add("vacuous")
+            if beta == 0:
+                seen.add("beta=0")
+            for r in ratios.values():
+                for slack in (r / 2, r, 2 * r) if r > 0 else (-1.0, 0.0, 1.0):
+                    bound, _, _ = el.check_bounds(
+                        rep, ent, beta, lam_fit=lam_fit, gamma=None,
+                        measured_dynamical=0.0, measured_static=0.0, slack=slack)
+                    assert bound.slack_ratios == ratios
+                    assert list(bound.flags) == list(ratio_of)
+                    for flag, name in ratio_of.items():
+                        assert bound.flags[flag] is (ratios[name] <= slack)
+                        outcomes[flag].add(bound.flags[flag])
+        assert seen == {"vacuous", "beta=0"}
+        assert all(values == {True, False} for values in outcomes.values())
 
     def test_report_serialization_fields(self, synth512, tmp_path):
         spec, ent, op = synth512

@@ -956,15 +956,18 @@ class TestFitLyapunov:
 
     def test_hierarchy_enforced_with_two_point(self, ising8):
         # a real-chain two-point series decays fast; t_d lands near t=0 and
-        # a synthetic scrambling time past the window keeps the hierarchy
+        # a synthetic scrambling time past the window keeps the hierarchy;
+        # on the unit grid the 1/e crossing falls in the first interval
         lam, t_s = 1.5, 12.0
         t = np.linspace(0, 8, 81)
-        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, t)[0]
-        t_d = el.dissipation_time(f2)
-        fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
-                              1.0, 0.0, (4, 8), t_d)
-        assert fit.t_d == t_d
-        assert fit.t_d < fit.t_s
+        for grid in (t, t[::10]):
+            f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, grid)[0]
+            t_d = el.dissipation_time(f2)
+            fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
+                                  1.0, 0.0, (4, 8), t_d)
+            assert fit.t_d == t_d
+            assert fit.t_d < fit.t_s
+        assert 0 < t_d < grid[1]
 
     def test_broken_hierarchy_rejected(self):
         # t_d at or past the fitted scrambling time leaves no window of
@@ -1135,6 +1138,12 @@ class TestStaticFluctIntegral:
     def test_invalid_rate(self):
         with pytest.raises(el.ValidationError):
             el.static_fluct_integral(0.0, 1.0)
+
+    def test_infinite_rate_refused(self):
+        # the divergence message states 2*pi/beta, so beta = 0 must never
+        # reach it; only an infinite rate would diverge there
+        with pytest.raises(el.ValidationError, match="finite"):
+            el.static_fluct_integral(math.inf, 0.0)
 
 
 class TestFluctuationBounds:

@@ -289,6 +289,30 @@ class TestRunConfig:
             RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
                                  "sweep": {"grid": {}}})
 
+    def test_fit_window_needs_an_otoc(self):
+        # without OTOC points the window used to be ignored: every beta
+        # wrote a fit with status "not-attempted"
+        d = {"model": {"kind": "ising", "n_sites": 8},
+             "dynamics": {"fit_window": [0.1, 0.5], "otoc_points": 0}}
+        with pytest.raises(el.ValidationError,
+                           match="dynamics.fit_window.*dynamics.otoc_points"):
+            RunConfig.from_dict(d)
+        d["dynamics"]["otoc_points"] = 1
+        assert RunConfig.from_dict(d).data["dynamics"]["fit_window"] == [0.1, 0.5]
+
+    @pytest.mark.parametrize("value", [[0.5, 1.0], {"beta": 1.0}, None])
+    def test_sweep_values_must_be_numbers_or_strings(self, value):
+        # each value names its point's directory; a list, object or null
+        # used to crash the sweep with a TypeError while naming it
+        d = {"model": {"kind": "ising", "n_sites": 4},
+             "sweep": {"grid": {"seed": [1], "thermal.betas": [2.0, value]}}}
+        with pytest.raises(el.ValidationError,
+                           match=r"sweep\.grid\['thermal\.betas'\]\[1\]"):
+            RunConfig.from_dict(d)
+        d["sweep"]["grid"] = {"seed": [1, 2], "model.boundary": ["open"],
+                              "observable.traceless_shift": [True, False]}
+        assert RunConfig.from_dict(d).data["sweep"]["grid"] == d["sweep"]["grid"]
+
     def test_canonical_file_roundtrip(self, tmp_path):
         cfg = demo_config()
         path = tmp_path / "cfg.json"

@@ -736,6 +736,23 @@ class TestCli:
         assert err.startswith("error: ") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,block,keys", [
+        ("demo", {"dynamics": {"fit_window": [0.1, 0.5], "otoc_points": 0}},
+         ("dynamics.fit_window", "dynamics.otoc_points")),
+        ("sweep", {"sweep": {"grid": {"thermal.betas": [[0.5, 1.0], [2.0]]}}},
+         ("sweep.grid['thermal.betas'][0]",)),
+    ], ids=["fit-window-without-otoc", "list-sweep-value"])
+    def test_config_refused_at_load(self, tmp_path, capsys, command, block, keys):
+        out = tmp_path / "refused"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "out_dir": str(out),
+                                        "model": {"kind": "ising", "n_sites": 8},
+                                        **block}))
+        assert cli_main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(key in err for key in keys)
+        assert not out.exists()
+
     def test_workers_without_sweep_block_refused(self, tmp_path, capsys):
         out = tmp_path / "w"
         cfg_path = tmp_path / "cfg.json"

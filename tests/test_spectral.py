@@ -72,6 +72,7 @@ class TestHermitianDeviation:
         assert _hermitian_deviation(h) == 0.0
         assert el.OperatorEigenbasis(h).is_hermitian()
         assert not el.OperatorEigenbasis(m).is_hermitian()
+        assert el.OperatorEigenbasis(np.zeros((300, 300))).is_hermitian()
 
 
 class TestParityBlocks:
@@ -230,6 +231,11 @@ class TestEntropyModel:
         spec = el.EnergySpectrum(eigenvalues=e)
         with pytest.raises(el.ValidationError):
             el.entropy_model(spec, sigma_s=0.01)
+        # with 2 and 3 levels the central spacing is 1 and 2, the latter
+        # above the mean 1.5 over all levels
+        for e, spacing in (([0.0, 1.0], 1.0), ([0.0, 1.0, 3.0], 2.0)):
+            with pytest.raises(el.ValidationError, match=rf"\({3 * spacing:g}\)"):
+                el.entropy_model(el.EnergySpectrum(np.array(e)), sigma_s=2.9 * spacing)
 
     def test_constant_model(self):
         ent = el.EntropyModel.constant(3.0, 0.0, 1.0)
