@@ -6,10 +6,9 @@ of eigenstate codes, and checks the inequalities tying the code error to
 scrambling rates, fluctuations and the fluctuation-dissipation relation.
 """
 
-from .aqec import (BoundReport, CodeSpec, FluctuationReport, KlResidualReport,
-                   check_bounds, code_error_bound, kl_residuals,
-                   lyapunov_lower_bound, resolve_lambda, select_code_states,
-                   static_fluct_integral)
+from .aqec import (BoundReport, CodeSpec, KlResidualReport, check_bounds,
+                   code_error_bound, kl_residuals, lyapunov_lower_bound,
+                   resolve_lambda, select_code_states, static_fluct_integral)
 from .dynamics import (CorrelatorSeries, FdtDeviation, LyapunovFit,
                        SpectralDensity, dissipation_time,
                        dynamical_fluctuation, fdt_check, fit_lyapunov,

@@ -27,10 +27,12 @@ beta, each in a rate form and a code form, with r = eps_code / 2**(d+2k):
     FDT       <= 4*pi*cosh(beta*w/2) * (exp(-pi*|w|/lam)  or  exp(S/2) * r**2)
 
 :func:`check_bounds` is the one evaluator of all of them, for one code at
-one beta, and gives that beta's verdict. A bound beyond the double range is
-inf, written as null. All checks carry a configurable slack factor because
-the inequalities hold up to O(1) factors: each flag is its slack ratio
-(measured over bound) <= slack.
+one beta, and returns that beta's one :class:`BoundReport`. A bound beyond
+the double range is inf, written as null. Every check is a slack ratio by
+one rule, measured / bound: 0 for a zero measurement or an infinite bound,
+inf for a zero bound under a nonzero measurement. The inequalities hold up
+to O(1) factors, so each check carries a configurable slack: its flag is
+its ratio <= slack.
 """
 
 import math
@@ -101,10 +103,14 @@ class KlResidualReport:
     epsilon: np.ndarray
     eps_max: float
     eps_code: float
-    omega: np.ndarray
     member_energies: np.ndarray
     diagonal_spread: float
-    metadata: dict
+
+    @property
+    def omega(self):
+        """Pair separations w_ij = E_i - E_j of the code members."""
+        e = self.member_energies
+        return e[:, None] - e[None, :]
 
     @property
     def omega_char(self):
@@ -123,10 +129,8 @@ class KlResidualReport:
             "epsilon_im": self.epsilon.imag.tolist(),
             "eps_max": self.eps_max,
             "eps_code": self.eps_code,
-            "omega": self.omega.tolist(),
             "member_energies": self.member_energies.tolist(),
             "diagonal_spread": self.diagonal_spread,
-            "metadata": dict(self.metadata),
         }
 
     @classmethod
@@ -137,13 +141,11 @@ class KlResidualReport:
         eps = np.array(data["epsilon_re"]) + 1j * np.array(data["epsilon_im"])
         return cls(code=code, c_a=data["c_a"], epsilon=eps,
                    eps_max=data["eps_max"], eps_code=data["eps_code"],
-                   omega=np.array(data["omega"]),
                    member_energies=np.array(data["member_energies"]),
-                   diagonal_spread=data["diagonal_spread"],
-                   metadata=data["metadata"])
+                   diagonal_spread=data["diagonal_spread"])
 
 
-def kl_residuals(a, spectrum, code, metadata=None):
+def kl_residuals(a, spectrum, code):
     """Residuals eps_ij by full-spectrum contraction.
 
     Cost is O(D * 4**k): only the code-member columns of A enter through
@@ -161,7 +163,6 @@ def kl_residuals(a, spectrum, code, metadata=None):
     c_a = float(diag.mean())
     eps = gram - c_a * np.eye(members.size)
     energies = spectrum.eigenvalues[members]
-    omega = energies[:, None] - energies[None, :]
     eps_max = float(np.abs(eps).max())
     eps_code = float(2.0 ** (code.d + 2 * code.k) * math.sqrt(eps_max))
     return KlResidualReport(
@@ -170,10 +171,8 @@ def kl_residuals(a, spectrum, code, metadata=None):
         epsilon=eps,
         eps_max=eps_max,
         eps_code=eps_code,
-        omega=omega,
         member_energies=energies,
         diagonal_spread=float(diag.max() - diag.min()),
-        metadata=dict(metadata or {}),
     )
 
 
@@ -190,7 +189,8 @@ def code_error_bound(entropy, lam, omega, d, k):
 
     The weak form, with pi*|w|/(4*lam) in the exponent (the weaker rate that
     appears when the square root is carried through the frequency factor),
-    is this bound at 2*lam; :func:`check_bounds` reports both.
+    is this bound at 2*lam: ``code_error_bound(entropy, 2 * lam, omega, d, k)``.
+    :func:`check_bounds` gates on the strong form only.
     """
     if lam <= 0:
         raise ValidationError("growth rate lam must be positive")
@@ -217,33 +217,60 @@ def lyapunov_lower_bound(eps_code, d, k, entropy, omega):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of the code-error and growth-rate inequalities.
+    """Every bound of one code at one beta, with its slack ratios and flags.
 
-    Each flag is its slack ratio <= ``slack``. A None lower bound means the
-    growth-rate bound was vacuous for these inputs, and its ratio is 0, as
-    is ``used_over_chaos`` at beta = 0. ``code_error_rhs_weak`` is the bound
-    at 2*lam. ``per_pair`` lists, for every ordered code pair i < j, the
-    separation, the pairwise code error 2**(d+2k) * sqrt(|eps_ij|), the
-    bound at that separation, and their ratio.
+    ``slack_ratios`` and ``flags`` hold the six checks that gate, under the
+    same names: ``code_error`` (eps_code against ``code_error_rhs``),
+    ``pair_max`` (the largest ``per_pair`` ratio), ``lower_over_used``
+    (``lambda_lower`` against ``lambda_used``), ``used_over_chaos``
+    (``lambda_used`` against ``chaos_bound``), ``dynamical_rate`` and
+    ``static`` (the measured fluctuations against ``dynamical_bound_rate``
+    and ``static_bound``). Each ratio follows one rule, measured / bound: 0
+    for a zero measurement or an infinite bound, inf for a zero bound under
+    a nonzero measurement. Each flag is its ratio <= slack. A None
+    ``lambda_lower`` (a vacuous growth-rate bound) measures 0, so its ratio
+    is 0, as is ``used_over_chaos`` at beta = 0 and ``static`` where the
+    integral diverges (``static_divergent``, exactly when pi/lam <= beta/2),
+    while a bound that underflows to 0 under a nonzero measurement fails
+    its check. The weak code-error bound is :func:`code_error_bound` at
+    2*lam and is not reported. The code forms ``dynamical_bound_code`` and ``fdt_bound_code``
+    are reference values, not checks: with the lower bound of lam in the
+    decreasing exponent they are no valid ceiling whenever eps_code sits
+    below its saturation scale (unitary observables drive it to zero).
+    ``per_pair`` lists, for every code pair i < j, the separation, the
+    pairwise code error 2**(d+2k) * sqrt(|eps_ij|), the bound at that
+    separation, and their ratio.
     """
 
-    code_error: float
     code_error_rhs: float
-    code_error_rhs_weak: float
     lambda_lower: float
     lambda_used: float
     lambda_source: str
     chaos_bound: float
     entropy_value: float
     omega_char: float
-    slack: float
-    flags: dict
+    dynamical_bound_rate: float
+    dynamical_bound_code: float
+    static_bound: float
+    static_divergent: bool
+    fdt_bound_rate: float
+    fdt_bound_code: float
     slack_ratios: dict
+    flags: dict
     per_pair: list
 
     @property
     def all_within_slack(self):
+        """The beta's verdict: every flag holds."""
         return all(self.flags.values())
+
+
+def _ratio(measured, bound):
+    """measured / bound: 0 for a zero measurement or an infinite bound, inf
+    for a zero bound under a nonzero measurement."""
+    if measured == 0 or bound == math.inf:
+        return 0.0
+    return float(measured / bound) if bound > 0 else math.inf
 
 
 def resolve_lambda(beta, lam_fit, gamma):
@@ -286,107 +313,40 @@ def static_fluct_integral(lam, beta):
     return float(2.0 * a / (a * a - b * b))
 
 
-@dataclass(frozen=True)
-class FluctuationReport:
-    """Bound values for dynamical/static fluctuations and the spectral ceiling.
-
-    The code-error form of the dynamical bound is
-    exp(-S/2) * (eps_code / 2**(d+2k))**2, algebraically identical to the
-    growth-rate form exp(-S - pi*|w|/lam) when eps_code sits exactly on its
-    upper bound. ``static_divergent`` is set exactly when pi/lam <= beta/2.
-    ``slack_ratios`` holds measured / bound for every bound that is positive
-    and finite.
-    """
-
-    dynamical_bound_rate: float
-    dynamical_bound_code: float
-    static_bound: float
-    static_divergent: bool
-    fdt_bound_rate: float
-    fdt_bound_code: float
-    omega: float
-    entropy_value: float
-    measured_dynamical: float
-    measured_static: float
-    slack: float
-    slack_ratios: dict
-
-    @property
-    def all_within_slack(self):
-        """Only ``dynamical_rate`` and ``static`` gate: substituting the lower
-        bound of lam into the decreasing exponent makes the code form a
-        reference expression, not a valid ceiling, whenever eps_code sits
-        below its saturation scale (unitary observables drive it to zero)."""
-        return all(ratio <= self.slack for name, ratio in self.slack_ratios.items()
-                   if name in ("dynamical_rate", "static"))
-
-
 def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
                  measured_static, slack=DEFAULT_SLACK):
-    """Evaluate every inequality of one code at one beta.
+    """Evaluate every inequality of one code at one beta: its :class:`BoundReport`.
 
     ``lam_fit`` (an accepted fit's rate) and ``gamma`` (the central envelope
     decay rate), each possibly None, are passed to :func:`resolve_lambda`.
     The entropy is taken at the mean code-member energy, and the fluctuation
     bounds at the code's largest pair separation ``omega_char``, against the
     measured dynamical (wave packet) and static (eigenstate) fluctuations.
-    Each check's flag is its slack ratio <= ``slack``, so it is a violation
-    only beyond ``slack``, since every inequality drops O(1) constants. A
-    vacuous lower bound (None) has ratio 0 and is no violation.
-
-    Returns (BoundReport, FluctuationReport, verdict), the verdict being
-    True when both reports are within slack.
+    Each check's ratio is measured / bound (0 for a zero measurement or an
+    infinite bound, inf for a zero bound under a nonzero measurement), and
+    its flag is that ratio <= ``slack``: a violation only beyond ``slack``,
+    since every inequality drops O(1) constants. The weak code-error bound is
+    :func:`code_error_bound` at 2*lam. The report's ``all_within_slack`` is
+    the beta's verdict.
     """
     lam, source = resolve_lambda(beta, lam_fit, gamma)
     s_value = float(entropy.entropy_at(float(report.member_energies.mean())))
     d, k = report.code.d, report.code.k
     omega_char = report.omega_char
     chaos = float(2.0 * math.pi / beta) if beta > 0 else float("inf")
-
     rhs = code_error_bound(s_value, lam, omega_char, d, k)
-    rhs_weak = code_error_bound(s_value, 2.0 * lam, omega_char, d, k)
     lower = lyapunov_lower_bound(report.eps_code, d, k, s_value, omega_char)
 
     per_pair = []
     n = report.epsilon.shape[0]
     pref = 2.0 ** (d + 2 * k)
+    omega = report.omega
     for i in range(n):
         for j in range(i + 1, n):
-            w = abs(float(report.omega[i, j]))
+            w = abs(float(omega[i, j]))
             pair_err = pref * math.sqrt(abs(report.epsilon[i, j]))
             pair_rhs = code_error_bound(s_value, lam, w, d, k)
-            ratio = pair_err / pair_rhs if pair_rhs > 0 else float("inf")
-            per_pair.append((i, j, w, pair_err, pair_rhs, ratio))
-
-    slack_ratios = {
-        "code_error": float(report.eps_code / rhs if rhs > 0 else float("inf")),
-        "pair_max": float(max((r[5] for r in per_pair), default=0.0)),
-        "lower_over_used": float(0.0 if lower is None else lower / lam),
-        "used_over_chaos": float(lam / chaos),    # 0.0 at beta = 0
-    }
-    # estimated rates may straddle the chaos bound at saturation, so the
-    # chaos flag carries the same slack as every other inequality; the
-    # precise ratio is always in slack_ratios
-    flags = {flag: bool(slack_ratios[name] <= slack) for flag, name in (
-        ("code_error_within_slack", "code_error"),
-        ("pairs_within_slack", "pair_max"),
-        ("lower_bound_consistent", "lower_over_used"),
-        ("chaos_bound_respected", "used_over_chaos"))}
-    bound = BoundReport(
-        code_error=report.eps_code,
-        code_error_rhs=rhs,
-        code_error_rhs_weak=rhs_weak,
-        lambda_lower=lower if lower is None else float(lower),
-        lambda_used=lam,
-        lambda_source=source,
-        chaos_bound=chaos,
-        entropy_value=s_value,
-        omega_char=omega_char,
-        slack=float(slack),
-        flags=flags,
-        slack_ratios=slack_ratios,
-        per_pair=per_pair,
-    )
+            per_pair.append((i, j, w, pair_err, pair_rhs, _ratio(pair_err, pair_rhs)))
 
     rate_exponent = -math.pi * omega_char / lam
     rel = report.eps_code / pref
@@ -398,26 +358,35 @@ def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
         return 2.0 * math.pi * (_exp(x + h) + _exp(x - h))
 
     dyn_rate = _exp(-s_value + rate_exponent)
-    dyn_code = _exp(-s_value / 2.0) * rel**2
     try:
         static_bound, static_div = static_fluct_integral(lam, beta), False
     except DivergentIntegralError:
         static_bound, static_div = float("inf"), True
-    fluct = FluctuationReport(
+    slack_ratios = {
+        "code_error": _ratio(report.eps_code, rhs),
+        "pair_max": max((r[5] for r in per_pair), default=0.0),
+        "lower_over_used": _ratio(lower or 0.0, lam),
+        # estimated rates may straddle the chaos bound at saturation, so the
+        # chaos check carries the same slack as every other inequality
+        "used_over_chaos": _ratio(lam, chaos),
+        "dynamical_rate": _ratio(measured_dynamical, dyn_rate),
+        "static": _ratio(measured_static, static_bound),
+    }
+    return BoundReport(
+        code_error_rhs=rhs,
+        lambda_lower=lower if lower is None else float(lower),
+        lambda_used=lam,
+        lambda_source=source,
+        chaos_bound=chaos,
+        entropy_value=s_value,
+        omega_char=omega_char,
         dynamical_bound_rate=dyn_rate,
-        dynamical_bound_code=dyn_code,
+        dynamical_bound_code=_exp(-s_value / 2.0) * rel**2,
         static_bound=static_bound,
         static_divergent=static_div,
         fdt_bound_rate=fdt(rate_exponent),
         fdt_bound_code=fdt(s_value / 2.0 + 2.0 * math.log(rel)) if rel > 0 else 0.0,
-        omega=omega_char,
-        entropy_value=s_value,
-        measured_dynamical=measured_dynamical,
-        measured_static=measured_static,
-        slack=float(slack),
-        slack_ratios={name: float(measured / value) for name, measured, value in (
-            ("dynamical_rate", measured_dynamical, dyn_rate),
-            ("dynamical_code", measured_dynamical, dyn_code),
-            ("static", measured_static, static_bound)) if 0 < value < math.inf},
+        slack_ratios=slack_ratios,
+        flags={name: ratio <= slack for name, ratio in slack_ratios.items()},
+        per_pair=per_pair,
     )
-    return bound, fluct, bound.all_within_slack and fluct.all_within_slack

@@ -71,7 +71,7 @@ def main(argv=None):
         cfg = _load_config(args)
         if args.command == "sweep":
             manifests, rows, any_error = sweep(cfg)
-            print(f"sweep: {len(rows)} points, "
+            print(f"sweep: {len({r['point'] for r in rows})} points, "
                   f"{sum(r['status'] != 'ok' for r in rows)} errors")
             if any_error:
                 return 1

@@ -16,9 +16,10 @@ one of:
 A value may be null only where its default is null. Unknown keys are
 rejected at every level, so a typo cannot silently fall back to a default,
 and every error names the dotted key. The few rules a table cannot state
-are checked in ``RunConfig.from_dict``, among them that a
-``dynamics.fit_window`` needs ``dynamics.otoc_points`` >= 1 and that each
-``sweep.grid`` value is a number (or bool) or a string: it names a point.
+are checked in ``RunConfig.from_dict``, among them that ``slack`` is
+positive, that a ``dynamics.fit_window`` needs ``dynamics.otoc_points`` >= 1,
+and that each ``sweep.grid`` path names a config key and each of its values
+is a number (or bool) or a string: it names a point.
 
 ``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
 are materialized on parse), the config hash is the sha256 of the canonical
@@ -98,6 +99,18 @@ def _walk(raw, schema, where=""):
     return out
 
 
+def _locate(d, path):
+    """(node, leaf): the block of ``d`` that holds the dotted ``path``, and
+    its last key; a path that names no key raises."""
+    *parents, leaf = path.split(".")
+    node = d
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
+        raise ValidationError(f"config path {path!r} does not exist")
+    return node, leaf
+
+
 def _value(path, val, default, kind, rule=None):
     """``val``, found at ``path`` or defaulted, checked against its entry."""
     if val is REQUIRED:
@@ -138,6 +151,8 @@ class RunConfig:
         d = _walk(raw, SCHEMA)
         if not 0 <= d["seed"] < 2**64:
             raise ValidationError("seed must be a nonnegative 64-bit integer")
+        if d["slack"] <= 0:
+            raise ValidationError(f"config key 'slack' must be > 0, got {d['slack']!r}")
         center = d["code"]["window_center"]
         if center != "dos_peak":
             if isinstance(center, bool) or not isinstance(center, (int, float)):
@@ -164,6 +179,7 @@ class RunConfig:
             if not d["sweep"]["grid"]:
                 raise ValidationError("sweep.grid must be a nonempty mapping")
             for path, values in d["sweep"]["grid"].items():
+                _locate(d, path)
                 if not isinstance(values, list) or not values:
                     raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
                 for i, v in enumerate(values):
@@ -204,12 +220,7 @@ class RunConfig:
         works naturally.
         """
         d = self.to_dict()
-        *parents, leaf = path.split(".")
-        node = d
-        for p in parents:
-            node = node.get(p) if isinstance(node, dict) else None
-        if not isinstance(node, dict) or leaf not in node:
-            raise ValidationError(f"config path {path!r} does not exist")
+        node, leaf = _locate(d, path)
         if isinstance(node[leaf], list) and not isinstance(value, list):
             value = [value]
         node[leaf] = value

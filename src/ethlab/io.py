@@ -23,7 +23,8 @@ without hand-written ``to_dict`` methods. The one exception is
 ``KlResidualReport.to_dict``/``from_dict``: ``code_error.json`` flattens the
 code's fields to the top level and splits epsilon into real and imaginary
 parts, and readers of the file (the benchmark's output checks among them)
-take ``members`` and ``eps_max`` from its top level.
+take ``members`` and ``eps_max`` from its top level. The pair separations
+are not stored: ``omega`` is computed from ``member_energies``.
 """
 
 import dataclasses

@@ -12,6 +12,9 @@ directory. A stage is a function ``stage_*(cfg, inputs)`` that returns
   there, once; the kernels take it as given.
 - Outputs are replaced atomically (:func:`write_outputs`): a stage that
   fails leaves the previous files and no ``.tmp`` file.
+- Each value is written once, by the stage that computes it: a later stage
+  reads an earlier stage's value from that stage's file and does not copy
+  it into its own (``bounds.json`` names what it read in ``inputs``).
 - ``manifest.json`` is merged, not overwritten. Per stage it records the
   files with their sha256, wall-clock seconds, a ``status`` ("ok" or
   "error: <message>") and a fingerprint: the sha256 of the config keys that
@@ -75,7 +78,7 @@ _CONFIG_KEYS = {
     "generate": ("seed", "model", "observable", "thermal.betas.0",
                  "extract.sigma_s"),
     "extract": ("extract",) + _WINDOW_KEYS,
-    "code-error": ("seed", "code", "thermal.betas"),
+    "code-error": ("seed", "code"),
     "dynamics": ("dynamics", "thermal.betas") + _WINDOW_KEYS,
     "bounds": ("slack",),
 }
@@ -232,8 +235,7 @@ def stage_code_error(cfg, inputs):
     n_qubits = cfg.data["model"].get("n_sites")
     code = CodeSpec(members=members, k=code_cfg["k"], d=code_cfg["d"],
                     n_qubits=n_qubits)
-    report = kl_residuals(inputs.operator, inputs.spectrum, code,
-                          metadata={"betas": cfg.data["thermal"]["betas"]})
+    report = kl_residuals(inputs.operator, inputs.spectrum, code)
     ent, e_c = inputs.entropy, inputs.window.center
     return {"code_error.json": dict(report.to_dict(), window_energy=e_c,
                                     window_entropy=float(ent.entropy_at(e_c)),
@@ -283,8 +285,7 @@ def stage_dynamics(cfg, inputs):
                 fit = fit_lyapunov(oto, f2_zero, dyn["eps_reg"],
                                    tuple(dyn["fit_window"]), t_d)
                 fit_info = {"status": "accepted", "lambda": fit.lam,
-                            "t_s": fit.t_s, "t_d": fit.t_d,
-                            "residual_rms": fit.residual_rms,
+                            "t_s": fit.t_s, "residual_rms": fit.residual_rms,
                             "reliability": fit.reliability}
             except (FitRejectedError, ValidationError) as exc:
                 fit_info = {"status": "rejected", "reason": str(exc)}
@@ -310,35 +311,35 @@ def stage_dynamics(cfg, inputs):
 
 def stage_bounds(cfg, inputs):
     """Bound checks on the code error, envelope and dynamics outputs: one
-    :func:`check_bounds` call per beta.
+    :func:`check_bounds` report per beta, its fields with the beta and its
+    verdict, and ``inputs``, the file that each value read here came from.
 
     Of the envelope only its central decay rate is needed; ``extract.json``
     stores it, with null meaning no slice could be fitted.
     """
     gamma = inputs.report("extract.json")["central_gamma"]
     report = KlResidualReport.from_dict(inputs.report("code_error.json"))
-    slack = cfg.data["slack"]
     per_beta = []
-    all_ok = True
     for entry in inputs.report("dynamics.json")["per_beta"]:
-        beta = entry["beta"]
         fit = entry["fit"]
-        bound, fluct, ok = check_bounds(
-            report, inputs.entropy, beta,
+        bound = check_bounds(
+            report, inputs.entropy, entry["beta"],
             lam_fit=fit["lambda"] if fit["status"] == "accepted" else None,
             gamma=gamma,
             measured_dynamical=entry["measured_dynamical_fluctuation"],
-            measured_static=entry["measured_static_fluctuation"], slack=slack)
-        all_ok = all_ok and ok
-        # time-scale metadata recorded alongside the code checks; no gating
-        # on the dissipation/scrambling hierarchy is applied
-        per_beta.append({"beta": beta, "bound_report": bound,
-                         "fluctuation_report": fluct,
-                         "dissipation_time": entry["dissipation_time"],
-                         "fit": fit,
-                         "within_slack": ok})
-    return {"bounds.json": {"per_beta": per_beta, "all_within_slack": all_ok,
-                            "slack": slack}}
+            measured_static=entry["measured_static_fluctuation"],
+            slack=cfg.data["slack"])
+        per_beta.append(dict(vars(bound), beta=entry["beta"],
+                             within_slack=bound.all_within_slack))
+    read = {"central_gamma": "extract.json", "e": "entropy.csv", "s": "entropy.csv"}
+    read.update(dict.fromkeys(("d", "k", "eps_code", "epsilon_re", "epsilon_im",
+                               "member_energies"), "code_error.json"))
+    read.update(dict.fromkeys(
+        ("per_beta.beta", "per_beta.fit", "per_beta.measured_dynamical_fluctuation",
+         "per_beta.measured_static_fluctuation"), "dynamics.json"))
+    return {"bounds.json": {
+        "per_beta": per_beta, "slack": cfg.data["slack"], "inputs": read,
+        "all_within_slack": all(e["within_slack"] for e in per_beta)}}
 
 
 _STAGE_FUNCS = {
@@ -426,8 +427,7 @@ def run(cfg, out_dir=None, stages=STAGES):
     if "bounds" in stages:
         bounds = inputs.report("bounds.json")
         manifest["all_within_slack"] = bounds["all_within_slack"]
-        manifest["lambda_source"] = [
-            e["bound_report"]["lambda_source"] for e in bounds["per_beta"]]
+        manifest["lambda_source"] = [e["lambda_source"] for e in bounds["per_beta"]]
     write_outputs(out, {"manifest.json": manifest})
     return manifest
 
@@ -459,9 +459,11 @@ def _run_sweep_point(args):
 def sweep(cfg):
     """Cartesian-product sweep with per-point isolation and an aggregate CSV.
 
-    Returns (manifests, aggregate_rows, any_error). Failing points record an
-    error row; sibling points are unaffected. A grid that names one point
-    twice (say 1 and 1.0) is refused before anything is written.
+    Returns (manifests, aggregate_rows, any_error). The aggregate has one row
+    per point and beta, with a ``beta`` column; a failing point records one
+    error row with an empty ``beta``, and sibling points are unaffected. A
+    grid that names one point twice (say 1 and 1.0) is refused before
+    anything is written.
     """
     sweep_cfg = cfg.data.get("sweep")
     if not sweep_cfg:
@@ -491,46 +493,43 @@ def sweep(cfg):
                 except Exception as exc:  # a worker that died returns nothing
                     results.append(_failure(exc))
 
+    def _num(x):
+        return math.nan if x is None else float(x)
+
     metric_cols = ["eps_max", "eps_code", "gamma_hat", "lambda_used",
                    "code_error_slack", "fdt_max_deviation"]
     rows = []
     any_error = False
     manifests = {}
     for items, name, (status, payload) in zip(points, names, results):
-        row = {path: v for path, v in items}
-        row["point"] = name
+        point = dict(items, point=name)
         if status == "error":
             any_error = True
-            row.update(dict.fromkeys(metric_cols, math.nan),
-                       status=f"error: {payload}")
-        else:
-            manifests[name] = payload
-            pdir = os.path.join(out, "points", name)
-            code_data = load_json(os.path.join(pdir, "code_error.json"))
-            extract_data = load_json(os.path.join(pdir, "extract.json"))
-            bounds_data = load_json(os.path.join(pdir, "bounds.json"))
-            dyn_data = load_json(os.path.join(pdir, "dynamics.json"))
-            first = bounds_data["per_beta"][0]
+            rows.append(dict(point, beta="", status=f"error: {payload}",
+                             **dict.fromkeys(metric_cols, math.nan)))
+            continue
+        manifests[name] = payload
+        pdir = os.path.join(out, "points", name)
+        code_data, extract_data, bounds_data, dyn_data = (
+            load_json(os.path.join(pdir, f)) for f in (
+                "code_error.json", "extract.json", "bounds.json", "dynamics.json"))
+        # one row per beta: both reports list the betas in config order
+        for bound, dyn in zip(bounds_data["per_beta"], dyn_data["per_beta"]):
+            rows.append(dict(
+                point, beta=bound["beta"], status="ok",
+                eps_max=_num(code_data["eps_max"]),
+                eps_code=_num(code_data["eps_code"]),
+                gamma_hat=_num(extract_data["central_gamma"]),
+                lambda_used=_num(bound["lambda_used"]),
+                code_error_slack=_num(bound["slack_ratios"]["code_error"]),
+                fdt_max_deviation=_num(dyn["fdt_max_deviation"])))
 
-            def _num(x):
-                return math.nan if x is None else float(x)
-
-            row.update({
-                "status": "ok",
-                "eps_max": _num(code_data["eps_max"]),
-                "eps_code": _num(code_data["eps_code"]),
-                "gamma_hat": _num(extract_data["central_gamma"]),
-                "lambda_used": _num(first["bound_report"]["lambda_used"]),
-                "code_error_slack": _num(
-                    first["bound_report"]["slack_ratios"]["code_error"]),
-                "fdt_max_deviation": _num(
-                    dyn_data["per_beta"][0]["fdt_max_deviation"]),
-            })
-        rows.append(row)
-
-    header = paths + metric_cols + ["status"]
+    header = paths + ["beta"] + metric_cols + ["status"]
     write_outputs(out, {
-        "aggregate.csv": (header, [[row[c] for row in rows] for c in header]),
+        # cell by cell, so that a beta column with an empty cell keeps the
+        # number format
+        "aggregate.csv": (header, [[format_number(row[c]) for row in rows]
+                                   for c in header]),
         "manifest.json": {
             "artifact_version": __version__,
             "config_hash": cfg.config_hash(),

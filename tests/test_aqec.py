@@ -110,11 +110,14 @@ class TestKlResiduals:
         w = el.microcanonical_window(spec, 2.0, 0.4)
         code = el.CodeSpec(members=el.select_code_states(w, 2, spectrum=spec),
                            k=2, d=1, n_qubits=9)
-        rep = el.kl_residuals(op, spec, code, metadata={"betas": [0.5, 1.0]})
+        rep = el.kl_residuals(op, spec, code)
         assert np.abs(rep.epsilon.imag).max() > 0  # both parts carry data
-        back = el.KlResidualReport.from_dict(rep.to_dict())
+        data = rep.to_dict()
+        # the separations are recomputed from the energies, not stored
+        assert "omega" not in data and "metadata" not in data
+        back = el.KlResidualReport.from_dict(data)
         assert back.code == rep.code
-        for name in ("c_a", "eps_max", "eps_code", "diagonal_spread", "metadata"):
+        for name in ("c_a", "eps_max", "eps_code", "diagonal_spread"):
             assert getattr(back, name) == getattr(rep, name), name
         for name in ("epsilon", "omega", "member_energies"):
             assert np.array_equal(getattr(back, name), getattr(rep, name)), name
@@ -170,23 +173,13 @@ class TestBoundFormulas:
         val = el.code_error_bound(10.0, 2 * math.pi, 2.0, 2, 1)
         assert val == pytest.approx(16 * math.exp(-2.5 - 0.5), rel=1e-12)
 
-    def test_weak_exponent_variant_is_larger(self, synth512):
-        # the weak form, pi*|w|/(4*lam) in the exponent, is the bound at
-        # 2*lam, and check_bounds reports it as exactly that
+    def test_weak_exponent_variant_is_larger(self):
+        # the weak form, pi*|w|/(4*lam) in the exponent, is the bound at 2*lam
         s, lam, omega, d, k = 3.0, 1.0, 2.0, 1, 1
         strong = el.code_error_bound(s, lam, omega, d, k)
         weak = el.code_error_bound(s, 2 * lam, omega, d, k)
         assert weak == 2.0 ** (d + 2 * k) * math.exp(-s / 4 - math.pi * omega / (4 * lam))
         assert weak > strong
-        spec, ent, op = synth512
-        w = el.microcanonical_window(spec, 2.0, 0.4)
-        code = el.CodeSpec(members=el.select_code_states(w, 1, spectrum=spec), k=1, d=1)
-        rep = el.kl_residuals(op, spec, code)
-        for beta, lam_fit in ((1.0, None), (0.0, 0.7)):
-            bound, _, _ = el.check_bounds(rep, ent, beta, lam_fit=lam_fit, gamma=None,
-                                          measured_dynamical=0.0, measured_static=0.0)
-            assert bound.code_error_rhs_weak == el.code_error_bound(
-                bound.entropy_value, 2 * bound.lambda_used, bound.omega_char, 1, 1)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(el.ValidationError):
@@ -252,33 +245,34 @@ class TestCheckBounds:
                                    el.EnvelopeSpec(gamma=beta / 4), seed=21)
         env = el.envelope_estimate(op, spec, ent)
         report = self._report(spec, op)
-        bound, _, _ = self._check(report, ent, beta, gamma=env.central_gamma)
+        bound = self._check(report, ent, beta, gamma=env.central_gamma)
         assert bound.lambda_source == "envelope-implied"
         chaos = 2 * math.pi / beta
         assert abs(bound.lambda_used - chaos) / chaos < 0.15
-        assert bound.flags["lower_bound_consistent"]
-        assert bound.flags["code_error_within_slack"]
+        assert bound.flags["lower_over_used"]
+        assert bound.flags["code_error"]
 
     def test_zero_error_code_trivially_consistent(self, synth512):
         spec, ent, _ = synth512
         code = el.CodeSpec(members=(250, 251), k=1, d=1)
         rep = el.kl_residuals(el.OperatorEigenbasis(matrix=np.eye(512)),
                               spec, code)
-        bound, _, within = self._check(rep, ent, 1.0)
+        bound = self._check(rep, ent, 1.0)
         assert bound.lambda_lower == 0.0
-        assert bound.all_within_slack and within
+        assert bound.slack_ratios["code_error"] == bound.slack_ratios["pair_max"] == 0.0
+        assert bound.all_within_slack
 
     def test_lambda_source_precedence(self, synth512):
         spec, ent, op = synth512
         rep = self._report(spec, op)
         env = el.envelope_estimate(op, spec, ent)
         gamma = env.central_gamma
-        fitted, _, _ = self._check(rep, ent, 1.0, lam_fit=2.5, gamma=gamma)
+        fitted = self._check(rep, ent, 1.0, lam_fit=2.5, gamma=gamma)
         assert fitted.lambda_source == "fitted"
         assert fitted.lambda_used == 2.5
-        implied, _, _ = self._check(rep, ent, 1.0, gamma=gamma)
+        implied = self._check(rep, ent, 1.0, gamma=gamma)
         assert implied.lambda_source == "envelope-implied"
-        chaos, _, _ = self._check(rep, ent, 1.0)
+        chaos = self._check(rep, ent, 1.0)
         assert chaos.lambda_source == "chaos-bound"
         assert chaos.lambda_used == pytest.approx(2 * math.pi)
 
@@ -294,7 +288,7 @@ class TestCheckBounds:
         # rate that produced the ceiling (monotonicity of the inverse)
         spec, ent, op = synth512
         rep = self._report(spec, op, k=2, d=1)
-        bound, _, _ = self._check(rep, ent, 1.0)
+        bound = self._check(rep, ent, 1.0)
         if bound.slack_ratios["code_error"] <= 1 and bound.lambda_lower:
             assert bound.lambda_lower <= bound.lambda_used * (1 + 1e-12)
 
@@ -302,23 +296,22 @@ class TestCheckBounds:
         spec, ent, op = synth512
         rep = self._report(spec, op)
         gamma = el.envelope_estimate(op, spec, ent).central_gamma
-        from_gamma, _, _ = self._check(rep, ent, 1.0, gamma=gamma)
+        from_gamma = self._check(rep, ent, 1.0, gamma=gamma)
         assert from_gamma.lambda_source == "envelope-implied"
         assert from_gamma.lambda_used == math.pi / (2 * gamma)
-        unfitted, _, _ = self._check(rep, ent, 1.0, gamma=float("nan"))
+        unfitted = self._check(rep, ent, 1.0, gamma=float("nan"))
         assert unfitted.lambda_source == "chaos-bound"
 
     def test_flags_are_ratios_within_slack(self, synth512):
-        # seeded draws of code, entropy, beta and rate source: S = 100 makes
-        # the lower bound vacuous (None), beta = 0 puts the chaos bound at
-        # inf, and every ratio is probed with slacks below, at and above it
-        ratio_of = {"code_error_within_slack": "code_error",
-                    "pairs_within_slack": "pair_max",
-                    "lower_bound_consistent": "lower_over_used",
-                    "chaos_bound_respected": "used_over_chaos"}
+        # seeded draws of code, entropy, beta, rate source and measured
+        # fluctuations: S = 100 makes the lower bound vacuous (None), beta = 0
+        # puts the chaos bound at inf, and every ratio is probed with slacks
+        # below, at and above it
+        names = ["code_error", "pair_max", "lower_over_used", "used_over_chaos",
+                 "dynamical_rate", "static"]
         spec, _, op = synth512
         rng = np.random.Generator(np.random.Philox(key=np.uint64(30)))
-        seen, outcomes = set(), {flag: set() for flag in ratio_of}
+        seen, outcomes = set(), {name: set() for name in names}
         for _ in range(16):
             rep = self._report(spec, op, k=int(rng.integers(0, 3)),
                                d=int(rng.integers(0, 3)))
@@ -326,7 +319,10 @@ class TestCheckBounds:
                                            -4, 4)
             beta = float(rng.choice([0.0, rng.uniform(0.1, 3.0)]))
             lam_fit = float(rng.uniform(0.1, 10.0)) if beta == 0 or rng.random() < 0.5 else None
-            base, _, _ = self._check(rep, ent, beta, lam_fit=lam_fit)
+            measured = {"measured_dynamical": float(rng.choice([0.0, 1e-3, 1.0])),
+                        "measured_static": float(rng.choice([0.0, 0.5, 50.0]))}
+            base = el.check_bounds(rep, ent, beta, lam_fit=lam_fit, gamma=None,
+                                   **measured)
             ratios = base.slack_ratios
             if base.lambda_lower is None:
                 seen.add("vacuous")
@@ -334,24 +330,48 @@ class TestCheckBounds:
                 seen.add("beta=0")
             for r in ratios.values():
                 for slack in (r / 2, r, 2 * r) if r > 0 else (-1.0, 0.0, 1.0):
-                    bound, _, _ = el.check_bounds(
-                        rep, ent, beta, lam_fit=lam_fit, gamma=None,
-                        measured_dynamical=0.0, measured_static=0.0, slack=slack)
+                    bound = el.check_bounds(rep, ent, beta, lam_fit=lam_fit, gamma=None,
+                                            slack=slack, **measured)
                     assert bound.slack_ratios == ratios
-                    assert list(bound.flags) == list(ratio_of)
-                    for flag, name in ratio_of.items():
-                        assert bound.flags[flag] is (ratios[name] <= slack)
-                        outcomes[flag].add(bound.flags[flag])
+                    assert list(bound.slack_ratios) == list(bound.flags) == names
+                    for name in names:
+                        assert bound.flags[name] is (ratios[name] <= slack)
+                        outcomes[name].add(bound.flags[name])
+                    assert bound.all_within_slack is all(bound.flags.values())
         assert seen == {"vacuous", "beta=0"}
         assert all(values == {True, False} for values in outcomes.values())
+
+    def test_one_ratio_rule(self, synth512):
+        # measured / bound; 0 for a zero measurement or an infinite bound
+        # (beta = 0 for the chaos bound, the divergent static integral), inf
+        # for a zero bound under a nonzero measurement: at S = 800 the
+        # dynamical rate bound exp(-S - pi*|w|/lam) underflows to 0
+        spec, _, op = synth512
+        rep = self._report(spec, op)
+        ent = el.EntropyModel.constant(800.0, -4, 4)
+        bound = el.check_bounds(rep, ent, 0.0, lam_fit=1.0, gamma=None,
+                                measured_dynamical=1e-300, measured_static=0.5)
+        assert bound.dynamical_bound_rate == 0.0
+        assert bound.slack_ratios["dynamical_rate"] == math.inf
+        assert not bound.flags["dynamical_rate"] and not bound.all_within_slack
+        assert bound.chaos_bound == math.inf
+        assert bound.slack_ratios["used_over_chaos"] == 0.0
+        quiet = el.check_bounds(rep, ent, 0.0, lam_fit=1.0, gamma=None,
+                                measured_dynamical=0.0, measured_static=0.5)
+        assert quiet.slack_ratios["dynamical_rate"] == 0.0
+        divergent = el.check_bounds(rep, ent, 1.0, lam_fit=2 * math.pi, gamma=None,
+                                    measured_dynamical=0.0, measured_static=0.5)
+        assert divergent.static_divergent and divergent.static_bound == math.inf
+        assert divergent.slack_ratios["static"] == 0.0
 
     def test_report_serialization_fields(self, synth512, tmp_path):
         spec, ent, op = synth512
         rep = self._report(spec, op)
-        bound, _, _ = self._check(rep, ent, 1.0)
+        bound = self._check(rep, ent, 1.0)
         dump_json(tmp_path / "bound.json", bound)
         d = load_json(tmp_path / "bound.json")
-        for key in ("code_error", "code_error_rhs", "code_error_rhs_weak",
-                    "lambda_lower", "lambda_used", "lambda_source",
-                    "chaos_bound", "flags", "slack_ratios", "per_pair"):
-            assert key in d
+        assert set(d) == {
+            "code_error_rhs", "lambda_lower", "lambda_used", "lambda_source",
+            "chaos_bound", "entropy_value", "omega_char", "dynamical_bound_rate",
+            "dynamical_bound_code", "static_bound", "static_divergent",
+            "fdt_bound_rate", "fdt_bound_code", "slack_ratios", "flags", "per_pair"}

@@ -1158,9 +1158,7 @@ class TestFluctuationBounds:
             code=el.CodeSpec(members=(0, 1), k=1, d=d), c_a=1.0,
             epsilon=np.array([[0.0, eps_max], [eps_max, 0.0]]),
             eps_max=eps_max, eps_code=eps_code,
-            omega=np.array([[0.0, -omega], [omega, 0.0]]),
-            member_energies=np.array([0.0, omega]), diagonal_spread=0.0,
-            metadata={})
+            member_energies=np.array([0.0, omega]), diagonal_spread=0.0)
         ent = el.EntropyModel.constant(s, -1.0, 1.0 + omega)
         return el.check_bounds(report, ent, beta, lam_fit=lam_fit, gamma=gamma,
                                measured_dynamical=measured_dynamical,
@@ -1170,24 +1168,25 @@ class TestFluctuationBounds:
         # with eps_code on its ceiling the two dynamical bounds coincide
         s, lam, omega, d, k = 7.0, 1.3, 2.2, 1, 1
         eps = el.code_error_bound(s, lam, omega, d, k)
-        _, rep, _ = self._bounds(s, 1.0, omega, eps, d, lam_fit=lam)
+        rep = self._bounds(s, 1.0, omega, eps, d, lam_fit=lam)
         assert abs(rep.dynamical_bound_rate - rep.dynamical_bound_code) <= \
             1e-10 * rep.dynamical_bound_rate
 
     def test_unit_bound_at_origin(self):
-        _, rep, _ = self._bounds(0.0, 1.0, 0.0, lam_fit=3.0)
+        rep = self._bounds(0.0, 1.0, 0.0, lam_fit=3.0)
         assert rep.dynamical_bound_rate == pytest.approx(1.0)
 
     def test_divergence_flag_matches_condition(self):
-        _, rep, _ = self._bounds(1.0, 1.0, 0.5, lam_fit=2 * math.pi)
+        # an infinite bound gives the ratio 0 under the one ratio rule
+        rep = self._bounds(1.0, 1.0, 0.5, lam_fit=2 * math.pi, measured_static=0.5)
         assert rep.static_divergent
-        assert "static" not in rep.slack_ratios
-        _, rep2, _ = self._bounds(1.0, 1.0, 0.5, lam_fit=math.pi)
+        assert rep.slack_ratios["static"] == 0.0 and rep.flags["static"]
+        rep2 = self._bounds(1.0, 1.0, 0.5, lam_fit=math.pi)
         assert not rep2.static_divergent
 
     def test_measured_ratios_reported(self):
-        _, rep, _ = self._bounds(2.0, 1.0, 0.0, lam_fit=2.0,
-                                 measured_dynamical=1e-3, measured_static=0.5)
+        rep = self._bounds(2.0, 1.0, 0.0, lam_fit=2.0,
+                           measured_dynamical=1e-3, measured_static=0.5)
         assert rep.slack_ratios["dynamical_rate"] == \
             pytest.approx(1e-3 / rep.dynamical_bound_rate, rel=1e-15)
         assert rep.slack_ratios["static"] == \
@@ -1199,33 +1198,42 @@ class TestFluctuationBounds:
         ({"dynamical_rate": 10.5, "static": 2.0}, False),
     ])
     def test_only_rate_and_static_ratios_gate(self, ratios, within):
-        # measured values and code errors set to give the ratios; a zero
-        # code error leaves the code form at 0, with no ratio
+        # measured values and code errors set to give the ratios, the code
+        # form's measured / dynamical_bound_code among them; that form is a
+        # reference value with no ratio and no flag, so it never gates (a
+        # zero code error leaves it at 0)
         s, beta, omega, lam = 2.0, 1.0, 0.5, 2.0
-        _, ref, _ = self._bounds(s, beta, omega, lam_fit=lam)
+        ref = self._bounds(s, beta, omega, lam_fit=lam)
         dyn = ratios["dynamical_rate"] * ref.dynamical_bound_rate
         rel2 = dyn / ratios["dynamical_code"] * math.exp(s / 2) \
             if "dynamical_code" in ratios else 0.0
-        bound, rep, verdict = self._bounds(
+        rep = self._bounds(
             s, beta, omega, 4.0 * math.sqrt(rel2), lam_fit=lam,
             measured_dynamical=dyn,
             measured_static=ratios["static"] * ref.static_bound)
-        assert rep.slack_ratios == pytest.approx(ratios, rel=1e-12)
+        if rel2:
+            assert dyn / rep.dynamical_bound_code == pytest.approx(
+                ratios["dynamical_code"], rel=1e-12)
+        else:
+            assert rep.dynamical_bound_code == 0.0
+        gating = {name: ratios[name] for name in ("dynamical_rate", "static")}
+        assert {name: rep.slack_ratios[name] for name in gating} == \
+            pytest.approx(gating, rel=1e-12)
+        assert "dynamical_code" not in rep.slack_ratios
+        assert {name: rep.flags[name] for name in gating} == {
+            name: ratio <= 10.0 for name, ratio in gating.items()}
         assert rep.all_within_slack is within
-        assert verdict is (bound.all_within_slack and within)
 
     def test_fdt_forms_past_cosh_range(self):
         # beta*w/2 = 720 overflows cosh alone, yet the rate form
         # 4*pi*cosh(720)*e^-30 is finite; a code form beyond the double
         # range comes back inf, one inside it finite
         beta, omega, lam = 1440.0, 1.0, math.pi / 30.0
-        _, rep, _ = self._bounds(1.0, beta, omega, 4.0 * math.exp(-1.0),
-                                 lam_fit=lam)
+        rep = self._bounds(1.0, beta, omega, 4.0 * math.exp(-1.0), lam_fit=lam)
         assert rep.fdt_bound_rate == pytest.approx(2 * math.pi * math.exp(690.0),
                                                    rel=1e-12)
         assert rep.fdt_bound_code == math.inf
-        _, rep, _ = self._bounds(1.0, beta, omega, 4.0 * math.exp(-360.0),
-                                 lam_fit=lam)
+        rep = self._bounds(1.0, beta, omega, 4.0 * math.exp(-360.0), lam_fit=lam)
         assert rep.fdt_bound_code == pytest.approx(
             2 * math.pi * math.exp(720.0 + 0.5 - 720.0), rel=1e-12)
 
@@ -1241,8 +1249,8 @@ class TestFluctuationBounds:
         for center in np.linspace(1.5, 2.5, 20):
             p = el.gaussian_wavepacket(spec, center, 0.2)
             measured = el.dynamical_fluctuation(op, p)
-            bound, rep, _ = self._bounds(math.log(2048), 1.0, 0.0, gamma=gamma,
-                                         measured_dynamical=measured)
-            assert bound.lambda_source == "envelope-implied"
-            ok += rep.slack_ratios["dynamical_rate"] <= rep.slack
+            rep = self._bounds(math.log(2048), 1.0, 0.0, gamma=gamma,
+                               measured_dynamical=measured)
+            assert rep.lambda_source == "envelope-implied"
+            ok += rep.flags["dynamical_rate"]
         assert ok >= 19

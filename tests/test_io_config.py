@@ -313,6 +313,29 @@ class TestRunConfig:
                               "observable.traceless_shift": [True, False]}
         assert RunConfig.from_dict(d).data["sweep"]["grid"] == d["sweep"]["grid"]
 
+    @pytest.mark.parametrize("path", ["model.dimm", "model.n_sites",
+                                      "thermal.betas.0", "seed.x"])
+    def test_sweep_grid_paths_resolved_at_load(self, path):
+        # a path that names no key of the loaded config (a typo, a key of the
+        # other model kind, a list index, a key under a value) used to load
+        # and then fail at every point of the sweep
+        d = {"model": {"kind": "synthetic", "dim": 64},
+             "sweep": {"grid": {"model.dim": [64, 128], path: [1, 2]}}}
+        with pytest.raises(el.ValidationError,
+                           match=f"config path {path!r} does not exist"):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("slack", [0, 0.0, -1.0, -1e-300])
+    def test_slack_must_be_positive(self, slack):
+        # at slack 0 every check with a nonzero ratio fails, and below 0
+        # every check fails, so the run exits 2 whatever it measured
+        d = {"model": {"kind": "ising", "n_sites": 4}, "slack": slack}
+        with pytest.raises(el.ValidationError, match="'slack' must be > 0"):
+            RunConfig.from_dict(d)
+        with pytest.raises(el.ValidationError, match="'slack' must be > 0"):
+            demo_config().with_path_value("slack", slack)
+        assert RunConfig.from_dict(dict(d, slack=1e-30)).data["slack"] == 1e-30
+
     def test_canonical_file_roundtrip(self, tmp_path):
         cfg = demo_config()
         path = tmp_path / "cfg.json"

@@ -77,8 +77,9 @@ class TestRun:
 
     def test_bound_reports_match_in_memory_check(self, tmp_path):
         # the bounds stage reads back only the code-error report, the central
-        # decay rate and the measured fluctuations; its reports and verdict
-        # must equal those of one in-memory check on the whole envelope model
+        # decay rate and the measured fluctuations; each beta's report and
+        # verdict must equal those of one in-memory check on the whole
+        # envelope model
         out = str(tmp_path / "codec")
         cfg = small_synth_config(out)
         run(cfg)
@@ -94,17 +95,15 @@ class TestRun:
         per_beta = load_json(os.path.join(out, "bounds.json"))["per_beta"]
         assert per_beta and len(per_beta) == len(dynamics)
         for entry, dyn in zip(per_beta, dynamics):
-            bound, fluct, within = el.check_bounds(
-                report, ent, entry["beta"], lam_fit=entry["fit"].get("lambda"),
+            bound = el.check_bounds(
+                report, ent, dyn["beta"], lam_fit=dyn["fit"].get("lambda"),
                 gamma=env.central_gamma,
                 measured_dynamical=dyn["measured_dynamical_fluctuation"],
                 measured_static=dyn["measured_static_fluctuation"],
                 slack=cfg.data["slack"])
-            for key, value in (("bound_report", bound),
-                               ("fluctuation_report", fluct)):
-                dump_json(tmp_path / "report.json", value)
-                assert entry[key] == load_json(tmp_path / "report.json")
-            assert entry["within_slack"] is within
+            dump_json(tmp_path / "report.json", bound)
+            assert entry == dict(load_json(tmp_path / "report.json"),
+                                 beta=dyn["beta"], within_slack=bound.all_within_slack)
 
     def test_bounds_complete_far_below_the_code_gap(self, tmp_path):
         # at beta = 20000 the k=2 code's omega_char = 0.079 puts beta*w/2
@@ -117,8 +116,40 @@ class TestRun:
             "thermal": {"betas": [20000]}, "dynamics": {"otoc_points": 0}})
         assert run(cfg)["status"]["bounds"] == "ok"
         entry, = load_json(os.path.join(out, "bounds.json"))["per_beta"]
-        assert entry["bound_report"]["omega_char"] * 20000 / 2 > 710
-        assert entry["fluctuation_report"]["fdt_bound_rate"] is None
+        assert entry["omega_char"] * 20000 / 2 > 710
+        assert entry["fdt_bound_rate"] is None
+
+    def test_bounds_json_repeats_no_upstream_value(self, tmp_path):
+        # bounds.json holds only what the bounds stage computes: no number in
+        # it equals the value of a key of an upstream report (beta aside,
+        # which labels each entry)
+        out = str(tmp_path / "once")
+        cfg = RunConfig.from_dict({
+            "seed": 1, "out_dir": out, "model": {"kind": "ising", "n_sites": 8},
+            "thermal": {"betas": [0.5, 1.0]},
+            "dynamics": {"t_max": 4.0, "t_points": 17, "otoc_points": 3,
+                         "sigma_omega": 0.05, "omega_points": 201}})
+        run(cfg)
+
+        def numbers(node, lists=True):
+            """The floats of a JSON tree outside any "beta" key; list
+            elements count only where ``lists`` is set."""
+            if isinstance(node, dict):
+                return {x for k, v in node.items() if k != "beta"
+                        for x in numbers(v, lists)}
+            if isinstance(node, list):
+                return {x for v in node if lists or isinstance(v, dict)
+                        for x in numbers(v, lists)}
+            return {node} if type(node) is float else set()
+
+        bounds = load_json(os.path.join(out, "bounds.json"))
+        written = numbers(bounds)
+        assert len(written) > 20
+        for name in ("code_error.json", "dynamics.json", "extract.json"):
+            upstream = numbers(load_json(os.path.join(out, name)), lists=False)
+            assert upstream and not written & upstream, name
+        assert set(bounds["inputs"].values()) == {
+            "code_error.json", "dynamics.json", "extract.json", "entropy.csv"}
 
     def test_stage_rerun_reproduces_outputs(self, tmp_path):
         out = str(tmp_path / "stages")
@@ -373,12 +404,8 @@ class TestSweep:
         for name in os.listdir(os.path.join(out, "points")):
             bounds = load_json(os.path.join(out, "points", name, "bounds.json"))
             for entry in bounds["per_beta"]:
-                ratios = entry["bound_report"]["slack_ratios"]
-                code_error.append(ratios["code_error"])
-                gating += ratios.values()
-                fluct = entry["fluctuation_report"]["slack_ratios"]
-                gating += (fluct[k] for k in ("dynamical_rate", "static")
-                           if k in fluct)
+                code_error.append(entry["slack_ratios"]["code_error"])
+                gating += entry["slack_ratios"].values()
         # a slack between the largest code-error ratio and the largest gating
         # ratio fails a check that the aggregate's code_error_slack misses
         assert max(code_error) < max(gating)
@@ -386,6 +413,37 @@ class TestSweep:
         code = cli_main(["sweep", "--config", str(cfg_path), "--out", out,
                          "--slack", repr(slack)])
         assert code == 2
+
+    def test_one_aggregate_row_per_point_and_beta(self, tmp_path):
+        # every beta of every point has its row, labelled in the beta column;
+        # a failing point keeps one row, with an empty beta
+        out = str(tmp_path / "betas")
+        d = small_synth_config(out, dim=200).to_dict()
+        d["thermal"]["betas"] = [1.0, 0.5]
+        d["sweep"] = {"grid": {"model.dim": [200, 300]}, "workers": 1}
+        _, rows, any_error = sweep(RunConfig.from_dict(d))
+        assert not any_error
+        assert [(r["model.dim"], r["beta"]) for r in rows] == [
+            (200, 1.0), (200, 0.5), (300, 1.0), (300, 0.5)]
+        for row in rows:
+            pdir = os.path.join(out, "points", row["point"])
+            i = [1.0, 0.5].index(row["beta"])
+            bound = load_json(os.path.join(pdir, "bounds.json"))["per_beta"][i]
+            dyn = load_json(os.path.join(pdir, "dynamics.json"))["per_beta"][i]
+            assert row["lambda_used"] == bound["lambda_used"]
+            assert row["code_error_slack"] == bound["slack_ratios"]["code_error"]
+            assert row["fdt_max_deviation"] == dyn["fdt_max_deviation"]
+        header, cells = read_csv_text(os.path.join(out, "aggregate.csv"))
+        assert header[:2] == ["model.dim", "beta"]
+        assert [c[:2] for c in cells] == [["200", "1"], ["200", "0.5"],
+                                          ["300", "1"], ["300", "0.5"]]
+        d["out_dir"] = out = str(tmp_path / "fail")
+        d["sweep"]["grid"] = {"code.k": [1, 12]}
+        _, rows, any_error = sweep(RunConfig.from_dict(d))
+        assert any_error
+        assert [(r["code.k"], r["beta"]) for r in rows] == [(1, 1.0), (1, 0.5), (12, "")]
+        _, cells = read_csv_text(os.path.join(out, "aggregate.csv"))
+        assert [c[:2] for c in cells] == [["1", "1"], ["1", "0.5"], ["12", ""]]
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg_serial = self._sweep_config(str(tmp_path / "ser"))
@@ -428,6 +486,19 @@ class TestRunner:
         assert "re-run generate" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "extract.json"))
         assert load_json(os.path.join(out, "config.json"))["seed"] == 3
+
+    def test_second_beta_keeps_the_code_error_outputs(self, tmp_path):
+        # code-error reads no beta: with a beta added, dynamics and bounds run
+        # on the code-error outputs already there
+        out = str(tmp_path / "addbeta")
+        cfg = small_synth_config(out, dim=200)
+        first = run(cfg)
+        more = cfg.with_path_value("thermal.betas", [1.0, 0.5])
+        manifest = run(more, stages=("dynamics", "bounds"))
+        assert manifest["fingerprints"]["code-error"] == first["fingerprints"]["code-error"]
+        assert manifest["files"]["code_error.json"] == first["files"]["code_error.json"]
+        bounds = load_json(os.path.join(out, "bounds.json"))["per_beta"]
+        assert [e["beta"] for e in bounds] == [1.0, 0.5]
 
     def test_rerun_after_own_key_change_accepted(self, tmp_path):
         out = str(tmp_path / "tmax")
