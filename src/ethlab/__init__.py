@@ -10,11 +10,10 @@ from .aqec import (BoundReport, CodeSpec, KlResidualReport, check_bounds,
                    code_error_bound, kl_residuals, lyapunov_lower_bound,
                    resolve_lambda, select_code_states, static_fluct_integral)
 from .dynamics import (CorrelatorSeries, FdtDeviation, LyapunovFit,
-                       SpectralDensity, dissipation_time,
+                       PairMeasure, SpectralDensity, dissipation_time,
                        dynamical_fluctuation, fdt_check, fit_lyapunov,
-                       gaussian_wavepacket, gibbs_weights, otoc,
-                       spectral_densities, static_fluctuation,
-                       thermal_correlators)
+                       gaussian_wavepacket, gibbs_weights, measure_width,
+                       otoc, pair_measure, static_fluctuation)
 from .errors import (CostGuardError, DivergentIntegralError, EmptyWindowError,
                      EthLabError, FitRejectedError, NumericError, SizeError,
                      ValidationError)

@@ -18,13 +18,14 @@ rejected at every level, so a typo cannot silently fall back to a default,
 and every error names the dotted key. The few rules a table cannot state
 are checked in ``RunConfig.from_dict``, among them that ``slack`` is
 positive, that a ``dynamics.fit_window`` needs ``dynamics.otoc_points`` >= 1,
-and that each ``sweep.grid`` path names a config key and each of its values
-is a number (or bool) or a string: it names a point.
+and that each ``sweep.grid`` path names a config key, not a list entry, and
+each of its values is a number (or bool) or a string: it names a point.
 
 ``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
 are materialized on parse), the config hash is the sha256 of the canonical
 JSON text, and ``RunConfig.with_path_value`` is the one way to change a
-config.
+config. ``_locate`` is the one walker of dotted paths, where a number
+indexes a list.
 """
 
 import copy
@@ -100,15 +101,17 @@ def _walk(raw, schema, where=""):
 
 
 def _locate(d, path):
-    """(node, leaf): the block of ``d`` that holds the dotted ``path``, and
-    its last key; a path that names no key raises."""
-    *parents, leaf = path.split(".")
+    """(node, key): the dict or list of ``d`` holding the entry at the dotted
+    ``path`` (a number indexes a list) and its key there; else raises."""
     node = d
-    for p in parents:
-        node = node.get(p) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or leaf not in node:
-        raise ValidationError(f"config path {path!r} does not exist")
-    return node, leaf
+    for part in path.split("."):
+        parent = node
+        if isinstance(parent, list) and part.isdigit() and int(part) < len(parent):
+            part = int(part)
+        elif not isinstance(parent, dict) or part not in parent:
+            raise ValidationError(f"config path {path!r} does not exist")
+        node = parent[part]
+    return parent, part
 
 
 def _value(path, val, default, kind, rule=None):
@@ -179,7 +182,9 @@ class RunConfig:
             if not d["sweep"]["grid"]:
                 raise ValidationError("sweep.grid must be a nonempty mapping")
             for path, values in d["sweep"]["grid"].items():
-                _locate(d, path)
+                if isinstance(_locate(d, path)[0], list):
+                    raise ValidationError(f"config path {path!r} does not exist "
+                                          "as a sweep key: it indexes a list")
                 if not isinstance(values, list) or not values:
                     raise ValidationError(f"sweep.grid[{path!r}] must be a nonempty list")
                 for i, v in enumerate(values):
@@ -211,6 +216,11 @@ class RunConfig:
 
     def config_hash(self):
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+
+    def value_at(self, path):
+        """The value at the dotted ``path``; a number indexes a list."""
+        node, key = _locate(self.data, path)
+        return node[key]
 
     def with_path_value(self, path, value):
         """Copy with the field at the dotted ``path`` replaced, validated again.

@@ -1,6 +1,7 @@
 """Thermal correlators, scrambling diagnostics, and fluctuation measures.
 
-Everything is evaluated by explicit sums over energy eigenstates. The
+Everything is evaluated in the energy eigenbasis: the two-point functions
+and spectra from one binned pair measure, the OTOC by explicit sums. The
 regulated correlators for a Hermitian observable A are
 
     F2(t)   = Tr[rho^(1/2) A(t) rho^(1/2) A]
@@ -9,8 +10,50 @@ regulated correlators for a Hermitian observable A are
     Foto(t) = Tr[rho^(1/4) A(t) rho^(1/4) A rho^(1/4) A(t) rho^(1/4) A]
 
 F2 and Foto are real for Hermitian A thanks to the symmetric regulator
-splitting, and only their validated real part is kept; Resp is purely
-imaginary.
+splitting: F2 is summed as a real series and only the validated real part
+of Foto is kept; Resp is purely imaginary.
+
+F2, Fsym, Resp and the spectra F(w) and rho(w) are Lehmann sums over one
+pair measure, |A_mn|^2 at w = E_n - E_m with the Gibbs weights
+p = (rho_m rho_n)^(1/2), f = (rho_m + rho_n)/2 and r = (rho_m - rho_n)/4.
+With E sorted, each pair m < n (w >= 0) stands for its mirror at -w, with
+the same p and f and the opposite r, so, summing over m < n, with
+C = sum_m rho_m A_mm^2 - <A>^2 and g the unit Gaussian of width sigma_omega,
+
+    F2(t) = C + <A>^2 + 2 sum p |A_mn|^2 cos(w t),
+    Fsym(t) = C + 2 sum f |A_mn|^2 cos(w t),
+    Resp(t) = -8 i sum r |A_mn|^2 sin(w t),
+    F(v) = C g(v) + sum f |A_mn|^2 (g(v - w) + g(v + w)),
+    rho(v) = sum r |A_mn|^2 (g(v - w) - g(v + w)).
+
+As f = 2*coth(beta*w/2)*r, F(w) = 2*coth(beta*w/2)*rho(w) holds peak by
+peak at w != 0, and under the shared Gaussian away from peak overlap.
+:func:`pair_measure` walks the pair table once into bins of width h from
+w = 0: bin k has centre c_k = (k + 1/2) h, a pair in it the offset
+s = (w - c_k)/h in [-1/2, 1/2), and the bin keeps the N = PAIR_MOMENTS = 9
+moments M_n = sum weight |A_mn|^2 s^n/n! of each weight. Both evaluations
+are series in s, each stopping short by less than 2^-53 of a pair's weight:
+
+- Time: exp(i w t) = exp(i c_k t) sum_n (i h t)^n s^n/n!, with a tail of at
+  most |s h t|^N/N!; h |t|/2 <= PHASE_OFFSET = 1/16 bounds it by
+  (1/16)^9/9! ~ 4.0e-17, and larger |t| are refused.
+- Frequency, a fast Gauss transform (Greengard and Strain, SIAM J. Sci.
+  Stat. Comput. 12, 79 (1991)): with x = (v - c_k)/sigma_omega and
+  q = s h/sigma_omega, exp(-(x - q)^2/2) = exp(-x^2/2) sum_n He_n(x) q^n/n!,
+  over the bins with |x| <= BROADENING_RADIUS = 9. sigma_omega < B h
+  (B = BROADENING_BINS = 16) is refused, so |q| <= 1/32: a dropped pair is
+  below exp(-(9 - 1/32)^2/2) ~ 3.4e-18 of its peak, and by Cramer's
+  inequality |He_n(x)| <= 1.0865 sqrt(n!) exp(x^2/4) a kept one is off by
+  at most 1.0865 (1/32)^9/sqrt(9!)/(1 - 1/(32 sqrt(10))) ~ 5.2e-17.
+
+:func:`measure_width` takes the widest bin both accept,
+h = min(sigma_omega/16, 1/(8 t_max)), which is sigma_omega/16 while
+sigma_omega t_max <= 2; beyond that the w_max/h + 1 bins grow as
+w_max t_max, and :func:`pair_measure` refuses more than PAIR_BIN_CAP = 2^20
+(216 MiB of moments) with a CostGuardError before it walks. The walk costs
+3 N bincounts over the d (d - 1)/2 pairs, a time point a cosine, a sine
+and 12 N flops per bin, and a frequency 4 N gathers per bin of its window,
+289 bins at h = sigma_omega/16.
 
 By cyclicity of the trace,
 
@@ -63,50 +106,6 @@ where A is Hermitian only up to E = A - A^H, the value differs from
 Tr[(G U)^2] by at most 4 ||A||^3 ||E|| (spectral norms) beyond rounding.
 These are the per-point costs :func:`check_otoc_cost` states, and it
 refuses a call above OTOC_FLOP_BUDGET = 1e13 flops.
-
-F2 and <A(t) A>_beta, from which Fsym and Resp are built, are one Lehmann
-sum with weights (left, right) = (u, u), u = rho^(1/2), and (rho, 1):
-
-    sum_mn left_m right_n |A_mn|^2 exp(i (E_m - E_n) t)
-        = (left v)^T |A|^2 (right conj(v)),   v_m(t) = exp(i E_m t).
-
-:func:`thermal_correlators` walks |A|^2 once for both: u conj(v) and conj(v)
-share one complex d x 2T buffer, written in place, and each row block of
-|A|^2 (``abs2_rows``) takes one real product with its d x 4T float view,
-contracted at once against the block's left weights u v and rho v.
-
-Frequency space: the symmetric and response spectra are delta combs over
-pair frequencies w = E_n - E_m with weights
-
-    F weight   = (rho_m + rho_n)/2 * |A_mn|^2
-    rho weight = (rho_m - rho_n)/4 * |A_mn|^2,
-
-normalized so that the fluctuation-dissipation identity
-F(w) = 2*coth(beta*w/2)*rho(w) holds exactly peak by peak at w != 0.
-The pair (n, m) mirrors (m, n) at -w with the same F weight and the opposite
-rho weight, so F is even and rho odd: the comb is a half comb over m < n
-(w >= 0) gathered from the same row blocks, mirrored when broadening.
-For plotting and sum rules each peak is replaced by a unit-mass Gaussian of
-width sigma_omega, shared by both densities so the identity survives
-broadening away from peak overlap.
-
-The broadening is a fast Gauss transform (Greengard and Strain, SIAM J. Sci.
-Stat. Comput. 12, 79 (1991)). Pair frequencies fall into bins of width
-sigma_omega/B anchored at w = 0; with t = (w - c)/sigma_omega the offset of
-a pair from its bin centre c (|t| <= 1/(2B)) and x = (omega - c)/sigma_omega,
-
-    exp(-(x - t)^2/2) = exp(-x^2/2) * sum_n x^n * exp(-t^2/2) t^n/n!,
-
-so each bin keeps the N moments M_n = sum weight * exp(-t^2/2) t^n/n!
-(n < N), the pairs are touched once, and each omega sums
-exp(-x^2/2) * sum_n x^n M_n over the bins whose centre lies within
-BROADENING_RADIUS = 9 sigma_omega of it (B = BROADENING_BINS = 16,
-N = BROADENING_MOMENTS = 12). Two bounds hold: every pair in a dropped bin
-sits more than (9 - 1/(2B)) sigma_omega away, so each dropped term is below
-exp(-(9 - 1/(2B))^2/2) ~ 3.4e-18 of its peak's normalised weight; and in a
-kept bin |x*t| <= 9/(2B) = 0.28125, so the series for exp(x t) stops short
-by at most (|x t|^N/N!) * exp(|x t|) ~ 6.7e-16, which is at most 9.0e-16 of
-the term itself.
 """
 
 import concurrent.futures
@@ -123,8 +122,11 @@ OTOC_BLOCK_ROWS = 32       # h: rows of G per block of the OTOC
 OTOC_FLOP_BUDGET = 1e13    # flops one otoc call may spend
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 BROADENING_RADIUS = 9.0    # Gaussian truncation, in units of sigma_omega
-BROADENING_BINS = 16       # B: bins per sigma_omega
-BROADENING_MOMENTS = 12    # N: Taylor moments kept per bin
+BROADENING_BINS = 16       # B: bins per sigma_omega, at least
+PAIR_MOMENTS = 9           # N: moments kept per bin and weight
+PHASE_OFFSET = 1 / 16      # largest |w - c_k| |t| the time side takes
+PAIR_BIN_CAP = 2**20       # bins one pair measure may hold
+CELL_BLOCK = 2**15         # (frequency, bin) cells formed at once
 
 
 def gibbs_weights(spectrum, beta, power=1.0):
@@ -170,34 +172,149 @@ class CorrelatorSeries:
         return self.values.real
 
 
-def thermal_correlators(a, spectrum, beta, times):
-    """(F2, Fsym, Resp) at each time from one walk over the pair table: F2
-    with symmetric rho^(1/2) regulators, and the connected symmetric
-    correlator and commutator response, both built from <A(t) A>_beta.
+@dataclass(frozen=True)
+class SpectralDensity:
+    """Broadened symmetric and response spectra on a frequency grid."""
 
-    ``a`` must be Hermitian; that is not checked here (the pipeline checks
-    the operator once, when it reads it)."""
-    times = np.asarray(times, dtype=float)
+    omegas: np.ndarray
+    f_values: np.ndarray
+    rho_values: np.ndarray
+    sigma_omega: float
+    beta: float
+
+
+def measure_width(sigma_omega, t_max):
+    """h = min(sigma_omega/16, 1/(8 t_max)): the widest bin that serves both
+    sigma_omega and every |t| <= t_max."""
+    h = sigma_omega / BROADENING_BINS
+    return min(h, 2 * PHASE_OFFSET / t_max) if t_max > 0 else h
+
+
+@dataclass(frozen=True)
+class PairMeasure:
+    """The pairs m < n of an operator at one beta, binned at ``width`` over
+    w = E_n - E_m; the one table both evaluations read (module docstring)."""
+
+    beta: float
+    width: float            # h
+    moments: np.ndarray     # (3, N, bins): M_n of the weights p, f and r
+    connected: float        # C = sum_m rho_m A_mm^2 - <A>^2, F's w = 0 peak
+    mean: float             # <A>_beta
+    level_spacing: float    # mean bulk level spacing of the spectrum
+
+    def thermal_correlators(self, times):
+        """(F2, Fsym, Resp) at each time; times with h |t|/2 > PHASE_OFFSET
+        are refused."""
+        times = np.asarray(times, dtype=float)
+        h, n_bins = self.width, self.moments.shape[-1]
+        # the slack forgives the rounding of h = 1/(8 t_max)
+        if h * np.abs(times).max(initial=0.0) > 2 * PHASE_OFFSET * (1 + 1e-12):
+            raise ValidationError(f"pair measure of width {h:g} serves |t| <= "
+                                  f"{2 * PHASE_OFFSET / h:g} only")
+        centres = (np.arange(n_bins) + 0.5) * h
+        table = self.moments.reshape(-1, n_bins).T
+        # q[t, j] = sum_k exp(i c_k t) M_j,k, one time point at a time
+        q = np.array([np.cos(t * centres) @ table + 1j * (np.sin(t * centres) @ table)
+                      for t in times]).reshape(times.size, 3, PAIR_MOMENTS)
+        # z[t, weight] = sum_n (i h t)^n q_n: sum_{m<n} weight exp(i w t)
+        z = q[..., -1]
+        for n in range(PAIR_MOMENTS - 2, -1, -1):
+            z = z * (1j * h * times[:, None]) + q[..., n]
+        values = (self.connected + self.mean**2 + 2 * z[:, 0].real,
+                  self.connected + 2 * z[:, 1].real, -8j * z[:, 2].imag)
+        return tuple(CorrelatorSeries(kind=kind, times=times, values=v)
+                     for kind, v in zip(("F2", "Fsym", "Resp"), values))
+
+    def spectral_densities(self, sigma_omega, omegas):
+        """F and rho broadened at width sigma_omega on a frequency grid in any
+        order. sigma_omega must be at least 1 mean bulk level spacing, below
+        which the curves are under-resolved combs, and at least B h."""
+        omegas = np.asarray(omegas, dtype=float)
+        if sigma_omega < self.level_spacing:
+            raise ValidationError(
+                f"sigma_omega {sigma_omega:g} under-resolved: below the mean "
+                f"bulk level spacing ({self.level_spacing:g})")
+        h, n_bins = self.width, self.moments.shape[-1]
+        if sigma_omega < BROADENING_BINS * h:
+            raise ValidationError(f"pair measure of width {h:g} serves "
+                                  f"sigma_omega >= {BROADENING_BINS * h:g} only")
+        ratio = h / sigma_omega
+        # f and r moments times ratio^n, bin k at k + 1; slot 0 stays zero
+        scaled = np.zeros((2, PAIR_MOMENTS, n_bins + 1))
+        scaled[:, :, 1:] = self.moments[1:] * ratio ** np.arange(PAIR_MOMENTS)[:, None]
+        # every omega at +omega and -omega, one row of window bins each
+        reach = math.ceil(BROADENING_RADIUS / ratio)
+        sides = np.concatenate((omegas, -omegas))
+        side = np.zeros((2, sides.size))    # the f and r sums at each side
+        step = max(1, CELL_BLOCK // (2 * reach + 1))
+        for b0 in range(0, sides.size, step):
+            u = np.clip(sides[b0:b0 + step] / h, -reach - 1.0, n_bins + reach + 1.0)
+            k = np.ceil(u - 0.5 - reach)[:, None] + np.arange(2 * reach + 1)
+            x = (u[:, None] - 0.5 - k) * ratio
+            idx = np.where((np.abs(x) <= BROADENING_RADIUS) & (k >= 0) & (k < n_bins),
+                           k + 1, 0).astype(np.intp)
+            # sum_n He_n(x) scaled_n by Clenshaw's recurrence for
+            # He_(n+1) = x He_n - n He_(n-1), more accurate than the forward
+            # one; np.take keeps the rows contiguous for the pairwise sum
+            b1 = b2 = 0.0
+            for n in range(PAIR_MOMENTS - 1, -1, -1):
+                b1, b2 = np.take(scaled[:, n], idx, axis=1) + x * b1 - (n + 1) * b2, b1
+            side[:, b0:b0 + step] = (b1 * np.exp(-0.5 * x * x)).sum(axis=-1)
+
+        p = omegas.size
+        norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_omega)
+        z = omegas / sigma_omega
+        diag_vals = self.connected * np.where(
+            np.abs(z) <= BROADENING_RADIUS, np.exp(-0.5 * z * z), 0.0)
+        return SpectralDensity(omegas, norm * (diag_vals + side[0, :p] + side[0, p:]),
+                               norm * (side[1, :p] - side[1, p:]),
+                               float(sigma_omega), self.beta)
+
+
+def pair_measure(a, spectrum, beta, width):
+    """The :class:`PairMeasure` of ``a`` at ``beta``: one walk over the pairs
+    m < n into bins of width h; more than PAIR_BIN_CAP bins are refused
+    first. ``a`` must be Hermitian, since each pair stands for its mirror;
+    the pipeline checks that once, when it reads the operator."""
+    if not width > 0:
+        raise ValidationError(f"pair measure width must be > 0, got {width!r}")
+    e = spectrum.eigenvalues
+    n_bins = int((e[-1] - e[0]) / width) + 1
+    if n_bins > PAIR_BIN_CAP:
+        raise CostGuardError(
+            f"pair measure of width {width:g} over w up to {e[-1] - e[0]:g} needs "
+            f"{n_bins} bins ({n_bins * 3 * PAIR_MOMENTS * 8 / 2**20:.0f} MiB of "
+            f"moments), above the cap of {PAIR_BIN_CAP}")
     rho = gibbs_weights(spectrum, beta)
-    n = times.size
-    # right weights side by side: [u conj(v) | conj(v)], v_m(t) = exp(i E_m t)
-    right = np.empty((spectrum.dim, 2 * n), dtype=complex)
-    np.multiply.outer(spectrum.eigenvalues, -1j * times, out=right[:, n:])
-    np.exp(right[:, n:], out=right[:, n:])
-    np.multiply(gibbs_weights(spectrum, beta, 0.5)[:, None], right[:, n:],
-                out=right[:, :n])
-    f2_sum, c = np.zeros((2, n), dtype=complex)    # c = <A(t) A>
-    for rows, a2 in a.abs2_rows():
-        # |A|^2 is real: one real product with the (d, 4T) float view, then
-        # the left weights u v = conj(left half) and rho v = rho conj(right half)
-        s = (a2 @ right.view(float)).view(complex)
-        f2_sum += np.einsum("mt,mt->t", right[rows, :n].conj(), s[:, :n])
-        c += np.einsum("mt,mt->t", rho[rows, None] * right[rows, n:].conj(), s[:, n:])
-    mean = float(np.dot(rho, np.real(np.diagonal(a.matrix))))
-    f2 = CorrelatorSeries(kind="F2", times=times, values=f2_sum)
-    fsym = CorrelatorSeries(kind="Fsym", times=times, values=c.real - mean**2)
-    resp = CorrelatorSeries(kind="Resp", times=times, values=2j * c.imag)
-    return replace(f2, values=f2.real_values()), fsym, resp
+    u = gibbs_weights(spectrum, beta, 0.5)
+    moments = np.zeros((3, PAIR_MOMENTS, n_bins))
+    for rows, upper, a2 in a.upper_pairs():
+        # s = w/h - k - 1/2 in place, k = floor(w/h) the bin as w >= 0
+        s = (e - e[rows, None])[upper]
+        s /= width
+        idx = s.astype(np.intp)
+        s -= idx
+        s -= 0.5
+        # the weights p, f and r one at a time; sum weight s^n here,
+        # divided by n! once the walk is done
+        for out, (op, g, scale) in zip(moments, ((np.multiply, u, 1.0),
+                                                 (np.add, rho, 0.5),
+                                                 (np.subtract, rho, 0.25))):
+            w = op(g[rows, None], g)[upper]
+            w *= a2
+            w *= scale
+            for n in range(PAIR_MOMENTS):
+                if n:
+                    w *= s
+                out[n] += np.bincount(idx, w, minlength=n_bins)
+            del w    # before the next weight is formed
+        del s, idx    # before the next block is formed
+    moments /= np.array([math.factorial(n) for n in range(PAIR_MOMENTS)])[:, None]
+    diag = np.real(np.diagonal(a.matrix))
+    return PairMeasure(beta=float(beta), width=float(width), moments=moments,
+                       connected=float(np.dot(rho, diag**2) - np.dot(rho, diag) ** 2),
+                       mean=float(np.dot(rho, diag)),
+                       level_spacing=mean_level_spacing(e))
 
 
 def _otoc_block_rows(d, n_times):
@@ -248,16 +365,10 @@ def _otoc_groups(d, h, n_times):
 def check_otoc_cost(a, n_times):
     """Refuse an OTOC of ``a`` at ``n_times`` points above OTOC_FLOP_BUDGET.
 
-    The flops are the ones :func:`otoc` spends (module docstring): the
-    exact sum over the upper block triangle of W, about 2 d^3 (1 + h/d) per
-    time point for a real operator, whose strips take a real GEMM, and
-    8 d^3 (1 + h/d) for a complex one, with h from :func:`_otoc_block_rows`.
-    The budget of 1e13 admits 7 real points at d = 8192 (7.7e12). The
-    CostGuardError carries the flops, and its message also states the
-    buffer memory: the strips and their products over all thread groups,
-    at most 2 h (chunk + n - 1) rows of d entries of the operator's dtype
-    each (a traced 68 MiB for 16 time points of the real L=12 operator,
-    d = 4096, on one thread).
+    The flops and buffers are the ones :func:`otoc` spends (module
+    docstring); the budget of 1e13 admits 7 real points at d = 8192
+    (7.7e12). The CostGuardError carries the flops, and its message also
+    states the buffer memory.
     """
     d = a.dim
     real = np.isrealobj(a.matrix)
@@ -292,22 +403,11 @@ def _gibbs_factor(spectrum, beta):
 def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
-    Sums u^T W u over the upper block triangle of the symmetric W of the
-    module docstring and never forms G as a whole. Each row block of h rows
-    (32, or max(32, d/16) for one time point) is one GEMM of a stacked strip
-    of up to chunk = max(1, d/(8 h)) time points against the fixed A[:, s:]:
-    a complex A forms the rows of G and H = G^H, W = G o conj(H), in
-    8 d^3 (1 + h/d) flops per time point; a real A forms the real and
-    imaginary parts of the rows of G by a real GEMM, W = G o G, in
-    2 d^3 (1 + h/d). The time points are split into n contiguous groups, one
-    thread each, n = max(1, min(T, cpus // blas)) from the affinity mask and
-    the BLAS thread variables (module docstring); every point is summed by
-    one thread through the same operations, so the value agrees with the
-    one-thread sum to rounding. The strips and their products are the only
-    large buffers, at most 2 h (chunk + n - 1) rows of d entries each over
-    all groups, whatever the number of time points, and no d x d one.
-    The identity W = G o conj(H) holds for an exactly Hermitian A; one Hermitian only up
-    to E = A - A^H is off by at most 4 ||A||^3 ||E|| (spectral norms).
+    Sums u^T W u over the upper block triangle of W by the strip GEMMs of
+    the module docstring, which states their flops, thread groups and
+    buffers (no d x d one), and the error of an A Hermitian only up to
+    E = A - A^H; every point is summed by one thread through the same
+    operations, so the value agrees with the one-thread sum to rounding.
     Calls above OTOC_FLOP_BUDGET flops are refused by :func:`check_otoc_cost`
     instead of silently grinding. ``a`` must be Hermitian; that is not
     checked here (the pipeline checks the operator once, when it reads it).
@@ -381,113 +481,6 @@ def _otoc_group(a, q, e, times, rows, chunk):
             vals[t0:t0 + k] += np.einsum("ki,ki->k", u[:, s:s + h],
                                          np.einsum("kij,kij->ki", g, hc))
     return vals
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Broadened symmetric and response spectra on a frequency grid."""
-
-    omegas: np.ndarray
-    f_values: np.ndarray
-    rho_values: np.ndarray
-    sigma_omega: float
-    beta: float
-
-
-def _pair_chunks(a, spectrum, rho):
-    """Yield (w, f_weight, rho_weight) of the pairs m < n per upper_pairs block."""
-    e = spectrum.eigenvalues
-    for rows, upper, a2 in a.upper_pairs():
-        yield ((e - e[rows, None])[upper],
-               0.5 * (rho[rows, None] + rho)[upper] * a2,
-               0.25 * (rho[rows, None] - rho)[upper] * a2)
-
-
-def _diagonal_weight(a, rho):
-    """Connected symmetric weight of the diagonal, the w = 0 peak of F."""
-    diag = np.real(np.diagonal(a.matrix))
-    return float(np.dot(rho, diag**2) - np.dot(rho, diag) ** 2)
-
-
-def spectral_densities(a, spectrum, beta, sigma_omega, omegas):
-    """Gaussian-broadened spectral densities on the given frequency grid.
-
-    sigma_omega must be at least 1 mean bulk level spacing, otherwise the
-    broadened curves are under-resolved combs. The half comb of the pairs
-    m < n (:func:`_pair_chunks`) is streamed once, block by block, into bins
-    of width sigma_omega/B holding N Taylor moments each (B = BROADENING_BINS
-    = 16, N = BROADENING_MOMENTS = 12). Each omega then sums, at +omega
-    (F and rho moments as stored) and at -omega (F moments, minus the rho
-    moments), the bins whose centre lies within BROADENING_RADIUS *
-    sigma_omega, plus the diagonal peak at w = 0 once, under the same
-    window. The omega grid may be in any order and need not be uniform.
-    The module docstring states the method and its two error bounds: a
-    dropped term is below 3.4e-18 of its peak's weight, and a kept term is
-    off by at most 9.0e-16 of itself. ``a`` must be Hermitian, since each
-    pair stands for its mirror; that is not checked here (the pipeline
-    checks the operator once, when it reads it).
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    spacing = mean_level_spacing(spectrum.eigenvalues)
-    if sigma_omega < spacing:
-        raise ValidationError(
-            f"sigma_omega {sigma_omega:g} under-resolved: below the mean "
-            f"bulk level spacing ({spacing:g})"
-        )
-    rho = gibbs_weights(spectrum, beta)
-    bins_per_sigma, n_moments = BROADENING_BINS, BROADENING_MOMENTS
-    width = sigma_omega / bins_per_sigma
-    e = spectrum.eigenvalues
-    n_bins = int((e[-1] - e[0]) / width) + 1
-    # bin k is stored at k + 1; slot 0 stays zero and stands for every bin
-    # outside the window or outside the table
-    f_mom = np.zeros((n_moments, n_bins + 1))
-    r_mom = np.zeros((n_moments, n_bins + 1))
-    for t, f_w, r_w in _pair_chunks(a, spectrum, rho):
-        # t = (w/width - k - 0.5)/B in place; few pair-sized arrays live
-        t /= width
-        idx = np.floor(t)
-        t -= idx + 0.5
-        t /= bins_per_sigma
-        idx = idx.astype(np.intp) + 1
-        factor = np.exp(-0.5 * t * t)
-        for n in range(n_moments):
-            f_w *= factor
-            r_w *= factor
-            f_mom[n] += np.bincount(idx, f_w, minlength=n_bins + 1)
-            r_mom[n] += np.bincount(idx, r_w, minlength=n_bins + 1)
-            np.divide(t, n + 1, out=factor)
-        del t, f_w, r_w, idx, factor    # before the next block is formed
-
-    # every omega at +omega and -omega: one row of window bins each
-    reach = round(BROADENING_RADIUS * bins_per_sigma)
-    u = np.clip(np.concatenate((omegas, -omegas)) / width,
-                -reach - 1.0, n_bins + reach + 1.0)
-    k = np.ceil(u - 0.5 - reach)[:, None] + np.arange(2 * reach + 1)
-    x = (u[:, None] - 0.5 - k) / bins_per_sigma
-    inside = (np.abs(x) <= BROADENING_RADIUS) & (k >= 0) & (k < n_bins)
-    idx = np.where(inside, k + 1, 0).astype(np.intp)
-    f_sum = f_mom[-1, idx]
-    r_sum = r_mom[-1, idx]
-    for n in range(n_moments - 2, -1, -1):
-        f_sum = f_sum * x + f_mom[n, idx]
-        r_sum = r_sum * x + r_mom[n, idx]
-    g = np.exp(-0.5 * x * x)
-    f_side = np.einsum("pk,pk->p", g, f_sum)
-    r_side = np.einsum("pk,pk->p", g, r_sum)
-
-    p = omegas.size
-    norm = 1.0 / (math.sqrt(2 * math.pi) * sigma_omega)
-    z = omegas / sigma_omega
-    diag_vals = _diagonal_weight(a, rho) * np.where(
-        np.abs(z) <= BROADENING_RADIUS, np.exp(-0.5 * z * z), 0.0)
-    return SpectralDensity(
-        omegas=omegas,
-        f_values=norm * (diag_vals + f_side[:p] + f_side[p:]),
-        rho_values=norm * (r_side[:p] - r_side[p:]),
-        sigma_omega=float(sigma_omega),
-        beta=float(beta),
-    )
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ from .aqec import CodeSpec, KlResidualReport, check_bounds, kl_residuals, select
 from .config import RunConfig
 from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
                        fdt_check, fit_lyapunov, gaussian_wavepacket,
-                       gibbs_weights, otoc, spectral_densities,
-                       static_fluctuation, thermal_correlators)
+                       gibbs_weights, measure_width, otoc, pair_measure,
+                       static_fluctuation)
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
@@ -88,12 +88,7 @@ def _fingerprint(cfg, stage):
     """sha256 of the config keys read by ``stage`` and its upstream stages."""
     keys = set(_CONFIG_KEYS[stage]).union(
         *(_CONFIG_KEYS[up] for up in _UPSTREAM[stage]))
-    values = {}
-    for key in sorted(keys):
-        node = cfg.data
-        for part in key.split("."):
-            node = node[int(part)] if isinstance(node, list) else node[part]
-        values[key] = node
+    values = {key: cfg.value_at(key) for key in sorted(keys)}
     return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
 
 
@@ -261,11 +256,13 @@ def stage_dynamics(cfg, inputs):
     # neither fluctuation depends on beta
     measured_dynamical = dynamical_fluctuation(a, populations)
     measured_static = static_fluctuation(a, center_idx)
+    width = measure_width(dyn["sigma_omega"], np.abs(times).max())
     payloads = {}
     per_beta = []
     for beta in cfg.data["thermal"]["betas"]:
         tag = format_number(beta)
-        f2, fsym, resp = thermal_correlators(a, spectrum, beta, times)
+        measure = pair_measure(a, spectrum, beta, width)  # one walk per beta
+        f2, fsym, resp = measure.thermal_correlators(times)
         series = {"f2": f2, "fsym": fsym, "resp": resp}
         oto = None
         if dyn["otoc_points"] > 0:
@@ -273,7 +270,7 @@ def stage_dynamics(cfg, inputs):
         for name, s in series.items():
             payloads[f"correlator_{name}_beta{tag}.csv"] = (
                 ["t", "re", "im"], [s.times, s.values.real, s.values.imag])
-        sd = spectral_densities(a, spectrum, beta, dyn["sigma_omega"], omegas)
+        sd = measure.spectral_densities(dyn["sigma_omega"], omegas)
         payloads[f"spectral_density_beta{tag}.csv"] = (
             ["omega", "f", "rho"], [sd.omegas, sd.f_values, sd.rho_values])
         dev = fdt_check(sd, threshold=dyn["fdt_threshold"])
@@ -425,9 +422,7 @@ def run(cfg, out_dir=None, stages=STAGES):
         manifest["status"][stage] = "ok"
         manifest["fingerprints"][stage] = _fingerprint(cfg, stage)
     if "bounds" in stages:
-        bounds = inputs.report("bounds.json")
-        manifest["all_within_slack"] = bounds["all_within_slack"]
-        manifest["lambda_source"] = [e["lambda_source"] for e in bounds["per_beta"]]
+        manifest["all_within_slack"] = inputs.report("bounds.json")["all_within_slack"]
     write_outputs(out, {"manifest.json": manifest})
     return manifest
 

@@ -13,6 +13,21 @@ def eigendecompose_dense(h):
     return el.eigendecompose_blocks(np.arange(h.shape[0]), [h])
 
 
+def correlators(a, spectrum, beta, times):
+    """(F2, Fsym, Resp) from the pair measure of the widest width that
+    serves ``times`` and the default sigma_omega of 0.05."""
+    times = np.asarray(times, dtype=float)
+    width = el.measure_width(0.05, np.abs(times).max(initial=0.0))
+    return el.pair_measure(a, spectrum, beta, width).thermal_correlators(times)
+
+
+def densities(a, spectrum, beta, sigma_omega, omegas):
+    """The spectral densities from the pair measure of width sigma_omega/16."""
+    width = el.measure_width(sigma_omega, 0.0)
+    return el.pair_measure(a, spectrum, beta, width).spectral_densities(
+        sigma_omega, omegas)
+
+
 def _ising_chain(n_sites):
     """The pipeline's path: the reflection blocks built from the chain and
     diagonalized one by one, Z_0 applied as a Pauli word."""

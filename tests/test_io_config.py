@@ -325,6 +325,28 @@ class TestRunConfig:
                            match=f"config path {path!r} does not exist"):
             RunConfig.from_dict(d)
 
+    def test_sweep_grid_path_that_indexes_a_list_refused(self):
+        # thermal.betas.0 names an entry of the list, which the walker of
+        # dotted paths reaches, but a sweep point replaces whole keys
+        d = {"model": {"kind": "ising", "n_sites": 4},
+             "thermal": {"betas": [0.5, 2.0]},
+             "sweep": {"grid": {"thermal.betas.0": [1.0, 3.0]}}}
+        with pytest.raises(el.ValidationError, match="it indexes a list"):
+            RunConfig.from_dict(d)
+        d["sweep"]["grid"] = {"thermal.betas": [1.0, 3.0]}
+        assert RunConfig.from_dict(d).data["sweep"]["grid"] == d["sweep"]["grid"]
+
+    def test_value_at_walks_keys_and_list_entries(self):
+        cfg = demo_config()
+        assert cfg.value_at("thermal.betas.0") == 1.0
+        assert cfg.value_at("dynamics.t_max") == 6.0
+        assert cfg.value_at("model") == cfg.data["model"]
+        for path in ("thermal.betas.1", "thermal.betas.x", "sweep.workers",
+                     "seed.x", "model.dimm"):
+            with pytest.raises(el.ValidationError,
+                               match=f"config path {path!r} does not exist"):
+                cfg.value_at(path)
+
     @pytest.mark.parametrize("slack", [0, 0.0, -1.0, -1e-300])
     def test_slack_must_be_positive(self, slack):
         # at slack 0 every check with a nonzero ratio fails, and below 0

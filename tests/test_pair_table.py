@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import ethlab as el
-from dynamics_reference import spectral_peaks
+from conftest import correlators, densities
+from dynamics_reference import dense_correlators, spectral_peaks
 from ethlab.spectral import PAIR_BLOCK_ROWS
 
 RAGGED_DIMS = (65, 129, 200)
@@ -104,20 +105,10 @@ def test_envelope_matches_dense_both_orders(case):
 def test_lehmann_sum_matches_dense(ragged):
     # F2 has weights (u, u), u = rho^(1/2), and <A(t) A> has (rho, 1)
     spec, _, a = ragged
-    rho = el.gibbs_weights(spec, 1.0)
     times = np.linspace(0.0, 5.0, 7)
-    v = np.exp(1j * np.outer(spec.eigenvalues, times))
-
-    def dense(left, right):
-        return np.einsum("mt,mn,nt->t", left[:, None] * v, dense_abs2(a),
-                         right[:, None] * v.conj())
-
-    f2, fsym, resp = el.thermal_correlators(a, spec, 1.0, times)
-    mean = rho @ np.diagonal(a.matrix).real
-    c = fsym.values.real + mean**2 + 0.5 * resp.values
-    for blocked, ref in ((f2.values, dense(np.sqrt(rho), np.sqrt(rho))),
-                         (c, dense(rho, np.ones_like(rho)))):
-        assert np.abs(blocked - ref).max() <= 1e-13 * np.abs(ref).max()
+    binned = correlators(a, spec, 1.0, times)
+    for series, ref in zip(binned, dense_correlators(a, spec, 1.0, times)):
+        assert np.abs(series.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_dynamical_fluctuation_matches_dense(ragged):
@@ -180,13 +171,13 @@ def test_pair_consumers_stay_below_half_a_dense_array():
     window = el.microcanonical_window(spec, 2.0, 0.2)
     p = el.gaussian_wavepacket(spec, 2.0, 0.3)
     omegas = np.linspace(-2.0, 2.0, 101)
+    measure = el.pair_measure(a, spec, 1.0, el.measure_width(0.05, 4.0))
     calls = {
         "envelope_estimate": lambda: el.envelope_estimate(a, spec, ent),
-        "thermal_correlators":
-            lambda: el.thermal_correlators(a, spec, 1.0, times),
+        "pair_measure": lambda: el.pair_measure(a, spec, 1.0, measure.width),
+        "thermal_correlators": lambda: measure.thermal_correlators(times),
         "dynamical_fluctuation": lambda: el.dynamical_fluctuation(a, p),
-        "spectral_densities":
-            lambda: el.spectral_densities(a, spec, 1.0, 0.05, omegas),
+        "spectral_densities": lambda: measure.spectral_densities(0.05, omegas),
         "gaussianity_stats": lambda: el.gaussianity_stats(a, spec, env, window),
     }
     peaks = {}

@@ -42,7 +42,10 @@ class TestRun:
         assert manifest["config_hash"] == cfg.config_hash()
         assert set(manifest["stages"]) == {"generate", "extract",
                                            "code-error", "dynamics", "bounds"}
-        assert manifest["lambda_source"] == ["envelope-implied"]
+        # bounds.json is the one record of each beta's lambda source
+        assert "lambda_source" not in manifest
+        bounds = load_json(os.path.join(out, "bounds.json"))
+        assert [e["lambda_source"] for e in bounds["per_beta"]] == ["envelope-implied"]
 
     def test_determinism_across_runs(self, tmp_path):
         cfg1 = small_synth_config(str(tmp_path / "a"))
@@ -557,6 +560,17 @@ class TestRunner:
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"] == {"generate": "error: eigensolver failed"}
 
+    def test_demo_fingerprints_keep_their_bytes(self):
+        # the sha256 of each stage's config keys, read through the one walker
+        # of dotted paths (thermal.betas.0 indexes a list)
+        assert {stage: pipeline._fingerprint(demo_config(), stage)
+                for stage in pipeline.STAGES} == {
+            "generate": "c798c02826decac42b7e367814cb04b58a2d09f3cc6a543123a4257188c2f88d",
+            "extract": "6c21e1b17db41322edaa14196ce8cb2367473955026255e43f6c28e635fa1a5a",
+            "code-error": "0d24123d85a12542b31f6a83870939b070578e1cad8c5f6e36c6df4bfa586811",
+            "dynamics": "e46b286c53031a649adbc07cb4ec7f641d0b2b27c6590b10bf80187f532616e7",
+            "bounds": "e701dfe1de6fdb96bd65b1841b2725f5e34153d60000be35a79b107b06d39990"}
+
     def test_otoc_cost_refused_before_any_correlator(self, tmp_path, monkeypatch):
         out = str(tmp_path / "guard")
         cfg = RunConfig.from_dict({
@@ -566,13 +580,13 @@ class TestRunner:
                          "sigma_omega": 0.2, "omega_points": 41}})
         run(cfg, stages=("generate",))
 
-        def correlators_must_not_run(*args):
-            raise AssertionError("thermal_correlators ran before the OTOC cost guard")
+        def measure_must_not_run(*args):
+            raise AssertionError("pair_measure ran before the OTOC cost guard")
 
         # a budget below the 1.1e8 flops of 3 points at d = 256 stands in
         # for a grid above the real budget
         monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", 1e8)
-        monkeypatch.setattr(pipeline, "thermal_correlators", correlators_must_not_run)
+        monkeypatch.setattr(pipeline, "pair_measure", measure_must_not_run)
         with pytest.raises(el.CostGuardError) as err:
             run(cfg, stages=("dynamics",))
         # real operator: 4 flops per block row, column and inner index over
@@ -583,7 +597,7 @@ class TestRunner:
         manifest = load_json(os.path.join(out, "manifest.json"))
         assert manifest["status"]["dynamics"].startswith("error: otoc at dim 256")
         # without OTOC points the budget does not apply
-        monkeypatch.setattr(pipeline, "thermal_correlators", el.thermal_correlators)
+        monkeypatch.setattr(pipeline, "pair_measure", el.pair_measure)
         manifest = run(cfg.with_path_value("dynamics.otoc_points", 0),
                        stages=("dynamics",))
         assert manifest["status"]["dynamics"] == "ok"
@@ -646,11 +660,12 @@ class TestRunner:
         with pytest.raises(AssertionError):
             eigendecompose_dense(np.eye(4)).basis
 
-    def test_dynamics_stage_walks_the_pair_table_twice_per_beta(self, tmp_path,
-                                                               monkeypatch):
-        # per beta one walk serves F2, Fsym and Resp and one the spectral
-        # densities; the dynamical fluctuation walks once for all betas, and
-        # the operator is checked for Hermiticity once, when it is read
+    def test_dynamics_stage_walks_the_pair_table_once_per_beta(self, tmp_path,
+                                                              monkeypatch):
+        # per beta one walk builds the pair measure that serves F2, Fsym,
+        # Resp and the spectral densities; the dynamical fluctuation walks
+        # once for all betas, and the operator is checked for Hermiticity
+        # once, when it is read
         out = str(tmp_path / "spy")
         cfg = RunConfig.from_dict({
             "seed": 1, "out_dir": out,
@@ -669,10 +684,10 @@ class TestRunner:
 
             monkeypatch.setattr(el.OperatorEigenbasis, name, counted)
         run(cfg, stages=("dynamics",))
-        assert counts == {"abs2_rows": 5, "is_hermitian": 1}
+        assert counts == {"abs2_rows": 3, "is_hermitian": 1}
         counts.update(abs2_rows=0, is_hermitian=0)
         run(cfg.with_path_value("dynamics.otoc_points", 3), stages=("dynamics",))
-        assert counts == {"abs2_rows": 5, "is_hermitian": 1}
+        assert counts == {"abs2_rows": 3, "is_hermitian": 1}
 
     def test_fit_takes_the_dissipation_time_the_stage_writes(self, tmp_path,
                                                               monkeypatch):
