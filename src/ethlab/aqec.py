@@ -94,11 +94,13 @@ def select_code_states(window, k, method="nearest", *, spectrum, seed=None):
     return tuple(int(c) for c in chosen)
 
 
-@dataclass(frozen=True)
-class KlResidualReport:
-    """Residual matrix and code error for one (operator, code) pair."""
+@dataclass(frozen=True, kw_only=True)
+class KlResidualReport(CodeSpec):
+    """A code, checked as a :class:`CodeSpec`, with its residuals against one
+    operator: the complex matrix ``epsilon``, its largest modulus ``eps_max``,
+    the code error ``eps_code``, the mean ``c_a`` and ``diagonal_spread`` of
+    the members' diagonal values, and ``member_energies``, which give ``omega``."""
 
-    code: CodeSpec
     c_a: float
     epsilon: np.ndarray
     eps_max: float
@@ -116,33 +118,6 @@ class KlResidualReport:
     def omega_char(self):
         """Largest pair separation |w_ij| inside the code."""
         return float(np.abs(self.omega).max())
-
-    def to_dict(self):
-        """The ``code_error.json`` layout: ``code`` flattened, eps split re/im."""
-        return {
-            "members": list(self.code.members),
-            "k": self.code.k,
-            "d": self.code.d,
-            "n_qubits": self.code.n_qubits,
-            "c_a": self.c_a,
-            "epsilon_re": self.epsilon.real.tolist(),
-            "epsilon_im": self.epsilon.imag.tolist(),
-            "eps_max": self.eps_max,
-            "eps_code": self.eps_code,
-            "member_energies": self.member_energies.tolist(),
-            "diagonal_spread": self.diagonal_spread,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of :meth:`to_dict`."""
-        code = CodeSpec(members=tuple(data["members"]), k=data["k"],
-                        d=data["d"], n_qubits=data["n_qubits"])
-        eps = np.array(data["epsilon_re"]) + 1j * np.array(data["epsilon_im"])
-        return cls(code=code, c_a=data["c_a"], epsilon=eps,
-                   eps_max=data["eps_max"], eps_code=data["eps_code"],
-                   member_energies=np.array(data["member_energies"]),
-                   diagonal_spread=data["diagonal_spread"])
 
 
 def kl_residuals(a, spectrum, code):
@@ -166,9 +141,9 @@ def kl_residuals(a, spectrum, code):
     eps_max = float(np.abs(eps).max())
     eps_code = float(2.0 ** (code.d + 2 * code.k) * math.sqrt(eps_max))
     return KlResidualReport(
-        code=code,
+        members=code.members, k=code.k, d=code.d, n_qubits=code.n_qubits,
         c_a=c_a,
-        epsilon=eps,
+        epsilon=eps.astype(complex, copy=False),
         eps_max=eps_max,
         eps_code=eps_code,
         member_energies=energies,
@@ -331,7 +306,7 @@ def check_bounds(report, entropy, beta, *, lam_fit, gamma, measured_dynamical,
     """
     lam, source = resolve_lambda(beta, lam_fit, gamma)
     s_value = float(entropy.entropy_at(float(report.member_energies.mean())))
-    d, k = report.code.d, report.code.k
+    d, k = report.d, report.k
     omega_char = report.omega_char
     chaos = float(2.0 * math.pi / beta) if beta > 0 else float("inf")
     rhs = code_error_bound(s_value, lam, omega_char, d, k)

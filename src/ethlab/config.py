@@ -16,10 +16,10 @@ one of:
 A value may be null only where its default is null. Unknown keys are
 rejected at every level, so a typo cannot silently fall back to a default,
 and every error names the dotted key. The few rules a table cannot state
-are checked in ``RunConfig.from_dict``, among them that ``slack`` is
-positive, that a ``dynamics.fit_window`` needs ``dynamics.otoc_points`` >= 1,
-and that each ``sweep.grid`` path names a config key, not a list entry, and
-each of its values is a number (or bool) or a string: it names a point.
+are checked in ``RunConfig.from_dict``, among them that ``slack`` and three
+widths are > 0, that a ``dynamics.fit_window`` needs an OTOC point, and that
+each ``sweep.grid`` path names a config key, not a list entry, and each of
+its values is a number (or bool) or a string: it names a point.
 
 ``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
 are materialized on parse), the config hash is the sha256 of the canonical
@@ -62,7 +62,7 @@ SCHEMA = {
     "code": {"k": (1, int, 0), "d": (1, int, 0), "window_center": ("dos_peak", object),
              "window_half_width_fraction": (0.05, float),
              "selection": ("nearest", str, ("nearest", "random"))},
-    "extract": {"e_bins": (8, int), "omega_bins": (48, int), "min_count": (50, int),
+    "extract": {"e_bins": (8, int, 1), "omega_bins": (48, int, 2), "min_count": (50, int, 1),
                 "fit_window": (None, list), "profile_bandwidth": (None, float),
                 "sigma_s": (None, float)},
     # t_points >= 1: F2(0), the first point of the two-point series, rescales
@@ -154,8 +154,11 @@ class RunConfig:
         d = _walk(raw, SCHEMA)
         if not 0 <= d["seed"] < 2**64:
             raise ValidationError("seed must be a nonnegative 64-bit integer")
-        if d["slack"] <= 0:
-            raise ValidationError(f"config key 'slack' must be > 0, got {d['slack']!r}")
+        for path in ("slack", "code.window_half_width_fraction",
+                     "dynamics.sigma_omega", "dynamics.wavepacket_sigma_fraction"):
+            node, key = _locate(d, path)
+            if node[key] <= 0:
+                raise ValidationError(f"config key {path!r} must be > 0, got {node[key]!r}")
         center = d["code"]["window_center"]
         if center != "dos_peak":
             if isinstance(center, bool) or not isinstance(center, (int, float)):

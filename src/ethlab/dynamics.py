@@ -613,6 +613,8 @@ def gaussian_wavepacket(spectrum, center, sigma):
     depend on the state only through these populations when the energy
     gaps are nondegenerate, so no phases are drawn.
     """
+    if not 0 < sigma < math.inf:
+        raise ValidationError(f"wavepacket width must be positive and finite, got {sigma!r}")
     p = np.exp(-((spectrum.eigenvalues - center) ** 2) / (2.0 * sigma**2))
     if p.max() <= 0:
         raise ValidationError("wavepacket has no support on the spectrum")

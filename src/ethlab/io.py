@@ -18,13 +18,13 @@ CSV files use 17 significant digits, '.' decimal separator and '\\n' line
 endings so golden files compare byte for byte. JSON reports are written
 with sorted keys and a fixed separator/indent style for the same reason.
 :func:`dump_json` is the one codec for stage reports: a dataclass is written
-as its fields and a numpy array as its nested list, so reports go to JSON
-without hand-written ``to_dict`` methods. The one exception is
-``KlResidualReport.to_dict``/``from_dict``: ``code_error.json`` flattens the
-code's fields to the top level and splits epsilon into real and imaginary
-parts, and readers of the file (the benchmark's output checks among them)
-take ``members`` and ``eps_max`` from its top level. The pair separations
-are not stored: ``omega`` is computed from ``member_energies``.
+as its fields and a numpy array as its nested list, except that a complex
+array under key ``x`` is written as ``x_re`` and ``x_im``, its real and
+imaginary parts. :func:`load_record` is its inverse for a dataclass: each
+field is read from its key, a complex one from ``_re`` and ``_im``, an
+ndarray field becomes an array and a tuple field a tuple, and keys that are
+no field are ignored. So no report carries hand-written ``to_dict`` or
+``from_dict`` methods.
 """
 
 import dataclasses
@@ -126,25 +126,28 @@ def _sanitize(obj):
     """Map non-finite floats to None so emitted JSON stays standard.
 
     A dataclass instance becomes a dict of its fields (read with getattr,
-    not deep-copied) and an ndarray becomes ``.tolist()``; both are then
-    sanitized recursively.
+    not deep-copied) and an ndarray ``.tolist()``, a complex one under key
+    ``x`` as ``x_re`` and ``x_im``; all are then sanitized recursively.
     """
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _sanitize(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        out = {}
+        for k, v in obj.items():
+            if isinstance(v, np.ndarray) and np.iscomplexobj(v):
+                out[k + "_re"], out[k + "_im"] = _sanitize(v.real), _sanitize(v.imag)
+            else:
+                out[k] = _sanitize(v)
+        return out
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return x if np.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 
@@ -162,6 +165,21 @@ def dump_json(path, obj):
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+_FIELD_TYPES = {np.ndarray: np.array, tuple: tuple}
+
+
+def load_record(cls, data):
+    """The dataclass ``cls`` from ``data``, a dict that :func:`dump_json`
+    wrote: the inverse of the codec (module docstring)."""
+    def value(name):
+        if name in data:
+            return data[name]
+        return np.array(data[name + "_re"]) + 1j * np.array(data[name + "_im"])
+
+    return cls(**{f.name: _FIELD_TYPES.get(f.type, lambda v: v)(value(f.name))
+                  for f in dataclasses.fields(cls)})
 
 
 def file_sha256(path):

@@ -50,8 +50,8 @@ from .dynamics import (check_otoc_cost, dissipation_time, dynamical_fluctuation,
 from .errors import EthLabError, FitRejectedError, ValidationError
 from .extract import (BinningSpec, diagonal_profile, envelope_estimate,
                       gaussianity_stats)
-from .io import (dump_json, file_sha256, format_number, load_json, read_array,
-                 read_csv, write_array, write_csv)
+from .io import (dump_json, file_sha256, format_number, load_json, load_record,
+                 read_array, read_csv, write_array, write_csv)
 from .models import (LocalObservableSpec, SpinChainParams, reflection_blocks,
                      to_eigenbasis)
 from .spectral import (EnergySpectrum, EntropyModel, OperatorEigenbasis,
@@ -227,12 +227,11 @@ def stage_code_error(cfg, inputs):
     members = select_code_states(inputs.window, code_cfg["k"],
                                  method=code_cfg["selection"],
                                  spectrum=inputs.spectrum, seed=cfg.data["seed"])
-    n_qubits = cfg.data["model"].get("n_sites")
     code = CodeSpec(members=members, k=code_cfg["k"], d=code_cfg["d"],
-                    n_qubits=n_qubits)
+                    n_qubits=cfg.data["model"].get("n_sites"))
     report = kl_residuals(inputs.operator, inputs.spectrum, code)
     ent, e_c = inputs.entropy, inputs.window.center
-    return {"code_error.json": dict(report.to_dict(), window_energy=e_c,
+    return {"code_error.json": dict(vars(report), window_energy=e_c,
                                     window_entropy=float(ent.entropy_at(e_c)),
                                     window_beta=float(ent.beta_at(e_c)))}
 
@@ -315,7 +314,7 @@ def stage_bounds(cfg, inputs):
     stores it, with null meaning no slice could be fitted.
     """
     gamma = inputs.report("extract.json")["central_gamma"]
-    report = KlResidualReport.from_dict(inputs.report("code_error.json"))
+    report = load_record(KlResidualReport, inputs.report("code_error.json"))
     per_beta = []
     for entry in inputs.report("dynamics.json")["per_beta"]:
         fit = entry["fit"]
@@ -508,12 +507,13 @@ def sweep(cfg):
         code_data, extract_data, bounds_data, dyn_data = (
             load_json(os.path.join(pdir, f)) for f in (
                 "code_error.json", "extract.json", "bounds.json", "dynamics.json"))
+        code = load_record(KlResidualReport, code_data)
         # one row per beta: both reports list the betas in config order
         for bound, dyn in zip(bounds_data["per_beta"], dyn_data["per_beta"]):
             rows.append(dict(
                 point, beta=bound["beta"], status="ok",
-                eps_max=_num(code_data["eps_max"]),
-                eps_code=_num(code_data["eps_code"]),
+                eps_max=_num(code.eps_max),
+                eps_code=_num(code.eps_code),
                 gamma_hat=_num(extract_data["central_gamma"]),
                 lambda_used=_num(bound["lambda_used"]),
                 code_error_slack=_num(bound["slack_ratios"]["code_error"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 import ethlab as el
-from ethlab.io import dump_json, load_json
+from ethlab.io import dump_json, load_json, load_record
 from pauli_reference import build_local_observable
 
 
@@ -105,22 +106,25 @@ class TestKlResiduals:
         expected = spec.eigenvalues[100] - spec.eigenvalues[300]
         assert rep.omega[0, 1] == pytest.approx(expected)
 
-    def test_dict_roundtrip(self, synth512):
+    def test_json_roundtrip(self, synth512, tmp_path):
+        # dump_json and load_record are each other's inverse on a complex
+        # k = 2 report without a qubit count
         spec, _, op = synth512
         w = el.microcanonical_window(spec, 2.0, 0.4)
         code = el.CodeSpec(members=el.select_code_states(w, 2, spectrum=spec),
-                           k=2, d=1, n_qubits=9)
+                           k=2, d=1)
         rep = el.kl_residuals(op, spec, code)
         assert np.abs(rep.epsilon.imag).max() > 0  # both parts carry data
-        data = rep.to_dict()
+        dump_json(tmp_path / "code.json", rep)
+        data = load_json(tmp_path / "code.json")
         # the separations are recomputed from the energies, not stored
-        assert "omega" not in data and "metadata" not in data
-        back = el.KlResidualReport.from_dict(data)
-        assert back.code == rep.code
-        for name in ("c_a", "eps_max", "eps_code", "diagonal_spread"):
-            assert getattr(back, name) == getattr(rep, name), name
-        for name in ("epsilon", "omega", "member_energies"):
-            assert np.array_equal(getattr(back, name), getattr(rep, name)), name
+        assert "omega" not in data and "epsilon" not in data
+        back = load_record(el.KlResidualReport, data)
+        assert back.n_qubits is None and back.members == rep.members
+        for f in dataclasses.fields(el.KlResidualReport):
+            assert np.array_equal(getattr(back, f.name), getattr(rep, f.name)), f.name
+            assert type(getattr(back, f.name)) is type(getattr(rep, f.name)), f.name
+        assert np.array_equal(back.omega, rep.omega)
 
     def test_dimension_mismatch(self, synth512):
         spec, _, _ = synth512

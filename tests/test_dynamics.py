@@ -1078,6 +1078,13 @@ class TestFluctuations:
         with pytest.raises(el.ValidationError, match="no support"):
             el.gaussian_wavepacket(ising8["spec"], 1e3, 0.1)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.inf, math.nan])
+    def test_wavepacket_width_must_be_positive_and_finite(self, ising8, sigma):
+        # at width 0 a state at the center exactly would weigh 0/0 = NaN
+        center = float(ising8["spec"].eigenvalues[100])
+        with pytest.raises(el.ValidationError, match="positive and finite"):
+            el.gaussian_wavepacket(ising8["spec"], center, sigma)
+
     def test_single_eigenstate_zero(self, ising8):
         p = np.zeros(256)
         p[128] = 1.0
@@ -1225,7 +1232,7 @@ class TestFluctuationBounds:
         pref = 2.0 ** (d + 2)
         eps_max = (eps_code / pref) ** 2
         report = el.KlResidualReport(
-            code=el.CodeSpec(members=(0, 1), k=1, d=d), c_a=1.0,
+            members=(0, 1), k=1, d=d, c_a=1.0,
             epsilon=np.array([[0.0, eps_max], [eps_max, 0.0]]),
             eps_max=eps_max, eps_code=eps_code,
             member_energies=np.array([0.0, omega]), diagonal_spread=0.0)

@@ -12,7 +12,7 @@ from ethlab.cli import main as cli_main
 from ethlab.config import RunConfig, demo_config
 from ethlab import pipeline
 from ethlab.io import dump_json, load_json, read_array, read_csv, write_array
-from ethlab.pipeline import run, sweep
+from ethlab.pipeline import STAGES, run, sweep
 
 
 def small_synth_config(out_dir, dim=300, seed=3):
@@ -153,6 +153,30 @@ class TestRun:
             assert upstream and not written & upstream, name
         assert set(bounds["inputs"].values()) == {
             "code_error.json", "dynamics.json", "extract.json", "entropy.csv"}
+
+    def test_code_error_layout(self, tmp_path):
+        # the benchmark's output checks read members and eps_max at the top
+        # level of code_error.json, and bounds.json's inputs name the
+        # epsilon parts there too
+        out = str(tmp_path / "layout")
+        run(small_synth_config(out, dim=128), stages=("generate", "code-error"))
+        code = load_json(os.path.join(out, "code_error.json"))
+        assert {"members", "k", "d", "n_qubits", "eps_max", "eps_code",
+                "epsilon_re", "epsilon_im", "member_energies"} <= set(code)
+        assert len(code["members"]) == 2 and code["n_qubits"] is None
+        assert np.array(code["epsilon_re"]).shape == (2, 2)
+        assert np.abs(code["epsilon_im"]).max() > 0  # a complex operator
+
+    def test_bounds_refuses_a_code_of_the_wrong_size(self, tmp_path):
+        # the report that bounds reads runs the code's own checks
+        out = str(tmp_path / "wrong")
+        cfg = small_synth_config(out)
+        run(cfg, stages=STAGES[:-1])
+        path = os.path.join(out, "code_error.json")
+        code = load_json(path)
+        dump_json(path, dict(code, members=code["members"] + [0]))
+        with pytest.raises(el.ValidationError, match="2\\*\\*k = 2 members, got 3"):
+            run(cfg, stages=("bounds",))
 
     def test_stage_rerun_reproduces_outputs(self, tmp_path):
         out = str(tmp_path / "stages")
@@ -837,6 +861,29 @@ class TestCli:
         assert cli_main([command, "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and all(key in err for key in keys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("code.window_half_width_fraction", 0.0),
+        ("dynamics.sigma_omega", 0.0),
+        ("dynamics.wavepacket_sigma_fraction", 0.0),
+        ("dynamics.wavepacket_sigma_fraction", -0.04),
+        ("extract.e_bins", 0),
+        ("extract.omega_bins", 1),
+        ("extract.min_count", 0),
+    ])
+    def test_value_a_stage_refuses_is_refused_at_load(self, tmp_path, capsys,
+                                                      key, value):
+        # each of these used to load, let the earlier stages write their
+        # files and then fail in extract, dynamics or bounds
+        out = tmp_path / "refused"
+        block, name = key.split(".")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "out_dir": str(out),
+                                        "model": {"kind": "synthetic", "dim": 64},
+                                        block: {name: value}}))
+        assert cli_main(["demo", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be")
         assert not out.exists()
 
     def test_workers_without_sweep_block_refused(self, tmp_path, capsys):
