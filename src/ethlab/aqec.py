@@ -55,6 +55,8 @@ class CodeSpec:
     n_qubits: int = None
 
     def __post_init__(self):
+        if self.d < 0 or self.k < 0:
+            raise ValidationError("d and k must be nonnegative")
         members = tuple(int(m) for m in self.members)
         object.__setattr__(self, "members", members)
         if len(members) != 1 << self.k:
@@ -63,8 +65,6 @@ class CodeSpec:
             )
         if len(set(members)) != len(members):
             raise ValidationError("code members must be distinct")
-        if self.d < 0 or self.k < 0:
-            raise ValidationError("d and k must be nonnegative")
         if self.n_qubits is not None and self.d > self.n_qubits:
             raise ValidationError("error locality d exceeds qubit count")
 

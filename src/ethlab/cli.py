@@ -1,17 +1,14 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto pipeline stages plus sweep and demo:
+Subcommands map one-to-one onto pipeline stages plus sweep and demo, and
+each takes --config CFG (optional for demo alone), --out DIR, --seed N,
+--slack X and --workers N (sets sweep.workers, so needs a sweep block):
 
-    ethlab generate   --config CFG [--out DIR] [--seed N]
-    ethlab extract    --config CFG [--out DIR]
-    ethlab code-error --config CFG [--out DIR]
-    ethlab dynamics   --config CFG [--out DIR]
-    ethlab bounds     --config CFG [--out DIR] [--slack X]
-    ethlab sweep      --config CFG [--out DIR] [--workers N]
-    ethlab demo       [--config CFG] [--out DIR]
+    ethlab {generate,extract,code-error,dynamics,bounds,sweep,demo} [FLAGS]
 
-Exit codes: 0 all checks within slack, 2 a bound check exceeded the slack
-factor (for a sweep: at any point), 1 execution error.
+Exit codes: 0 all checks within slack (and --help), 2 a bound check
+exceeded the slack factor (for a sweep: at any point), 1 an execution
+error or a usage error (a missing --config, an unknown subcommand or flag).
 """
 
 import argparse
@@ -22,15 +19,6 @@ from .errors import EthLabError
 from .pipeline import STAGES, run, sweep
 
 
-def _add_common(p, need_config=True):
-    p.add_argument("--config", required=need_config, help="path to a JSON run config")
-    p.add_argument("--out", default=None, help="output directory (overrides config)")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--slack", type=float, default=None, help="slack factor override")
-    p.add_argument("--workers", type=int, default=None,
-                   help="sweep worker count (the config needs a sweep block)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ethlab",
@@ -38,13 +26,17 @@ def build_parser():
                     "extraction, code errors, dynamics, bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
-        p = sub.add_parser(stage, help=f"run the {stage} stage")
-        _add_common(p)
-    p = sub.add_parser("sweep", help="run the configured parameter sweep")
-    _add_common(p)
-    p = sub.add_parser("demo", help="run the bundled end-to-end demonstration")
-    _add_common(p, need_config=False)
+    commands = {**{stage: f"run the {stage} stage" for stage in STAGES},
+                "sweep": "run the configured parameter sweep",
+                "demo": "run the bundled end-to-end demonstration"}
+    for command, text in commands.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", required=command != "demo", help="path to a JSON run config")
+        p.add_argument("--out", default=None, help="output directory (overrides config)")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--slack", type=float, default=None, help="slack factor override")
+        p.add_argument("--workers", type=int, default=None,
+                       help="sweep worker count (the config needs a sweep block)")
     return parser
 
 
@@ -66,7 +58,10 @@ def _exit_code_from_manifest(manifest, stages):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
         cfg = _load_config(args)
         if args.command == "sweep":
@@ -82,11 +77,9 @@ def main(argv=None):
             print(f"demo complete in {cfg.data['out_dir']}; "
                   f"all_within_slack={manifest.get('all_within_slack')}")
             return _exit_code_from_manifest(manifest, STAGES)
-        stages = (args.command,)
-        manifest = run(cfg, stages=stages)
-        for stage in stages:
-            print(f"{stage}: wrote {', '.join(manifest['stages'][stage])}")
-        return _exit_code_from_manifest(manifest, stages)
+        manifest = run(cfg, stages=(args.command,))
+        print(f"{args.command}: wrote {', '.join(manifest['stages'][args.command])}")
+        return _exit_code_from_manifest(manifest, (args.command,))
     except EthLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

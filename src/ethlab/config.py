@@ -35,7 +35,7 @@ import math
 
 from .aqec import DEFAULT_SLACK
 from .errors import ValidationError
-from .synth import DOS_SHAPES, ENVELOPE_FORMS
+from .synth import DOS_SHAPES, ENVELOPE_FORMS, EnvelopeSpec
 
 REQUIRED = object()
 
@@ -48,7 +48,7 @@ SCHEMA = {
             "dim": (REQUIRED, int), "dos_shape": ("flat", str, DOS_SHAPES),
             "bandwidth": (4.0, float),
             "envelope": {"form": ("exp_decay", str, ENVELOPE_FORMS),
-                         "gamma": (0.25, float), "f0": (1.0, float),
+                         "gamma": (0.25, float, 0), "f0": (1.0, float),
                          "table": (None, list)},
             "diagonal": {"kind": ("zero", str, ("zero", "constant", "tanh")),
                          "value": (0.0, float), "scale": (1.0, float)},
@@ -194,6 +194,12 @@ class RunConfig:
                     if not isinstance(v, (int, float, str)):
                         raise ValidationError(f"sweep.grid[{path!r}][{i}] must be a number "
                                               f"or a string, got {type(v).__name__}")
+        envelope = d["model"].get("envelope")    # None for an Ising model
+        if envelope and (envelope["form"] == "table" or envelope["table"] is not None):
+            try:
+                EnvelopeSpec(form="table", table=envelope["table"])
+            except ValidationError as exc:
+                raise ValidationError(f"config key 'model.envelope.table': {exc}") from None
         if (d["model"]["kind"] == "synthetic" and d["observable"]
                 != {key: spec[0] for key, spec in SCHEMA["observable"].items()}):
             raise ValidationError(

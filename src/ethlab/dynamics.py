@@ -116,7 +116,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CostGuardError, FitRejectedError, ValidationError
-from .spectral import mean_level_spacing
+from .spectral import _gaussian_kernel, mean_level_spacing
 
 OTOC_BLOCK_ROWS = 32       # h: rows of G per block of the OTOC
 OTOC_FLOP_BUDGET = 1e13    # flops one otoc call may spend
@@ -607,7 +607,8 @@ def fit_lyapunov(otoc_series, f2_zero, eps_reg, window, t_d):
 
 def gaussian_wavepacket(spectrum, center, sigma):
     """Populations |c_n|^2 of a Gaussian wave packet around an energy:
-    proportional to exp(-(E_n - center)^2 / (2 sigma^2)), summing to one.
+    exp(-(E_n - center)^2 / (2 sigma^2)), the spectral Gaussian kernel's
+    row at the centre, normalised to sum to one.
 
     The infinite-time average of a state and its fluctuations about it
     depend on the state only through these populations when the energy
@@ -615,7 +616,7 @@ def gaussian_wavepacket(spectrum, center, sigma):
     """
     if not 0 < sigma < math.inf:
         raise ValidationError(f"wavepacket width must be positive and finite, got {sigma!r}")
-    p = np.exp(-((spectrum.eigenvalues - center) ** 2) / (2.0 * sigma**2))
+    p = _gaussian_kernel(np.array([center], dtype=float), spectrum.eigenvalues, sigma)[0]
     if p.max() <= 0:
         raise ValidationError("wavepacket has no support on the spectrum")
     return p / p.sum()

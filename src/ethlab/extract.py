@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import mean_level_spacing
+from .spectral import _gaussian_kernel, _smoothing_width, mean_level_spacing
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,22 @@ def diagonal_profile(a, spectrum, bandwidth=None):
     """Nadaraya-Watson smoothing of the diagonal matrix elements.
 
     The profile is evaluated on 201 evenly spaced energies from the lowest
-    to the highest eigenvalue. Bandwidth defaults to 2% of the spectral
-    bandwidth and must be at least 3 mean bulk level spacings, otherwise the
-    regression just reproduces level-to-level scatter.
+    to the highest eigenvalue, weighted by one 201 x d matrix of the kernel
+    of :func:`ethlab.entropy_model` under its width rule; a narrower bandwidth
+    would just reproduce level-to-level scatter. The scatter takes two passes
+    (the mean, then the squared deviations from it), so it does not cancel.
     """
     e = spectrum.eigenvalues
     diag = np.real(np.diagonal(a.matrix)).astype(float)
-    span = spectrum.bandwidth
-    if bandwidth is None:
-        bandwidth = 0.02 * span
-    bandwidth = float(bandwidth)
-    spacing = mean_level_spacing(e)
-    if bandwidth < 3 * spacing:
-        raise ValidationError(
-            f"bandwidth {bandwidth:g} below 3 mean level spacings ({3 * spacing:g})"
-        )
+    bandwidth = _smoothing_width(spectrum, bandwidth, "bandwidth")
     grid = np.linspace(e[0], e[-1], 201)
-    values = np.empty_like(grid)
-    scatter = np.empty_like(grid)
-    for i, g in enumerate(grid):
-        w = np.exp(-0.5 * ((e - g) / bandwidth) ** 2)
-        total = w.sum()
-        mean = np.dot(w, diag) / total
-        var = np.dot(w, (diag - mean) ** 2) / total
-        values[i] = mean
-        scatter[i] = np.sqrt(max(var, 0.0))
+    w = _gaussian_kernel(grid, e, bandwidth)
+    total = w.sum(axis=1)
+    values = (w @ diag) / total
+    dev = diag - values[:, None]
+    dev *= dev
+    dev *= w
+    scatter = np.sqrt(dev.sum(axis=1) / total)
     return DiagonalProfile(energies=grid, values=values, scatter=scatter)
 
 

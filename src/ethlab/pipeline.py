@@ -180,10 +180,7 @@ def stage_generate(cfg, inputs):
                                         spectrum.eigenvalues[-1])
         else:
             ent = entropy_model(spectrum, sigma_s=ent_cfg["sigma_s"])
-        table = model["envelope"]["table"]
-        envelope = EnvelopeSpec(**dict(
-            model["envelope"], table=tuple(map(tuple, table)) if table else None))
-        a = synth_eth_operator(spectrum, ent, envelope,
+        a = synth_eth_operator(spectrum, ent, EnvelopeSpec(**model["envelope"]),
                                diagonal=_diag_callable(model["diagonal"]),
                                seed=seed)
     return {"spectrum.ethb": spectrum.eigenvalues,

@@ -2,9 +2,10 @@
 
 All estimators downstream work in the energy eigenbasis, so this module owns
 the two objects everything else consumes: the sorted spectrum with its
-eigenvector matrix, and a smooth entropy model S(E) built by Gaussian-kernel
-smoothing of the level density (the level count per unit energy), with
-beta(E) = S'(E) obtained by centered finite differences.
+eigenvector matrix, and a smooth entropy model S(E), the level density (count
+per unit energy) smoothed by the one Gaussian kernel over the spectrum, with
+beta(E) = S'(E) from centered finite differences. The same kernel and width
+rule give O(E) in ``extract``; one kernel row is the wave packet of ``dynamics``.
 
 Eigendecompositions are dense; dimensions are capped at 2**13 because every
 formula in the package needs the full spectrum, but |A_mn|^2 is only formed
@@ -385,48 +386,48 @@ class EntropyModel:
         return cls(grid_energies=grid, grid_entropy=s, grid_beta=np.gradient(s, grid))
 
 
+def _gaussian_kernel(grid, e, width):
+    """exp(-((g - e_n)/width)^2 / 2) for grid points g (rows) and levels e_n
+    (columns), formed in place; z z (-1/2) equals (-z/2) z, as halving is exact."""
+    z = grid[:, None] - e[None, :]
+    z /= width
+    z *= z
+    z *= -0.5
+    return np.exp(z, out=z)
+
+
+def _smoothing_width(spectrum, width, name):
+    """The kernel width of S(E) and O(E): ``width``, or 2% of the spectral
+    bandwidth for None; below 3 mean bulk level spacings, where it would
+    resolve level discreteness, it is refused, as is a spectrum of one energy."""
+    if spectrum.bandwidth <= 0:
+        raise ValidationError("spectrum has zero bandwidth")
+    width = 0.02 * spectrum.bandwidth if width is None else float(width)
+    spacing = mean_level_spacing(spectrum.eigenvalues)
+    if width < 3 * spacing:
+        raise ValidationError(
+            f"{name}={width:g} below 3 mean bulk level spacings ({3 * spacing:g})")
+    return width
+
+
 def entropy_model(spectrum, sigma_s=None):
     """Gaussian-kernel entropy model from a finite spectrum.
 
     exp(S(E)) is the kernel-smoothed level density
     sum_n N(E; E_n, sigma_s**2) on a uniform grid of 2049 energies spanning
     the spectrum padded by 2 sigma_s on each side, and beta(E) comes from
-    centered finite differences of S on that grid. The default bandwidth is
-    2% of the spectral bandwidth; bandwidths below 3 mean bulk level
-    spacings are rejected because the estimate would resolve level
-    discreteness.
+    centered finite differences of S on that grid; sigma_s follows
+    :func:`_smoothing_width`, and the kernel is summed 2**22 cells at a time.
     """
     e = spectrum.eigenvalues
-    span = spectrum.bandwidth
-    if span <= 0:
-        raise ValidationError("spectrum has zero bandwidth")
-    if sigma_s is None:
-        sigma_s = 0.02 * span
-    sigma_s = float(sigma_s)
-    spacing = mean_level_spacing(e)
-    if sigma_s < 3 * spacing:
-        raise ValidationError(
-            f"sigma_s={sigma_s:g} below 3 mean bulk level spacings ({3 * spacing:g})"
-        )
-    pad = 2 * sigma_s
-    grid = np.linspace(e[0] - pad, e[-1] + pad, 2049)
+    sigma_s = _smoothing_width(spectrum, sigma_s, "sigma_s")
+    grid = np.linspace(e[0] - 2 * sigma_s, e[-1] + 2 * sigma_s, 2049)
     norm = 1.0 / (np.sqrt(2 * np.pi) * sigma_s)
-    density = np.zeros_like(grid)
     chunk = 2**22 // grid.size
-    for start in range(0, e.size, chunk):
-        # in place and freed before the next chunk, so one chunk-sized
-        # buffer is alive; z z (-1/2) equals (-z/2) z exactly, since
-        # halving is exact
-        z = grid[:, None] - e[None, start:start + chunk]
-        z /= sigma_s
-        z *= z
-        z *= -0.5
-        density += norm * np.exp(z, out=z).sum(axis=1)
-        del z
-    density = np.maximum(density, 1e-300)
-    s = np.log(density)
-    beta = np.gradient(s, grid)
-    return EntropyModel(grid_energies=grid, grid_entropy=s, grid_beta=beta)
+    density = sum(norm * _gaussian_kernel(grid, e[i:i + chunk], sigma_s).sum(axis=1)
+                  for i in range(0, e.size, chunk))
+    s = np.log(np.maximum(density, 1e-300))
+    return EntropyModel(grid_energies=grid, grid_entropy=s, grid_beta=np.gradient(s, grid))
 
 
 @dataclass(frozen=True)

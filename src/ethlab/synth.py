@@ -21,6 +21,8 @@ place, column m as row m is drawn: the same bytes as mirroring the whole
 upper triangle at the end, without a second operator-sized array.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +97,17 @@ class EnvelopeSpec:
         if self.gamma < 0:
             raise ValidationError("gamma must be nonnegative")
         if self.form == "table":
-            if self.table is None:
-                raise ValidationError("table form needs (omegas, values) knots")
-            omegas, values = self.table
-            omegas = tuple(float(x) for x in omegas)
-            values = tuple(float(x) for x in values)
-            if len(omegas) != len(values) or len(omegas) < 2:
-                raise ValidationError("table needs matching knot arrays, >= 2 knots")
+            try:    # None, a number, not two sequences, an int beyond the floats
+                omegas, values = (tuple(k) for k in self.table)
+                valid = len(omegas) == len(values) >= 2 and all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in omegas + values)
+            except (TypeError, ValueError, OverflowError):
+                valid = False
+            if not valid:
+                raise ValidationError("table needs two equal-length sequences of >= 2 "
+                                      "finite numbers, the |w| knots and their values")
+            omegas, values = tuple(map(float, omegas)), tuple(map(float, values))
             if any(x < 0 for x in omegas) or any(b <= a for a, b in zip(omegas, omegas[1:])):
                 raise ValidationError(
                     "table knots must be nonnegative, strictly increasing |w|"

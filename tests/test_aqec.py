@@ -43,6 +43,12 @@ class TestCodeSpec:
         with pytest.raises(el.ValidationError):
             el.CodeSpec(members=(0, 1), k=1, d=9, n_qubits=8)
 
+    @pytest.mark.parametrize("k,d", [(-1, 1), (1, -1)])
+    def test_negative_k_or_d_refused(self, k, d):
+        # k < 0 used to reach 1 << k first: ValueError, negative shift count
+        with pytest.raises(el.ValidationError, match="d and k must be nonnegative"):
+            el.CodeSpec(members=(0,), k=k, d=d)
+
     def test_selection_nearest(self, synth512):
         spec, _, _ = synth512
         w = el.microcanonical_window(spec, 2.0, 0.5)

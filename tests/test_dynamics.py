@@ -1074,6 +1074,15 @@ class TestFluctuations:
         got = np.log(p[live] / p[peak])
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("center,sigma", [(0.0, 2.0), (-5.0, 0.3), (4.0, 1.0)])
+    def test_wavepacket_matches_the_closed_form(self, ising8, center, sigma):
+        # the populations are the spectral Gaussian kernel's row at the centre
+        e = ising8["spec"].eigenvalues
+        p = el.gaussian_wavepacket(ising8["spec"], center, sigma)
+        q = np.exp(-((e - center) ** 2) / (2.0 * sigma**2))
+        q /= q.sum()
+        assert np.abs(p - q).max() <= 1e-15 * q.max()
+
     def test_wavepacket_without_support_refused(self, ising8):
         with pytest.raises(el.ValidationError, match="no support"):
             el.gaussian_wavepacket(ising8["spec"], 1e3, 0.1)

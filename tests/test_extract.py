@@ -6,7 +6,40 @@ import ethlab as el
 from ethlab.extract import _moments
 
 
+def profile_by_grid_point(a, spectrum, bandwidth):
+    """The diagonal profile one grid point at a time, each with its own
+    kernel row: the reference for the one kernel matrix."""
+    e = spectrum.eigenvalues
+    diag = np.real(np.diagonal(a.matrix)).astype(float)
+    grid = np.linspace(e[0], e[-1], 201)
+    values, scatter = np.empty_like(grid), np.empty_like(grid)
+    for i, g in enumerate(grid):
+        w = np.exp(-0.5 * ((e - g) / bandwidth) ** 2)
+        total = w.sum()
+        values[i] = np.dot(w, diag) / total
+        scatter[i] = np.sqrt(max(np.dot(w, (diag - values[i]) ** 2) / total, 0.0))
+    return grid, values, scatter
+
+
 class TestDiagonalProfile:
+    @pytest.mark.parametrize("case", ["ising8", "tanh"])
+    def test_kernel_matrix_matches_the_loop(self, ising8, case):
+        if case == "ising8":
+            a, spec = ising8["a"], ising8["spec"]
+            bandwidth = 0.02 * spec.bandwidth
+        else:
+            spec = el.synth_spectrum(el.SynthSpectrumParams(
+                dim=2000, dos_shape="flat", bandwidth=4.0, seed=6))
+            ent = el.EntropyModel.constant(np.log(2000), 0, 4)
+            a = el.synth_eth_operator(spec, ent, el.EnvelopeSpec(gamma=0.25),
+                                      diagonal=np.tanh, seed=17)
+            bandwidth = 0.08
+        prof = el.diagonal_profile(a, spec, bandwidth=None if case == "ising8" else bandwidth)
+        grid, values, scatter = profile_by_grid_point(a, spec, bandwidth)
+        assert np.array_equal(prof.energies, grid)
+        for got, want in ((prof.values, values), (prof.scatter, scatter)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_identity_operator(self, ising8):
         a = el.OperatorEigenbasis(matrix=np.eye(256))
         prof = el.diagonal_profile(a, ising8["spec"])
@@ -47,6 +80,12 @@ class TestDiagonalProfile:
     def test_narrow_bandwidth_rejected(self, ising8):
         with pytest.raises(el.ValidationError):
             el.diagonal_profile(ising8["a"], ising8["spec"], bandwidth=1e-4)
+
+    def test_zero_bandwidth_spectrum_rejected(self):
+        # its default width is 0, which used to give NaN values through 0/0
+        a = el.OperatorEigenbasis(np.eye(20))
+        with pytest.raises(el.ValidationError, match="zero bandwidth"):
+            el.diagonal_profile(a, el.EnergySpectrum(np.zeros(20)))
 
 
 class TestEnvelopeEstimate:

@@ -249,6 +249,28 @@ class TestRunConfig:
         with pytest.raises(el.ValidationError, match=key):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("envelope", [
+        {"form": "table", "table": [[0.0, 1.0]]},
+        {"form": "table", "table": [[0.0, "a"], [1.0, 0.5]]},
+        {"form": "table", "table": [[0.0, 1.0], [1.0]]},
+        {"form": "table", "table": [[0.0, True], [1.0, 0.5]]},
+        {"form": "table", "table": None},
+        {"table": [0.0, 1.0]},
+    ], ids=["one-sequence", "non-numeric", "unequal-lengths", "bool", "null",
+            "unused-numbers"])
+    def test_malformed_envelope_table_rejected(self, envelope):
+        # these used to load, and generate then died with a ValueError or
+        # TypeError traceback (or, for a null table, a ValidationError)
+        d = {"model": {"kind": "synthetic", "dim": 64, "envelope": envelope}}
+        with pytest.raises(el.ValidationError, match="model.envelope.table"):
+            RunConfig.from_dict(d)
+
+    def test_negative_envelope_gamma_rejected(self):
+        # used to load and then fail in generate, as EnvelopeSpec refuses it
+        d = {"model": {"kind": "synthetic", "dim": 64, "envelope": {"gamma": -0.1}}}
+        with pytest.raises(el.ValidationError, match="model.envelope.gamma"):
+            RunConfig.from_dict(d)
+
     def test_number_lists_canonicalized_to_floats(self):
         cfg = RunConfig.from_dict({"model": {"kind": "ising", "n_sites": 4},
                                    "thermal": {"betas": [1, 0.5]},

@@ -823,6 +823,17 @@ class TestCli:
         bad.write_text("{\"model\": {\"kind\": \"unknown\"}}")
         assert cli_main(["generate", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("argv,code", [
+        (["generate"], 1), (["bogus"], 1), ([], 1), (["demo", "--bogus"], 1),
+        (["demo", "--seed", "x"], 1), (["--help"], 0), (["bounds", "--help"], 0),
+    ], ids=["no-config", "unknown-command", "no-command", "unknown-flag",
+            "bad-flag-value", "help", "command-help"])
+    def test_usage_error_exits_one(self, capsys, argv, code):
+        # argparse exits 2, the code of a bound check beyond the slack
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        assert ("usage: ethlab" in err) == (code == 1)
+
     def test_chain_above_the_dense_cap_refused(self, tmp_path, capsys):
         # L=14 only: a guard that let a larger chain through could allocate
         # arrays of size 2^L before anything failed

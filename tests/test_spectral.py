@@ -237,6 +237,27 @@ class TestEntropyModel:
             with pytest.raises(el.ValidationError, match=rf"\({3 * spacing:g}\)"):
                 el.entropy_model(el.EnergySpectrum(np.array(e)), sigma_s=2.9 * spacing)
 
+    def test_bytes_equal_the_chunked_kernel_sum(self):
+        # d = 3000 levels take two chunks of 2**22 // 2049 = 2047 columns; the
+        # density is summed chunk by chunk in this order, so that entropy.csv
+        # keeps its bytes
+        e = np.sort(np.random.Generator(
+            np.random.Philox(key=np.uint64(9))).standard_normal(3000))
+        ent = el.entropy_model(el.EnergySpectrum(e))
+        sigma = 0.02 * float(e[-1] - e[0])
+        grid = np.linspace(e[0] - 2 * sigma, e[-1] + 2 * sigma, 2049)
+        density = np.zeros_like(grid)
+        for start in (0, 2047):
+            z = grid[:, None] - e[None, start:start + 2047]
+            z /= sigma
+            z *= z
+            z *= -0.5
+            density += (1.0 / (np.sqrt(2 * np.pi) * sigma)) * np.exp(z, out=z).sum(axis=1)
+        s = np.log(np.maximum(density, 1e-300))
+        assert ent.grid_energies.tobytes() == grid.tobytes()
+        assert ent.grid_entropy.tobytes() == s.tobytes()
+        assert ent.grid_beta.tobytes() == np.gradient(s, grid).tobytes()
+
     def test_constant_model(self):
         ent = el.EntropyModel.constant(3.0, 0.0, 1.0)
         assert ent.entropy_at(0.37) == pytest.approx(3.0)

@@ -65,6 +65,21 @@ class TestEnvelopeSpec:
         with pytest.raises(el.ValidationError):
             el.EnvelopeSpec(form="table", table=((1.0, 0.5), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("table", [
+        None, ((0.0, 1.0),), ((0.0, 1.0), (1.0, 0.5), (2.0, 0.1)), (0.0, 1.0),
+        ((0.0, "a"), (1.0, 0.5)), ((0.0, "1"), (1.0, 0.5)), ((0.0, True), (1.0, 0.5)),
+        ((0.0, float("nan")), (1.0, 0.5)), ((0.0, 10**400), (1.0, 0.5)),
+        ((0.0, 1.0), (1.0, 0.5, 0.2)),
+    ], ids=["none", "one-sequence", "three-sequences", "numbers", "non-numeric",
+            "numeric-string", "bool", "nan", "huge-int", "unequal-lengths"])
+    def test_malformed_table_raises_validation_error(self, table):
+        # a wrong number of sequences, a knot list that is a number, a
+        # non-numeric knot and an int beyond the floats used to raise a plain
+        # ValueError, TypeError or OverflowError, and a numeric string, a bool
+        # or a NaN passed as a knot
+        with pytest.raises(el.ValidationError):
+            el.EnvelopeSpec(form="table", table=table)
+
 
 class TestSynthOperator:
     def test_zero_envelope_gives_exact_diagonal(self):
