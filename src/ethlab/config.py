@@ -1,25 +1,25 @@
 """Run configuration: strict schema, canonical serialization, hashing.
 
-Configs are JSON objects checked against ``SCHEMA``, where each key maps to
-one of:
+Configs are JSON objects checked against ``SCHEMA``, which states each key's
+default, type and bound. Each key maps to one of:
 
 - ``(default, type)`` or ``(default, type, rule)``: a value. ``REQUIRED``
   as the default makes the key mandatory. A float key also takes an int
   and must be finite (no NaN or Infinity), and it loads -0.0 as 0.0; no
-  number key takes a bool. A rule is a tuple of allowed values or the
-  least allowed integer.
+  number key takes a bool. ``[t]`` is a list of one or more t and ``[t, u]``
+  a pair, each element checked at ``key.i`` and never null. A rule is a tuple
+  of allowed values, the least allowed value or ``POSITIVE`` (> 0), per element.
 - a nested dict: a block. A missing block takes all of its defaults. A
   block whose ``kind`` maps to sub-schemas (``model``) takes the remaining
   keys of the sub-schema its kind names.
 - ``(None, {...})``: a block that may be absent or null (``sweep``).
 
-A value may be null only where its default is null. Unknown keys are
-rejected at every level, so a typo cannot silently fall back to a default,
-and every error names the dotted key. The few rules a table cannot state
-are checked in ``RunConfig.from_dict``, among them that ``slack`` and three
-widths are > 0, that a ``dynamics.fit_window`` needs an OTOC point, and that
-each ``sweep.grid`` path names a config key, not a list entry, and each of
-its values is a number (or bool) or a string: it names a point.
+A value may be null only where its default is null, unknown keys are
+rejected at every level, and every error names the dotted key.
+``RunConfig.from_dict`` checks what relates values: distinct betas, an OTOC
+for a ``dynamics.fit_window``, sweep paths and values, the envelope table,
+the observable (a Pauli word on the chain's sites; none for a synthetic
+model), the seed < 2**64 and ``code.window_center`` ("dos_peak" or a number).
 
 ``RunConfig.from_dict`` then ``to_dict`` round-trips identically (defaults
 are materialized on parse), the config hash is the sha256 of the canonical
@@ -35,43 +35,45 @@ import math
 
 from .aqec import DEFAULT_SLACK
 from .errors import ValidationError
+from .models import LocalObservableSpec
 from .synth import DOS_SHAPES, ENVELOPE_FORMS, EnvelopeSpec
 
 REQUIRED = object()
+POSITIVE = object()
 
 SCHEMA = {
-    "seed": (0, int), "slack": (DEFAULT_SLACK, float), "out_dir": ("runs/out", str),
+    "seed": (0, int, 0), "slack": (DEFAULT_SLACK, float, POSITIVE), "out_dir": ("runs/out", str),
     "model": {"kind": {
-        "ising": {"n_sites": (REQUIRED, int), "j": (1.0, float), "hx": (0.9045, float),
+        "ising": {"n_sites": (REQUIRED, int, 2), "j": (1.0, float), "hx": (0.9045, float),
                   "hz": (0.8090, float), "boundary": ("open", str, ("open", "periodic"))},
         "synthetic": {
-            "dim": (REQUIRED, int), "dos_shape": ("flat", str, DOS_SHAPES),
-            "bandwidth": (4.0, float),
+            "dim": (REQUIRED, int, 16), "dos_shape": ("flat", str, DOS_SHAPES),
+            "bandwidth": (4.0, float, POSITIVE),
             "envelope": {"form": ("exp_decay", str, ENVELOPE_FORMS),
                          "gamma": (0.25, float, 0), "f0": (1.0, float),
                          "table": (None, list)},
             "diagonal": {"kind": ("zero", str, ("zero", "constant", "tanh")),
-                         "value": (0.0, float), "scale": (1.0, float)},
+                         "value": (0.0, float), "scale": (1.0, float, POSITIVE)},
             "entropy": {"kind": ("log_dim", str, ("log_dim", "smoothed")),
-                        "sigma_s": (None, float)},
+                        "sigma_s": (None, float, POSITIVE)},
         },
     }},
-    "observable": {"sites": ([0], list), "paulis": ("Z", str),
+    "observable": {"sites": ([0], [int], 0), "paulis": ("Z", str),
                    "traceless_shift": (False, bool)},
-    "thermal": {"betas": ([1.0], list)},
+    "thermal": {"betas": ([1.0], [float], 0)},
     "code": {"k": (1, int, 0), "d": (1, int, 0), "window_center": ("dos_peak", object),
-             "window_half_width_fraction": (0.05, float),
+             "window_half_width_fraction": (0.05, float, POSITIVE),
              "selection": ("nearest", str, ("nearest", "random"))},
     "extract": {"e_bins": (8, int, 1), "omega_bins": (48, int, 2), "min_count": (50, int, 1),
-                "fit_window": (None, list), "profile_bandwidth": (None, float),
-                "sigma_s": (None, float)},
+                "fit_window": (None, [float, float]), "sigma_s": (None, float, POSITIVE),
+                "profile_bandwidth": (None, float, POSITIVE)},
     # t_points >= 1: F2(0), the first point of the two-point series, rescales
     # the fits; the other counts only feed np.linspace
     "dynamics": {"t_max": (6.0, float), "t_points": (61, int, 1),
-                 "otoc_points": (9, int, 0), "sigma_omega": (0.05, float),
+                 "otoc_points": (9, int, 0), "sigma_omega": (0.05, float, POSITIVE),
                  "omega_points": (241, int, 0), "omega_max": (None, float),
-                 "fit_window": (None, list), "eps_reg": (0.0, float),
-                 "wavepacket_sigma_fraction": (0.04, float),
+                 "fit_window": (None, [float, float]), "eps_reg": (0.0, float),
+                 "wavepacket_sigma_fraction": (0.04, float, POSITIVE),
                  "fdt_threshold": (0.3, float)},
     "sweep": (None, {"grid": (REQUIRED, dict), "workers": (1, int, 1)}),
 }
@@ -124,6 +126,12 @@ def _value(path, val, default, kind, rule=None):
         return None
     if isinstance(kind, dict):
         return _walk(val, kind, path)
+    if isinstance(kind, list):    # [t]: one or more t; [t, u]: exactly those two
+        if not (isinstance(val, list) and val and len(kind) in (1, len(val))):
+            raise ValidationError(f"config key {path!r} must be a list of {len(kind)} "
+                                  f"{'or more ' * (len(kind) == 1)}{kind[0].__name__}")
+        return [_value(f"{path}.{i}", x, REQUIRED, kind[i % len(kind)], rule)
+                for i, x in enumerate(val)]
     if (isinstance(val, bool) and kind in (int, float)
             or not isinstance(val, (int, float) if kind is float else kind)):
         raise ValidationError(f"config key {path!r} must be {kind.__name__}, "
@@ -138,8 +146,9 @@ def _value(path, val, default, kind, rule=None):
             raise ValidationError(f"config key {path!r} must be finite, got {val!r}")
     if isinstance(rule, tuple) and val not in rule:
         raise ValidationError(f"config key {path!r} must be one of {rule}, got {val!r}")
-    if isinstance(rule, int) and val < rule:
-        raise ValidationError(f"config key {path!r} must be >= {rule}, got {val}")
+    if rule is POSITIVE and val <= 0 or isinstance(rule, int) and val < rule:
+        bound = "> 0" if rule is POSITIVE else f">= {rule}"
+        raise ValidationError(f"config key {path!r} must be {bound}, got {val!r}")
     return copy.deepcopy(val) if isinstance(val, (list, dict)) else val
 
 
@@ -152,32 +161,16 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw):
         d = _walk(raw, SCHEMA)
-        if not 0 <= d["seed"] < 2**64:
-            raise ValidationError("seed must be a nonnegative 64-bit integer")
-        for path in ("slack", "code.window_half_width_fraction",
-                     "dynamics.sigma_omega", "dynamics.wavepacket_sigma_fraction"):
-            node, key = _locate(d, path)
-            if node[key] <= 0:
-                raise ValidationError(f"config key {path!r} must be > 0, got {node[key]!r}")
+        if d["seed"] >= 2**64:
+            raise ValidationError(f"config key 'seed' must be < 2**64, got {d['seed']}")
         center = d["code"]["window_center"]
         if center != "dos_peak":
             if isinstance(center, bool) or not isinstance(center, (int, float)):
                 raise ValidationError("code.window_center must be 'dos_peak' or a number")
             d["code"]["window_center"] = _value("code.window_center", center, 0.0, float)
-        betas = d["thermal"]["betas"] = [_value(f"thermal.betas.{i}", x, 0.0, float, 0)
-                                         for i, x in enumerate(d["thermal"]["betas"])]
-        if not betas:
-            raise ValidationError("thermal.betas must be nonempty")
-        for i, beta in enumerate(betas):
-            if beta in betas[:i]:
+        for i, beta in enumerate(d["thermal"]["betas"]):
+            if beta in d["thermal"]["betas"][:i]:
                 raise ValidationError(f"config key 'thermal.betas.{i}' repeats {beta!r}")
-        for block in ("extract", "dynamics"):
-            window = d[block]["fit_window"]
-            if window is not None:
-                if len(window) != 2:
-                    raise ValidationError(f"{block}.fit_window must be [lo, hi]")
-                d[block]["fit_window"] = [_value(f"{block}.fit_window.{i}", x, 0.0, float)
-                                          for i, x in enumerate(window)]
         if d["dynamics"]["fit_window"] is not None and d["dynamics"]["otoc_points"] == 0:
             raise ValidationError("dynamics.fit_window needs an OTOC to fit: "
                                   "dynamics.otoc_points must be >= 1")
@@ -194,17 +187,23 @@ class RunConfig:
                     if not isinstance(v, (int, float, str)):
                         raise ValidationError(f"sweep.grid[{path!r}][{i}] must be a number "
                                               f"or a string, got {type(v).__name__}")
-        envelope = d["model"].get("envelope")    # None for an Ising model
-        if envelope and (envelope["form"] == "table" or envelope["table"] is not None):
-            try:
-                EnvelopeSpec(form="table", table=envelope["table"])
+        model, obs = d["model"], d["observable"]
+        if model["kind"] == "ising":
+            try:    # the library's checks, and every site on the chain
+                LocalObservableSpec(sites=tuple(obs["sites"]), paulis=obs["paulis"])
+                if max(obs["sites"]) >= model["n_sites"]:
+                    raise ValidationError(f"sites must be < model.n_sites = {model['n_sites']}")
             except ValidationError as exc:
-                raise ValidationError(f"config key 'model.envelope.table': {exc}") from None
-        if (d["model"]["kind"] == "synthetic" and d["observable"]
-                != {key: spec[0] for key, spec in SCHEMA["observable"].items()}):
+                raise ValidationError(f"config key 'observable': {exc}") from None
+        elif obs != {key: spec[0] for key, spec in SCHEMA["observable"].items()}:
             raise ValidationError(
                 "observable applies to Ising models only; a synthetic model "
                 "takes its operator from model.envelope and model.diagonal")
+        elif model["envelope"]["form"] == "table" or model["envelope"]["table"] is not None:
+            try:
+                EnvelopeSpec(form="table", table=model["envelope"]["table"])
+            except ValidationError as exc:
+                raise ValidationError(f"config key 'model.envelope.table': {exc}") from None
         return cls(d)
 
     @classmethod

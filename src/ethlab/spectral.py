@@ -397,16 +397,17 @@ def _gaussian_kernel(grid, e, width):
 
 
 def _smoothing_width(spectrum, width, name):
-    """The kernel width of S(E) and O(E): ``width``, or 2% of the spectral
-    bandwidth for None; below 3 mean bulk level spacings, where it would
-    resolve level discreteness, it is refused, as is a spectrum of one energy."""
+    """The kernel width of S(E) and O(E): ``width``, or for None the larger of
+    2% of the spectral bandwidth and 3 mean bulk level spacings. A given width
+    below that floor, where it would resolve level discreteness, is refused,
+    as is a spectrum of one energy."""
     if spectrum.bandwidth <= 0:
         raise ValidationError("spectrum has zero bandwidth")
-    width = 0.02 * spectrum.bandwidth if width is None else float(width)
-    spacing = mean_level_spacing(spectrum.eigenvalues)
-    if width < 3 * spacing:
+    floor = 3 * mean_level_spacing(spectrum.eigenvalues)
+    width = max(0.02 * spectrum.bandwidth, floor) if width is None else float(width)
+    if width < floor:
         raise ValidationError(
-            f"{name}={width:g} below 3 mean bulk level spacings ({3 * spacing:g})")
+            f"{name}={width:g} below 3 mean bulk level spacings ({floor:g})")
     return width
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .spectral import EnergySpectrum, OperatorEigenbasis
+from .errors import SizeError, ValidationError
+from .spectral import MAX_DENSE_DIM, EnergySpectrum, OperatorEigenbasis
 
 _SPECTRUM_STREAM = np.uint64(1) << np.uint64(63)
 
@@ -51,6 +51,8 @@ class SynthSpectrumParams:
     def __post_init__(self):
         if self.dim < 16:
             raise ValidationError("synthetic spectra need dim >= 16")
+        if self.dim > MAX_DENSE_DIM:    # synth_eth_operator allocates dim^2 complex
+            raise SizeError(f"dimension {self.dim} exceeds dense cap {MAX_DENSE_DIM}")
         if self.dos_shape not in DOS_SHAPES:
             raise ValidationError(f"unknown dos_shape {self.dos_shape!r}")
         if self.bandwidth <= 0:

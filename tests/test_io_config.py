@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import ethlab as el
-from ethlab.config import RunConfig, demo_config
+from ethlab.config import POSITIVE, SCHEMA, RunConfig, demo_config
 from ethlab.io import (dump_json, file_sha256, format_number, load_json,
                        read_array, read_csv, write_array, write_csv)
 
@@ -108,7 +109,83 @@ class TestJson:
             "a": [[1.0, None], [2.0, 3.0]]}
 
 
+def _ruled_cells(schema, where=(), model=None):
+    """(dotted key, type, rule, model kind) of every SCHEMA cell with a rule."""
+    for key, spec in schema.items():
+        if key == "kind" and isinstance(spec, dict):    # model: each kind's keys
+            for kind, sub in spec.items():
+                yield from _ruled_cells(sub, where, kind)
+        elif isinstance(spec, dict):
+            yield from _ruled_cells(spec, where + (key,), model)
+        elif isinstance(spec[1], dict):    # sweep, a block that may be null
+            yield from _ruled_cells(spec[1], where + (key,), model)
+        elif len(spec) == 3:
+            yield ".".join(where + (key,)), spec[1], spec[2], model
+
+
+RULED_CELLS = list(_ruled_cells(SCHEMA))
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("key,kind,rule,model", RULED_CELLS,
+                             ids=[cell[0] for cell in RULED_CELLS])
+    def test_every_schema_rule_refuses_a_violating_value(self, key, kind, rule, model):
+        # a value outside the allowed tuple, 0 under "> 0", one below the
+        # least value; a list's rule holds for each element, at key.i
+        bad = ("bogus" if isinstance(rule, tuple)
+               else 0 if rule is POSITIVE else rule - 1)
+        raw = {"model": {"kind": "synthetic", "dim": 64} if model == "synthetic"
+               else {"kind": "ising", "n_sites": 4}}
+        if key.startswith("sweep."):
+            raw["sweep"] = {"grid": {"seed": [1, 2]}}
+        *blocks, name = key.split(".")
+        node = raw
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[name] = [bad] if isinstance(kind, list) else bad
+        shown = key + ".0" if isinstance(kind, list) else key
+        with pytest.raises(el.ValidationError, match=f"config key '{re.escape(shown)}'"):
+            RunConfig.from_dict(raw)
+
+    def test_schema_walk_reaches_the_bounds_a_stage_needs(self):
+        rules = {key: rule for key, _, rule, _ in RULED_CELLS}
+        assert {key for key, rule in rules.items() if rule is POSITIVE} == {
+            "slack", "model.bandwidth", "model.diagonal.scale", "model.entropy.sigma_s",
+            "code.window_half_width_fraction", "extract.sigma_s",
+            "extract.profile_bandwidth", "dynamics.sigma_omega",
+            "dynamics.wavepacket_sigma_fraction"}
+        assert (rules["model.n_sites"], rules["model.dim"], rules["observable.sites"],
+                rules["thermal.betas"], rules["seed"]) == (2, 16, 0, 0, 0)
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"thermal": {"betas": [None]}}, "thermal.betas.0"),
+        ({"thermal": {"betas": [0.5, None]}}, "thermal.betas.1"),
+        ({"observable": {"sites": [None]}}, "observable.sites.0"),
+        ({"extract": {"fit_window": [None, 1.0]}}, "extract.fit_window.0"),
+        ({"dynamics": {"fit_window": [0.1, None]}}, "dynamics.fit_window.1"),
+    ])
+    def test_null_list_element_refused(self, raw, key):
+        d = {"model": {"kind": "ising", "n_sites": 4}, **raw}
+        with pytest.raises(el.ValidationError, match=f"'{re.escape(key)}' must not be null"):
+            RunConfig.from_dict(d)
+
+    @pytest.mark.parametrize("observable,key", [
+        ({"sites": []}, "observable.sites"),
+        ({"sites": [6]}, "observable"),
+        ({"sites": [0, 12], "paulis": "ZZ"}, "observable"),
+        ({"paulis": "ZZ"}, "observable"),
+        ({"sites": [1, 1], "paulis": "XX"}, "observable"),
+    ])
+    def test_ising_observable_checked_at_load(self, observable, key):
+        # an empty word is the identity, whose every check passes vacuously;
+        # the others failed in generate, after the run's directory,
+        # config.json and manifest.json were written
+        d = {"model": {"kind": "ising", "n_sites": 6}, "observable": observable}
+        with pytest.raises(el.ValidationError, match=f"config key '{re.escape(key)}'"):
+            RunConfig.from_dict(d)
+        d["observable"] = {"sites": [5, 0], "paulis": "XY"}
+        assert RunConfig.from_dict(d).data["observable"]["sites"] == [5, 0]
+
     def test_roundtrip_identity(self):
         cfg = demo_config()
         again = RunConfig.from_dict(cfg.to_dict())

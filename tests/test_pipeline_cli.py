@@ -897,6 +897,45 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize("model,block,key", [
+        ({"kind": "ising", "n_sites": 8}, {"observable": {"sites": [0.7]}},
+         "observable.sites.0"),
+        ({"kind": "ising", "n_sites": 8}, {"observable": {"sites": ["0"]}},
+         "observable.sites.0"),
+        ({"kind": "ising", "n_sites": 8}, {"observable": {"sites": [True]}},
+         "observable.sites.0"),
+        ({"kind": "ising", "n_sites": 6}, {"observable": {"sites": [12]}}, "observable"),
+        ({"kind": "ising", "n_sites": 8}, {"observable": {"paulis": "z"}}, "observable"),
+        ({"kind": "synthetic", "dim": 64, "diagonal": {"kind": "tanh", "scale": 0}}, {},
+         "model.diagonal.scale"),
+        ({"kind": "synthetic", "dim": 64, "bandwidth": 0}, {}, "model.bandwidth"),
+        ({"kind": "ising", "n_sites": 1}, {}, "model.n_sites"),
+        ({"kind": "synthetic", "dim": 8}, {}, "model.dim"),
+    ], ids=["site-0.7", "site-str", "site-true", "site-beyond-chain", "lowercase-pauli",
+            "diagonal-scale-0", "bandwidth-0", "one-site", "dim-8"])
+    def test_value_generate_refuses_is_refused_at_load(self, tmp_path, capsys,
+                                                       model, block, key):
+        # each of these used to load and write the run's directory,
+        # config.json and manifest.json; generate then ran site 0.7 as site 0,
+        # "0" as 0 and true as 1, or failed (tanh(E / 0) among them)
+        out = tmp_path / "refused"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "out_dir": str(out), "model": model,
+                                        **block}))
+        assert cli_main(["demo", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r}")
+        assert not out.exists()
+
+    def test_small_models_pass_extract_at_the_default_widths(self, tmp_path):
+        # 2% of the bandwidth is below 3 mean level spacings here, which
+        # used to refuse S(E) at L=6 and O(E) at dim 64; the default widths
+        # now take that floor
+        for model in ({"kind": "synthetic", "dim": 64}, {"kind": "ising", "n_sites": 6}):
+            cfg = RunConfig.from_dict({"seed": 1, "out_dir": str(tmp_path / model["kind"]),
+                                       "model": model})
+            manifest = run(cfg, stages=("generate", "extract"))
+            assert manifest["status"] == {"generate": "ok", "extract": "ok"}
+
     def test_workers_without_sweep_block_refused(self, tmp_path, capsys):
         out = tmp_path / "w"
         cfg_path = tmp_path / "cfg.json"

@@ -237,6 +237,21 @@ class TestEntropyModel:
             with pytest.raises(el.ValidationError, match=rf"\({3 * spacing:g}\)"):
                 el.entropy_model(el.EnergySpectrum(np.array(e)), sigma_s=2.9 * spacing)
 
+    def test_default_width_is_never_below_the_floor(self):
+        # 100 levels on [0, 1]: 2% of the bandwidth (0.02) is below 3 mean
+        # spacings (3/99), so the default width is the floor, and only a
+        # width given below it is refused
+        e = np.linspace(0.0, 1.0, 100)
+        spec = el.EnergySpectrum(eigenvalues=e)
+        floor = 3 * el.mean_level_spacing(e)
+        ent = el.entropy_model(spec)
+        assert ent.grid_energies[0] == pytest.approx(-2 * floor)
+        with pytest.raises(el.ValidationError, match="sigma_s=0.02 below"):
+            el.entropy_model(spec, sigma_s=0.02)
+        # where 2% is the larger, the default is 2% of the bandwidth
+        wide = el.EnergySpectrum(eigenvalues=np.linspace(0.0, 1.0, 1000))
+        assert el.entropy_model(wide).grid_energies[0] == -0.04
+
     def test_bytes_equal_the_chunked_kernel_sum(self):
         # d = 3000 levels take two chunks of 2**22 // 2049 = 2047 columns; the
         # density is summed chunk by chunk in this order, so that entropy.csv

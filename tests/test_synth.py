@@ -39,6 +39,13 @@ class TestSynthSpectrum:
         with pytest.raises(el.ValidationError):
             el.SynthSpectrumParams(dim=8, dos_shape="flat", bandwidth=1.0)
 
+    def test_dimension_above_the_dense_cap_refused(self):
+        # the params allocate nothing; synth_eth_operator would allocate a
+        # dim x dim complex array, 160 GB at dim 10^5
+        with pytest.raises(el.SizeError, match="dense cap 8192"):
+            el.SynthSpectrumParams(dim=8193)
+        assert el.SynthSpectrumParams(dim=8192).dim == 8192
+
 
 class TestEnvelopeSpec:
     def test_exp_decay_values(self):
