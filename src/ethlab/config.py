@@ -69,12 +69,12 @@ SCHEMA = {
                 "profile_bandwidth": (None, float, POSITIVE)},
     # t_points >= 1: F2(0), the first point of the two-point series, rescales
     # the fits; the other counts only feed np.linspace
-    "dynamics": {"t_max": (6.0, float), "t_points": (61, int, 1),
+    "dynamics": {"t_max": (6.0, float, POSITIVE), "t_points": (61, int, 1),
                  "otoc_points": (9, int, 0), "sigma_omega": (0.05, float, POSITIVE),
-                 "omega_points": (241, int, 0), "omega_max": (None, float),
-                 "fit_window": (None, [float, float]), "eps_reg": (0.0, float),
+                 "omega_points": (241, int, 0), "omega_max": (None, float, POSITIVE),
+                 "fit_window": (None, [float, float]), "eps_reg": (0.0, float, 0),
                  "wavepacket_sigma_fraction": (0.04, float, POSITIVE),
-                 "fdt_threshold": (0.3, float)},
+                 "fdt_threshold": (0.3, float, 0)},
     "sweep": (None, {"grid": (REQUIRED, dict), "workers": (1, int, 1)}),
 }
 

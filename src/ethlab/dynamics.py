@@ -89,17 +89,18 @@ time point, 2 d^3 (1 + h/d) summed. A real A writes G and its weighted
 copy over the strip and the product once the GEMM has read them, as
 complex arrays of the same bytes.
 
-The time points fall into n contiguous groups, each summed on its own
-thread by the same operations (numpy's GEMMs and ufuncs release the GIL),
-with n = max(1, min(T, cpus // blas)): cpus the CPUs of the process's
-affinity mask, blas the first positive integer among OPENBLAS_NUM_THREADS,
-MKL_NUM_THREADS and OMP_NUM_THREADS, and n = 1 when none is set, since
-BLAS then already spreads over every CPU. Each point's value comes from
-one thread; a group's strip holds at most ceil(chunk/n) points. No d x d
-buffer is made: the strips and their products are the only buffers of
-more than a few d entries, at most 2 h (chunk + n - 1) rows of d entries
-of A's dtype each over all groups whatever the number of time points, so
-on one thread at most half a d x d array of that dtype once d >= 8 h:
+The time points are cut into strips of at most per = ceil(chunk/n)
+points, taken by n threads from one pool; each strip is summed by one
+thread through the same operations (numpy's GEMMs and ufuncs release the
+GIL), with n = max(1, min(T, cpus // blas)): cpus the CPUs of the
+process's affinity mask, blas the first positive integer among
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS, and n = 1 when
+none is set, since BLAS then already spreads over every CPU. Each point's
+value comes from one thread. No d x d buffer is made: the strips and
+their products are the only buffers of more than a few d entries, at most
+2 h n per <= 2 h (chunk + n - 1) rows of d entries of A's dtype each over
+the n strips in flight whatever the number of time points, so on one
+thread at most half a d x d array of that dtype once d >= 8 h:
 32 MiB complex at d = 2048, and for the real L=12 operator (d = 4096) a
 traced 68 MiB from 16 points on. The identity assumes A = A^H exactly;
 where A is Hermitian only up to E = A - A^H, the value differs from
@@ -317,20 +318,6 @@ def pair_measure(a, spectrum, beta, width):
                        level_spacing=mean_level_spacing(e))
 
 
-def _otoc_block_rows(d, n_times):
-    """h, the rows per block of W: OTOC_BLOCK_ROWS, or for a single time
-    point, whose strip stacks no other point, the taller max(h, d/16), so
-    that its GEMM is not a thin 2 h-row one; never more than d."""
-    h = OTOC_BLOCK_ROWS if n_times > 1 else max(OTOC_BLOCK_ROWS, d // 16)
-    return min(h, d)
-
-
-def _otoc_strip_points(d, h, n_times):
-    """Time points per stacked strip of the OTOC, 2 h rows each: at most
-    max(2 h, d/4) rows, whatever ``n_times``."""
-    return max(1, min(n_times, d // (8 * h)))
-
-
 def _otoc_threads(n_times):
     """Threads that sum the time points of one OTOC call:
     max(1, min(n_times, cpus // blas)), cpus the CPUs this process may run
@@ -350,16 +337,19 @@ def _otoc_threads(n_times):
     return 1
 
 
-def _otoc_groups(d, h, n_times):
-    """Contiguous groups of the time points, one per thread, as
-    (start, stop, points per strip): a group's strip holds at most
-    ceil(chunk/n) points, chunk = :func:`_otoc_strip_points`, so the strips
-    of all n groups hold at most chunk + n - 1."""
+def _otoc_plan(d, n_times):
+    """The OTOC's schedule (h, per, n): h rows per block of W, strips of at
+    most ``per`` time points, and n threads (:func:`_otoc_threads`) taking
+    the strips from one pool. h is OTOC_BLOCK_ROWS, or for a single time
+    point, whose strip stacks no other point, the taller max(h, d/16), so
+    that its GEMM is not a thin 2 h-row one; never more than d. A strip of
+    chunk = max(1, min(n_times, d/(8 h))) points is at most max(2 h, d/4)
+    rows; per = ceil(chunk/n), so the n strips in flight hold at most
+    chunk + n - 1 points."""
+    h = min(d, OTOC_BLOCK_ROWS if n_times > 1 else max(OTOC_BLOCK_ROWS, d // 16))
     n = _otoc_threads(n_times)
-    per = -(-_otoc_strip_points(d, h, n_times) // n)
-    stops = [n_times * (i + 1) // n for i in range(n)]
-    return [(start, stop, max(1, min(per, stop - start)))
-            for start, stop in zip([0] + stops[:-1], stops)]
+    chunk = max(1, min(n_times, d // (8 * h)))
+    return h, -(-chunk // n), n
 
 
 def check_otoc_cost(a, n_times):
@@ -372,15 +362,14 @@ def check_otoc_cost(a, n_times):
     """
     d = a.dim
     real = np.isrealobj(a.matrix)
-    h = _otoc_block_rows(d, n_times)
+    h, per, n = _otoc_plan(d, n_times)
     # the 2 rows per block row (real and imaginary part of G, or G and H)
     # at row s multiply the columns s: only: 2 x 2 flops per multiply-add
     # of a real GEMM, 2 x 8 of a complex one
     terms = sum(min(h, d - s) * d * (d - s) for s in range(0, d, h))
     flops = float((4 if real else 16) * terms * n_times)
     if flops > OTOC_FLOP_BUDGET:
-        rows = 2 * h * sum(points for _, _, points in _otoc_groups(d, h, n_times))
-        buffers = 2 * rows * d * (8 if real else 16)
+        buffers = 2 * (2 * h * n * per) * d * (8 if real else 16)
         raise CostGuardError(
             f"otoc at dim {d} exceeds the budget of {OTOC_FLOP_BUDGET:.2e} "
             f"flops; estimated {flops:.2e} flops for {n_times} time points "
@@ -404,8 +393,8 @@ def otoc(a, spectrum, beta, times):
     """Four-point out-of-time-order correlator with rho^(1/4) regulators.
 
     Sums u^T W u over the upper block triangle of W by the strip GEMMs of
-    the module docstring, which states their flops, thread groups and
-    buffers (no d x d one), and the error of an A Hermitian only up to
+    the module docstring, which states their flops, threads and buffers
+    (no d x d one), and the error of an A Hermitian only up to
     E = A - A^H; every point is summed by one thread through the same
     operations, so the value agrees with the one-thread sum to rounding.
     Calls above OTOC_FLOP_BUDGET flops are refused by :func:`check_otoc_cost`
@@ -428,58 +417,54 @@ def otoc(a, spectrum, beta, times):
 
 
 def _otoc_sum(a, q, e, times):
-    """u^T W u for every time point, the groups of :func:`_otoc_groups`
-    each on its own thread (numpy's GEMMs and ufuncs release the GIL)."""
-    d = a.shape[0]
-    h = _otoc_block_rows(d, times.size)
-    groups = _otoc_groups(d, h, times.size)
-    if len(groups) == 1:
-        return _otoc_group(a, q, e, times, h, groups[0][2])
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        parts = pool.map(lambda g: _otoc_group(a, q, e, times[g[0]:g[1]], h, g[2]),
-                         groups)
-        return np.concatenate(list(parts))
+    """u^T W u for every time point, the strips of :func:`_otoc_plan` taken
+    by its n threads from one pool (numpy's GEMMs and ufuncs release the
+    GIL)."""
+    h, per, n = _otoc_plan(a.shape[0], times.size)
+    strips = [times[t0:t0 + per] for t0 in range(0, times.size, per)]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=n) as pool:
+        parts = pool.map(lambda t: _otoc_strip(a, q, e, t, h), strips)
+        return np.concatenate([np.zeros(0, dtype=complex), *parts])
 
 
-def _otoc_group(a, q, e, times, rows, chunk):
-    """u^T W u over ``rows``-row blocks of W's upper block triangle,
-    ``chunk`` time points stacked per strip."""
+def _otoc_strip(a, q, e, times, rows):
+    """u^T W u over ``rows``-row blocks of W's upper block triangle, the
+    time points ``times`` stacked into one strip."""
     d = a.shape[0]
     real = np.isrealobj(a)
-    strip = np.empty(2 * chunk * rows * d, dtype=a.dtype)
+    k = times.size
+    strip = np.empty(2 * k * rows * d, dtype=a.dtype)
     prod = np.empty_like(strip)
-    vals = np.zeros(times.size, dtype=complex)
-    for t0 in range(0, times.size, chunk):
-        u = q * np.exp(1j * np.multiply.outer(times[t0:t0 + chunk], e))
-        k = u.shape[0]
-        # per point the strip scalings, (Re conj(u), Im conj(u)) (real and
-        # imaginary part of the rows of G) or (conj(u), u) (rows of G and
-        # H), and the weights u and 2u of the diagonal block and the blocks
-        # right of it
-        ub = u.conj()
-        scale = np.stack((ub.real, ub.imag) if real else (ub, u), axis=1)[:, :, None]
-        u2 = 2 * u
-        for s in range(0, d, rows):
-            h, n = min(rows, d - s), d - s
-            left = strip[:2 * k * h * d].reshape(k, 2, h, d)
-            np.multiply(a[s:s + h], scale, out=left)
-            out = prod[:2 * k * h * n].reshape(k, 2, h, n)
-            np.matmul(left.reshape(-1, d), a[:, s:], out=out.reshape(-1, n))
-            if real:
-                # G into the strip the GEMM has consumed; conj(H) = G,
-                # weighted below into the product G was read from
-                g = strip[:2 * k * h * n].view(complex).reshape(k, h, n)
-                np.copyto(g.real, out[:, 0])
-                np.copyto(g.imag, out[:, 1])
-                hc = prod[:2 * k * h * n].view(complex).reshape(k, h, n)
-                src = g
-            else:
-                g, hc = out[:, 0], out[:, 1]
-                src = np.conjugate(hc, out=hc)
-            np.multiply(src[..., :h], u[:, None, s:s + h], out=hc[..., :h])
-            np.multiply(src[..., h:], u2[:, None, s + h:], out=hc[..., h:])
-            vals[t0:t0 + k] += np.einsum("ki,ki->k", u[:, s:s + h],
-                                         np.einsum("kij,kij->ki", g, hc))
+    vals = np.zeros(k, dtype=complex)
+    u = q * np.exp(1j * np.multiply.outer(times, e))
+    # per point the strip scalings, (Re conj(u), Im conj(u)) (real and
+    # imaginary part of the rows of G) or (conj(u), u) (rows of G and H),
+    # and the weights u and 2u of the diagonal block and the blocks right
+    # of it
+    ub = u.conj()
+    scale = np.stack((ub.real, ub.imag) if real else (ub, u), axis=1)[:, :, None]
+    u2 = 2 * u
+    for s in range(0, d, rows):
+        h, n = min(rows, d - s), d - s
+        left = strip[:2 * k * h * d].reshape(k, 2, h, d)
+        np.multiply(a[s:s + h], scale, out=left)
+        out = prod[:2 * k * h * n].reshape(k, 2, h, n)
+        np.matmul(left.reshape(-1, d), a[:, s:], out=out.reshape(-1, n))
+        if real:
+            # G into the strip the GEMM has consumed; conj(H) = G, weighted
+            # below into the product G was read from
+            g = strip[:2 * k * h * n].view(complex).reshape(k, h, n)
+            np.copyto(g.real, out[:, 0])
+            np.copyto(g.imag, out[:, 1])
+            hc = prod[:2 * k * h * n].view(complex).reshape(k, h, n)
+            src = g
+        else:
+            g, hc = out[:, 0], out[:, 1]
+            src = np.conjugate(hc, out=hc)
+        np.multiply(src[..., :h], u[:, None, s:s + h], out=hc[..., :h])
+        np.multiply(src[..., h:], u2[:, None, s + h:], out=hc[..., h:])
+        vals += np.einsum("ki,ki->k", u[:, s:s + h],
+                          np.einsum("kij,kij->ki", g, hc))
     return vals
 
 

@@ -300,14 +300,17 @@ class TestOtoc:
         monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", float(flops))
         el.dynamics.check_otoc_cost(a, 5)
         monkeypatch.setattr(el.dynamics, "OTOC_FLOP_BUDGET", flops * (1 - 1e-9))
-        # 5 points stacked in strips of 5 x 2h rows over all thread groups,
-        # and their products
-        buffers = {4: "0.02", 16: "0.04"}[per_term]
-        stated = (f"about {per_term // 2} d\\^3 \\(1 \\+ h/d\\) each over the "
-                  f"upper block triangle of W, h = 32; buffers {buffers} GiB")
-        with pytest.raises(el.CostGuardError, match=stated) as err:
-            el.dynamics.check_otoc_cost(a, 5)
-        assert err.value.estimated_flops == flops
+        # 5 points stacked in one strip of 5 x 2h rows on one thread, and
+        # two strips of 3 x 2h in flight on two, and their products
+        for cpus, buffers in ((1, {4: "0.02", 16: "0.04"}),
+                              (2, {4: "0.02", 16: "0.05"})):
+            self._path(monkeypatch, cpus)
+            stated = (f"about {per_term // 2} d\\^3 \\(1 \\+ h/d\\) each over "
+                      f"the upper block triangle of W, h = 32; buffers "
+                      f"{buffers[per_term]} GiB")
+            with pytest.raises(el.CostGuardError, match=stated) as err:
+                el.dynamics.check_otoc_cost(a, 5)
+            assert err.value.estimated_flops == flops
 
     def test_cost_guard(self, ising8, monkeypatch):
         # the budget is 1e13 flops per call, stated in the message; a
@@ -412,17 +415,14 @@ class TestOtoc:
         # of its maximum; they are dropped, so the left operand of every
         # real GEMM, A's rows scaled by the real and imaginary parts of
         # rho^(1/4) e^(-iEt), is subnormal-free; at d = 1024 on two threads
-        # the 6 points form two groups of 3, each in strips of 2 and 1 points
+        # the 5 points fall into strips of 2, 2 and 1 points
         a, spec, beta = ising10["a"], ising10["spec"], 200.0
         q = el.dynamics._gibbs_factor(spec, beta)
         assert np.any((q == 0) & (el.gibbs_weights(spec, beta, 0.25) > 0))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        times = np.linspace(0, 3, 6)
+        self._path(monkeypatch, cpus=2)
+        times = np.linspace(0, 3, 5)
         h = el.dynamics.OTOC_BLOCK_ROWS
-        groups = el.dynamics._otoc_groups(spec.dim, h, times.size)
-        assert groups == [(0, 3, 2), (3, 6, 2)]
+        assert el.dynamics._otoc_plan(spec.dim, times.size) == (h, 2, 2)
         operands = []
         lock = threading.Lock()
         matmul = np.matmul
@@ -434,8 +434,7 @@ class TestOtoc:
 
         monkeypatch.setattr(np, "matmul", spy)
         el.otoc(a, spec, beta, times)
-        strips = sum(-(-(stop - start) // points) for start, stop, points in groups)
-        assert len(operands) == strips * -(-spec.dim // h)
+        assert len(operands) == 3 * -(-spec.dim // h)
         assert sorted({x.shape[0] for x in operands}) == [2 * h, 4 * h]
         tiny = np.finfo(float).tiny
         for x in operands:
@@ -476,13 +475,13 @@ class TestOtoc:
         ("ragged", float), ("below_one_block", float), ("stacked", float)],
         ids=["ragged", "below_one_block", "stacked",
              "ragged-real", "below_one_block-real", "stacked-real"])
-    def test_complex_path_matches_dense_direct_trace(self, layout, dtype, beta,
-                                                     n_times):
+    def test_complex_path_matches_dense_direct_trace(self, monkeypatch, layout,
+                                                     dtype, beta, n_times):
         # a complex Hermitian and a real symmetric A through the same
-        # layouts: d = 2h + 13 (two full row blocks and a ragged one), d < h
-        # (one block), and d = 16h + 13, where a strip stacks two time points
-        # and 7 and 31 points leave a part-filled last strip; at beta = 200
-        # and 400 states are flushed
+        # layouts on one thread: d = 2h + 13 (two full row blocks and a
+        # ragged one), d < h (one block), and d = 16h + 13, where a strip
+        # stacks two time points and 7 and 31 points leave a part-filled
+        # last strip; at beta = 200 and 400 states are flushed
         h = el.dynamics.OTOC_BLOCK_ROWS
         dim = {"ragged": 2 * h + 13, "below_one_block": 20,
                "stacked": 16 * h + 13}[layout]
@@ -495,8 +494,9 @@ class TestOtoc:
         a = el.OperatorEigenbasis(matrix=(x + x.conj().T) / 2)
         assert a.matrix.dtype == dtype
         assert (spec.dim < h) == (layout == "below_one_block")
-        points = el.dynamics._otoc_strip_points(dim, min(h, dim), n_times)
-        assert (points > 1) == (layout == "stacked" and n_times > 1)
+        self._path(monkeypatch, cpus=1)
+        _, per, _ = el.dynamics._otoc_plan(dim, n_times)
+        assert (per > 1) == (layout == "stacked" and n_times > 1)
         e = spec.eigenvalues
         logw = -beta * (e - e.min())
         r4 = np.exp(0.25 * logw) / np.exp(logw).sum() ** 0.25
@@ -616,12 +616,12 @@ class TestOtoc:
     @pytest.mark.parametrize("layout", ["stacked", "one_point_strips"])
     def test_threaded_path_matches_single_path(self, monkeypatch, layout,
                                                dtype, n_times):
-        # stacked: d = 24h + 13 stacks 3 points per strip on one thread, 2
-        # per strip in each of two groups, so 7 and 31 points leave a
-        # part-filled last strip in a group and exceed chunk x threads = 6;
-        # the GEMMs have other row counts on the two paths, and a BLAS may
-        # round a row differently with the row count (OpenBLAS's DGEMM can),
-        # so the values agree to rounding. one_point_strips: d = 8h + 13
+        # stacked: d = 24h + 13 stacks 3 points per strip on one thread and
+        # 2 per strip on two, so 7 and 31 points leave a part-filled last
+        # strip and exceed chunk x threads = 6; the GEMMs have other row
+        # counts on the two paths, and a BLAS may round a row differently
+        # with the row count (OpenBLAS's DGEMM can), so the values agree to
+        # rounding. one_point_strips: d = 8h + 13
         # takes one point per strip on either path, so each point runs the
         # same calls on the same operands and the values are bit-identical
         h = el.dynamics.OTOC_BLOCK_ROWS
@@ -633,30 +633,61 @@ class TestOtoc:
         x = x[..., 0] + 1j * x[..., 1] if dtype is complex else x[..., 0]
         a = el.OperatorEigenbasis(matrix=(x + x.conj().T) / 2)
         times = np.linspace(0.0, 3.0, n_times)
-        assert el.dynamics._otoc_strip_points(dim, h, n_times) == min(chunk, n_times)
+        chunk = min(chunk, n_times)
         self._path(monkeypatch, cpus=1)
-        assert len(el.dynamics._otoc_groups(dim, h, n_times)) == 1
+        assert el.dynamics._otoc_plan(dim, n_times) == (h, chunk, 1)
         single = el.otoc(a, spec, 1.0, times).values
         self._path(monkeypatch, cpus=2)
-        groups = el.dynamics._otoc_groups(dim, h, n_times)
-        per = -(-chunk // 2)
-        assert len(groups) == 2 and all(p == min(per, stop - start)
-                                        for start, stop, p in groups)
+        assert el.dynamics._otoc_plan(dim, n_times) == (h, -(-chunk // 2), 2)
         threaded = el.otoc(a, spec, 1.0, times).values
         assert np.abs(threaded - single).max() <= 1e-15 * np.abs(single).max()
         if layout == "one_point_strips":
             assert np.array_equal(threaded, single)
-            # up to eight groups, whatever the number of cores
+            # up to eight threads, whatever the number of cores
             self._path(monkeypatch, cpus=8)
-            assert len(el.dynamics._otoc_groups(dim, h, n_times)) == min(8, n_times)
+            assert el.dynamics._otoc_plan(dim, n_times) == (h, 1, min(8, n_times))
             assert np.array_equal(el.otoc(a, spec, 1.0, times).values, single)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("n_times", [1, 2, 7, 31])
+    def test_strips_cover_every_point_once(self, monkeypatch, n_times, cpus):
+        # the pool hands every time point to exactly one strip of at most
+        # per points, in order, on at most n threads, and the n strips in
+        # flight hold at most chunk + n - 1 points; the strip sum is replaced
+        # by one returning its times, so no operator is needed
+        seen = []
+        lock = threading.Lock()
+
+        def strip(a, q, e, times, rows):
+            with lock:
+                seen.append((times.size, rows, threading.get_ident()))
+            return times.astype(complex)
+
+        monkeypatch.setattr(el.dynamics, "_otoc_strip", strip)
+        self._path(monkeypatch, cpus)
+        h = el.dynamics.OTOC_BLOCK_ROWS
+        for dim in (20, 8 * h + 13, 40 * h + 13, 4096):
+            seen.clear()
+            rows, per, n = el.dynamics._otoc_plan(dim, n_times)
+            chunk = max(1, min(n_times, dim // (8 * rows)))
+            assert n == min(n_times, cpus)
+            assert n * per <= chunk + n - 1
+            times = np.linspace(0, 3, n_times)
+            a = np.broadcast_to(0.0, (dim, dim))
+            vals = el.dynamics._otoc_sum(a, None, None, times)
+            assert np.array_equal(vals, times)
+            assert all(0 < k <= per and r == rows for k, r, _ in seen)
+            assert len(seen) == -(-n_times // per)
+            assert len({ident for _, _, ident in seen}) <= n
+        # no time point, no strip
+        assert el.dynamics._otoc_sum(a, None, None, np.zeros(0)).shape == (0,)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_threaded_strips_stay_within_bound(self, monkeypatch, dtype):
-        # the strips and products of all n groups hold at most
+        # the n strips in flight and their products hold at most
         # 2h (chunk + n - 1) rows of d entries each: at d = 40h + 13 and
-        # 7 points chunk = 5, and two groups of 3 and 4 points take strips
-        # of 3, so 6 x 2h rows, not the 10 x 2h of a full chunk per group.
+        # 7 points chunk = 5, and two threads take strips of 3, so
+        # 6 x 2h rows, not the 10 x 2h of a full chunk per thread.
         # Beyond them each thread holds a few d-entry vectors per point and
         # the buffers of numpy's ufunc iterator, 3 x np.getbufsize() entries
         h = el.dynamics.OTOC_BLOCK_ROWS
@@ -666,12 +697,11 @@ class TestOtoc:
             a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))
         times = np.linspace(0, 3, 7)
         self._path(monkeypatch, cpus=2)
-        chunk = el.dynamics._otoc_strip_points(dim, h, times.size)
-        groups = el.dynamics._otoc_groups(dim, h, times.size)
-        assert chunk == 5
-        assert sum(points for _, _, points in groups) == chunk + 2 - 1
+        chunk, per, n = 5, 3, 2
+        assert el.dynamics._otoc_plan(dim, times.size) == (h, per, n)
+        assert n * per == chunk + n - 1
         item, c16 = np.dtype(dtype).itemsize, np.dtype(complex).itemsize
-        bound = 2 * 2 * h * (chunk + 2 - 1) * dim * item
+        bound = 2 * 2 * h * n * per * dim * item
         full = 2 * 2 * h * 2 * chunk * dim * item
         others = (6 * times.size * dim + 2 * 3 * np.getbufsize()) * c16
         assert bound + others < full
@@ -690,9 +720,10 @@ class TestOtoc:
         # rounding and with the dense trace
         h = el.dynamics.OTOC_BLOCK_ROWS
         dim = 32 * h + 13
-        assert el.dynamics._otoc_block_rows(dim, 1) == 2 * h
-        assert el.dynamics._otoc_block_rows(dim, 2) == h
-        assert el.dynamics._otoc_block_rows(20, 1) == 20
+        plan = el.dynamics._otoc_plan
+        assert plan(dim, 1)[0] == 2 * h
+        assert plan(dim, 2)[0] == h
+        assert plan(20, 1)[0] == 20
         spec, a = synth_complex(dim, seed=4)
         if dtype is float:
             a = el.OperatorEigenbasis(matrix=np.ascontiguousarray(a.matrix.real))

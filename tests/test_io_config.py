@@ -152,10 +152,11 @@ class TestRunConfig:
         assert {key for key, rule in rules.items() if rule is POSITIVE} == {
             "slack", "model.bandwidth", "model.diagonal.scale", "model.entropy.sigma_s",
             "code.window_half_width_fraction", "extract.sigma_s",
-            "extract.profile_bandwidth", "dynamics.sigma_omega",
-            "dynamics.wavepacket_sigma_fraction"}
+            "extract.profile_bandwidth", "dynamics.t_max", "dynamics.sigma_omega",
+            "dynamics.omega_max", "dynamics.wavepacket_sigma_fraction"}
         assert (rules["model.n_sites"], rules["model.dim"], rules["observable.sites"],
-                rules["thermal.betas"], rules["seed"]) == (2, 16, 0, 0, 0)
+                rules["thermal.betas"], rules["seed"], rules["dynamics.eps_reg"],
+                rules["dynamics.fdt_threshold"]) == (2, 16, 0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize("raw,key", [
         ({"thermal": {"betas": [None]}}, "thermal.betas.0"),

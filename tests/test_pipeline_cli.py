@@ -882,11 +882,19 @@ class TestCli:
         ("extract.e_bins", 0),
         ("extract.omega_bins", 1),
         ("extract.min_count", 0),
+        ("dynamics.t_max", 0.0),
+        ("dynamics.t_max", -1.0),
+        ("dynamics.omega_max", -1.0),
+        ("dynamics.eps_reg", -1.0),
+        ("dynamics.fdt_threshold", -1.0),
     ])
     def test_value_a_stage_refuses_is_refused_at_load(self, tmp_path, capsys,
                                                       key, value):
-        # each of these used to load, let the earlier stages write their
-        # files and then fail in extract, dynamics or bounds
+        # each of these used to load, and either let the earlier stages
+        # write their files and then fail in extract, dynamics or bounds, or
+        # (the dynamics values from t_max on) run to exit 0: t_max 0 wrote a
+        # time grid of zeros, and t_max and omega_max -1 grids running down
+        # to -1
         out = tmp_path / "refused"
         block, name = key.split(".")
         cfg_path = tmp_path / "cfg.json"
